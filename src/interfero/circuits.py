@@ -240,8 +240,8 @@ def sample_counts(
     """Multinomial shot counts in the computational basis.
 
     ``shots=None`` selects the analytic mode and returns the exact outcome
-    frequencies instead of sampling.  Sampling draws ``shots`` uniforms and
-    inverts the outcome CDF, so results are reproducible for a fixed
+    frequencies instead of sampling.  Sampling draws one multinomial vector
+    (memory O(d), not O(shots)), so results are reproducible for a fixed
     generator state.
     """
     return counts_from_probabilities(outcome_probabilities(state), shots, rng)
@@ -261,10 +261,7 @@ def counts_from_probabilities(
         raise ValidationError(f"shots must be a positive integer, got {shots}")
     if rng is None:
         raise ValidationError("sampling requires a seeded generator; pass rng=")
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    draws = np.searchsorted(edges, rng.random(shots), side="right")
-    counts = np.bincount(draws, minlength=probs.shape[0])
+    counts = rng.multinomial(shots, probs)
     return {_bits(i, n_bits): int(c) for i, c in enumerate(counts) if c > 0}
 
 

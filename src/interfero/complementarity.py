@@ -32,38 +32,48 @@ class ComplementarityPoint:
         return self.coherence + self.predictability
 
 
-def coherence_l1(rho: np.ndarray) -> float:
-    """Sum of |rho_jk| over all off-diagonal entries."""
-    rho = _light_check(rho)
-    mags = np.abs(rho)
-    return float(mags.sum() - np.trace(mags))
+def coherence_l1(rho: np.ndarray) -> float | np.ndarray:
+    """Sum of |rho_jk| over all off-diagonal entries.
+
+    A stack ``(..., d, d)`` gives an array over its leading axes.
+    """
+    return _scalar(l1_metrics(rho)[0])
 
 
-def predictability_l1(rho: np.ndarray) -> float:
+def predictability_l1(rho: np.ndarray) -> float | np.ndarray:
     """d - 1 minus the sum of sqrt(rho_jj rho_kk) over off-diagonal pairs.
 
     Diagonal entries within :data:`POPULATION_FLOOR` of zero (negative
     residue or float dust from reconstruction) count as exactly zero before
-    the square roots.
+    the square roots.  A stack ``(..., d, d)`` gives an array over its
+    leading axes.
     """
+    return _scalar(l1_metrics(rho)[1])
+
+
+def l1_metrics(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coherence and predictability arrays of a matrix or a stack ``(..., d, d)``."""
     rho = _light_check(rho)
-    d = rho.shape[0]
-    pops = np.real(np.diag(rho)).copy()
+    mags = np.abs(rho)
+    coherence = mags.sum(axis=(-2, -1)) - np.trace(mags, axis1=-2, axis2=-1)
+    pops = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).copy()
     pops[pops <= POPULATION_FLOOR] = 0.0
     root = np.sqrt(pops)
-    cross = np.outer(root, root)
-    return float(d - 1 - (cross.sum() - np.trace(cross)))
+    cross = root[..., :, None] * root[..., None, :]
+    predictability = rho.shape[-1] - 1 - (cross.sum(axis=(-2, -1)) - np.trace(cross, axis1=-2, axis2=-1))
+    return coherence, predictability
 
 
 def is_incoherent(rho: np.ndarray, tol: float) -> bool:
     """True when every off-diagonal magnitude is at most ``tol``."""
     rho = _light_check(rho)
-    off = np.abs(rho - np.diag(np.diag(rho)))
+    off = np.abs(rho)[..., ~np.eye(rho.shape[-1], dtype=bool)]
     return bool(np.max(off) <= tol) if off.size else True
 
 
 def point_from_density(rho: np.ndarray) -> ComplementarityPoint:
-    return ComplementarityPoint(coherence_l1(rho), predictability_l1(rho), rho.shape[0])
+    c, p = l1_metrics(rho)
+    return ComplementarityPoint(_scalar(c), _scalar(p), np.shape(rho)[-1])
 
 
 def bmzi_state(alpha: float) -> np.ndarray:
@@ -104,11 +114,15 @@ def theory_pqe(phi: float) -> ComplementarityPoint:
 def _light_check(rho: np.ndarray) -> np.ndarray:
     # hermiticity and shape only: raw (possibly non-PSD) inputs are allowed
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError(f"expected a square density matrix, got shape {rho.shape}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > 1e-8:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValidationError(f"expected a square density matrix or a stack of them, got shape {rho.shape}")
+    if rho.size and float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))))) > 1e-8:
         raise ValidationError("density matrix is not Hermitian within 1e-8")
     return rho
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _finite(value: float, name: str) -> None:

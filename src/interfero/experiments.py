@@ -3,9 +3,15 @@
 A sweep walks an angle grid, repeats each angle ``repetitions`` times, runs
 every tomography setting with ``shots`` samples (or exact frequencies in
 analytic mode), reconstructs the state and evaluates the complementarity
-metrics.  Sampling streams are derived per (master_seed, angle, repetition,
-setting) with a counter-based generator, so results do not depend on
-execution order or thread count.
+metrics.
+
+The unit of work is one angle.  Its interferometer is simulated once, each
+setting's basis change continues from that state, and the counts of all its
+(repetition, setting) cells are drawn in one multinomial call from a
+counter-based stream derived from (master_seed, angle index).  Inversion,
+PSD projection and metrics then run on the angle's stack of repetitions.
+Because every angle owns its stream, results do not depend on execution
+order or thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import numpy as np
 
 from .circuits import (
     Circuit,
-    counts_from_probabilities,
     cx,
     ctrl_h_open,
     ctrl_ix,
@@ -28,11 +33,11 @@ from .circuits import (
     rx_neg,
     simulate_density,
 )
-from .complementarity import coherence_l1, predictability_l1, theory_bmzi, theory_pqe
+from .complementarity import l1_metrics, theory_bmzi, theory_pqe
 from .errors import ReconstructionError, ValidationError
 from .mse import MetricSeries, MseReport, decompose, summarize
 from .noise import NoiseModel
-from .tomography import TomographyResult, basis_change, expectation_from_counts, measurement_settings, reconstruct
+from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd_stack
 
 KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
@@ -70,6 +75,9 @@ class ExperimentConfig:
             raise ValidationError(f"shots must be a positive integer, got {self.shots}")
         if self.repetitions is not None and self.repetitions < 1:
             raise ValidationError(f"repetitions must be at least 1, got {self.repetitions}")
+        if self.label is not None and (not self.label or any(ch in self.label for ch in ",\n\r")):
+            # the label is a results.csv field: a comma or line break would split the row
+            raise ValidationError(f"label must be non-empty without ',' or line breaks, got {self.label!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError(f"master_seed must fit in 64 bits, got {self.master_seed}")
         for name in ("depolarizing", "amplitude_damping", "phase_damping", "readout_flip0", "readout_flip1"):
@@ -179,100 +187,102 @@ def theory_series(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cell_rng(master_seed: int, angle_index: int, repetition: int, setting_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one sampling cell."""
+    """Independent counter-based stream for sampling one cell on its own.
+
+    :func:`run_sweep` draws whole angles from :func:`angle_rng` instead.
+    """
     seq = np.random.SeedSequence((master_seed, angle_index, repetition, setting_index))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def angle_rng(master_seed: int, angle_index: int) -> np.random.Generator:
+    """Counter-based stream that draws every count of one angle of a sweep."""
+    seq = np.random.SeedSequence((master_seed, angle_index))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def setting_probabilities(config: ExperimentConfig, angle: float) -> np.ndarray:
+    """Read-out outcome distribution of every tomography setting, shape ``(S, d)``.
+
+    The interferometer is simulated once; each setting's basis change then
+    runs from its output state with the same per-gate noise.
+    """
+    noise = config.noise
+    base = simulate_density(build_circuit(config.kind, angle), noise)
+    return np.array(
+        [
+            noise.apply_readout(
+                outcome_probabilities(simulate_density(basis_change(setting), noise, initial=base)),
+                config.n_qubits,
+            )
+            for setting in measurement_settings(config.n_qubits)
+        ]
+    )
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
-    Work cells are independent; with ``threads > 1`` they run on a thread
-    pool, and the output is identical to the single-threaded run.
+    Angles are independent; with ``threads > 1`` they run on a thread pool,
+    and the output is identical to the single-threaded run.  Working memory
+    is one angle's ``(repetitions, settings, d)`` counts and
+    ``(repetitions, d, d)`` matrices per thread.
     """
     angles = config.angles()
-    settings = measurement_settings(config.n_qubits)
+    n_qubits = config.n_qubits
+    signs = parity_signs(n_qubits)
     theory_c, theory_p = theory_series(config)
 
-    # The measured distribution per (angle, setting) is deterministic, so
-    # simulate each combination once up front.
-    probabilities: list[list[np.ndarray]] = []
-    for angle in angles:
-        base = build_circuit(config.kind, float(angle))
-        per_setting = []
-        for setting in settings:
-            rho = simulate_density(base.extended(basis_change(setting)), config.noise)
-            probs = outcome_probabilities(rho)
-            per_setting.append(config.noise.apply_readout(probs, config.n_qubits))
-        probabilities.append(per_setting)
-
-    cells = [(i, r) for i in range(len(angles)) for r in range(config.m)]
-
-    def run_cell(cell: tuple[int, int]) -> CellRecord:
-        i, r = cell
+    def run_angle(i: int) -> tuple[list[CellRecord], np.ndarray, np.ndarray]:
+        angle = float(angles[i])
+        probs = setting_probabilities(config, angle)
+        if config.analytic:
+            freqs = np.broadcast_to(probs, (config.m, *probs.shape))
+        else:
+            rng = angle_rng(config.master_seed, i)
+            freqs = rng.multinomial(config.shots, probs, size=(config.m, len(probs))) / config.shots
+        rho_raw = linear_inversion(np.einsum("rsk,sk->rs", freqs, signs), n_qubits)
         try:
-            expectations = {}
-            for s, setting in enumerate(settings):
-                probs = probabilities[i][s]
-                if config.analytic:
-                    freqs = counts_from_probabilities(probs, None)
-                else:
-                    rng = cell_rng(config.master_seed, i, r, s)
-                    freqs = counts_from_probabilities(probs, config.shots, rng)
-                expectations[setting] = expectation_from_counts(freqs, setting)
-            tomo = reconstruct(expectations, config.n_qubits)
+            rho, violation = project_psd_stack(rho_raw)
         except ReconstructionError as exc:
+            r = exc.cell[0]
             raise ReconstructionError(f"angle index {i}, repetition {r}: {exc}") from exc
-        return _record(i, float(angles[i]), r, tomo)
+        c, p = l1_metrics(rho)
+        c_raw, p_raw = l1_metrics(rho_raw)
+        columns = zip(c.tolist(), p.tolist(), (c + p).tolist(), (c_raw + p_raw).tolist(), violation.tolist())
+        records = [CellRecord(i, angle, r, rho[r], *values) for r, values in enumerate(columns)]
+        return records, c, p
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records_by_cell = dict(zip(cells, pool.map(run_cell, cells)))
+            per_angle = list(pool.map(run_angle, range(len(angles))))
     else:
-        records_by_cell = {cell: run_cell(cell) for cell in cells}
+        per_angle = [run_angle(i) for i in range(len(angles))]
 
-    records = tuple(records_by_cell[cell] for cell in cells)
-    series = []
-    decompositions = []
-    for r in range(config.m):
-        per_rep = [records_by_cell[(i, r)] for i in range(len(angles))]
-        s = MetricSeries(
+    records = tuple(rec for angle_records, _, _ in per_angle for rec in angle_records)
+    coherence = np.column_stack([c for _, c, _ in per_angle])
+    predictability = np.column_stack([p for _, _, p in per_angle])
+    series = tuple(
+        MetricSeries(
             angles=angles,
-            experimental_c=np.array([rec.coherence for rec in per_rep]),
-            experimental_p=np.array([rec.predictability for rec in per_rep]),
+            experimental_c=coherence[r],
+            experimental_p=predictability[r],
             theory_c=theory_c,
             theory_p=theory_p,
         )
-        series.append(s)
-        decompositions.append(decompose(s))
-    report = summarize([d.mse_sum for d in decompositions], tuple(decompositions))
+        for r in range(config.m)
+    )
+    decompositions = tuple(decompose(s) for s in series)
+    report = summarize([d.mse_sum for d in decompositions], decompositions)
     return ExperimentResult(
         config=config,
         angles=angles,
         theory_c=theory_c,
         theory_p=theory_p,
         records=records,
-        series=tuple(series),
-        decompositions=tuple(decompositions),
+        series=series,
+        decompositions=decompositions,
         report=report,
-    )
-
-
-def _record(angle_index: int, angle: float, repetition: int, tomo: TomographyResult) -> CellRecord:
-    c = coherence_l1(tomo.rho)
-    p = predictability_l1(tomo.rho)
-    c_raw = coherence_l1(tomo.rho_raw)
-    p_raw = predictability_l1(tomo.rho_raw)
-    return CellRecord(
-        angle_index=angle_index,
-        angle=angle,
-        repetition=repetition,
-        rho=tomo.rho,
-        coherence=c,
-        predictability=p,
-        total=c + p,
-        total_raw=c_raw + p_raw,
-        psd_violation=tomo.psd_violation,
     )
 
 

@@ -4,18 +4,24 @@ One measurement circuit per non-identity Pauli string (3 settings for one
 qubit, 15 for two), parity estimation of each expectation value, linear
 inversion over the Pauli basis and an eigenvalue-clipping projection back to
 the physical (PSD, trace-1) set.
+
+Inversion and projection work on stacks: expectation arrays ``(..., S)`` and
+matrices ``(..., d, d)``, where the leading axes index independent states.  A
+single state is the case with no leading axes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, unitary
 from .errors import ReconstructionError, ValidationError
-from .linalg import eig_hermitian, kron
+from .linalg import kron
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -88,52 +94,78 @@ def expectation_from_counts(counts: dict[str, float], setting: str) -> float:
     return acc / total
 
 
-def linear_inversion(expectations: dict[str, float], n_qubits: int) -> np.ndarray:
+def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: int) -> np.ndarray:
     """rho = 2^-n * sum_P <P> P over the full Pauli basis, <I..I> = 1.
 
+    ``expectations`` maps every setting of :func:`measurement_settings` to its
+    value, or is an array whose last axis runs over those settings in order;
+    the leading axes of such an array give a stack of states ``(..., d, d)``.
     Exact expectations reconstruct the state exactly; finite-shot estimates
     may produce negative eigenvalues, so the result is not validated as PSD.
     """
     required = measurement_settings(n_qubits)
-    for setting in required:
-        if setting not in expectations:
-            raise ValidationError(f"missing expectation value for setting {setting!r}")
-    for setting in expectations:
-        if setting not in required:
-            raise ValidationError(f"unexpected setting {setting!r} for {n_qubits} qubit(s)")
+    if isinstance(expectations, Mapping):
+        for setting in required:
+            if setting not in expectations:
+                raise ValidationError(f"missing expectation value for setting {setting!r}")
+        for setting in expectations:
+            if setting not in required:
+                raise ValidationError(f"unexpected setting {setting!r} for {n_qubits} qubit(s)")
+        values = np.array([float(expectations[setting]) for setting in required])
+    else:
+        values = np.asarray(expectations, dtype=float)
+        if values.ndim < 1 or values.shape[-1] != len(required):
+            raise ValidationError(
+                f"expected {len(required)} expectation values per state for {n_qubits} qubit(s), got shape {values.shape}"
+            )
+    outside = ~(np.abs(values) <= 1.0 + 1e-9)
+    if np.any(outside):
+        cell = _first(outside)
+        raise ValidationError(f"expectation for {required[cell[-1]]!r} is {float(values[cell])!r}, outside [-1, 1]")
     dim = 1 << n_qubits
-    rho = np.eye(dim, dtype=complex)
-    for setting, value in expectations.items():
-        if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:
-            raise ValidationError(f"expectation for {setting!r} is {value!r}, outside [-1, 1]")
-        rho = rho + value * _pauli_matrix(setting)
-    return rho / dim
+    return (np.eye(dim) + np.einsum("...s,sij->...ij", values, pauli_basis(n_qubits))) / dim
 
 
-def project_psd(m: np.ndarray) -> tuple[np.ndarray, float]:
+def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Clip negative eigenvalues and renormalise the trace to 1.
 
     Returns the projected state together with the clipped negative mass
     (0 when the input was already physical, in which case the input comes
-    back unchanged).
+    back unchanged).  A stack ``(..., d, d)`` gives an array of masses over
+    its leading axes; see :func:`project_psd_stack`.
+    """
+    rho, violation = project_psd_stack(m)
+    return rho, float(violation) if violation.ndim == 0 else violation
+
+
+def project_psd_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`project_psd` of every matrix in a stack, with one stacked ``eigh``.
+
+    A matrix whose smallest eigenvalue is >= 0 comes back unchanged with mass
+    0.  The clipped mass is always an array over the leading axes.  A
+    :class:`ReconstructionError` names the first matrix left with no
+    eigenvalue above zero in its ``cell``.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-6:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.size and float(np.max(np.abs(m - _dagger(m)))) > 1e-6:
         raise ValidationError("matrix to project is not Hermitian within 1e-6")
-    if abs(complex(np.trace(m)) - 1.0) > 1e-6:
-        raise ValidationError(f"matrix to project has trace {complex(np.trace(m))!r}, expected 1")
-    lam, vecs = eig_hermitian(m)
-    if float(lam[0]) >= 0.0:
-        return m, 0.0
-    violation = float(-np.sum(lam[lam < 0]))
+    traces = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > 1e-6
+    if np.any(off):
+        raise ValidationError(f"matrix to project has trace {complex(traces[_first(off)])!r}, expected 1")
+    lam, vecs = np.linalg.eigh(m)
+    negative = lam[..., 0] < 0.0
+    violation = np.where(negative, -np.sum(np.minimum(lam, 0.0), axis=-1), 0.0)
     clipped = np.clip(lam, 0.0, None)
-    total = float(clipped.sum())
-    if total <= 0.0:
-        raise ReconstructionError("all eigenvalues clipped to zero; no physical state remains")
-    clipped /= total
-    return (vecs * clipped) @ vecs.conj().T, violation
+    total = clipped.sum(axis=-1)
+    dead = negative & (total <= 0.0)
+    if np.any(dead):
+        raise ReconstructionError("all eigenvalues clipped to zero; no physical state remains", _first(dead))
+    clipped /= np.where(negative, total, 1.0)[..., None]
+    projected = (vecs * clipped[..., None, :]) @ _dagger(vecs)
+    return np.where(negative[..., None, None], projected, m), violation
 
 
 def reconstruct(expectations: dict[str, float], n_qubits: int) -> TomographyResult:
@@ -148,11 +180,47 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
+@functools.cache
+def pauli_basis(n_qubits: int) -> np.ndarray:
+    """Pauli matrices of :func:`measurement_settings`, stacked ``(S, d, d)``."""
+    basis = np.stack([_pauli_matrix(setting) for setting in measurement_settings(n_qubits)])
+    basis.flags.writeable = False
+    return basis
+
+
+@functools.cache
+def parity_signs(n_qubits: int) -> np.ndarray:
+    """``(S, d)`` table of +-1: outcome k's parity over setting s's non-identity positions.
+
+    Outcome frequencies ``(..., S, d)`` contracted with it over the outcome
+    axis give the expectations ``(..., S)`` that :func:`expectation_from_counts`
+    computes one setting at a time.
+    """
+    outcomes = np.arange(1 << n_qubits)
+    settings = measurement_settings(n_qubits)
+    signs = np.ones((len(settings), outcomes.size))
+    for s, setting in enumerate(settings):
+        for pos, letter in enumerate(setting):
+            if letter != "I":
+                signs[s] *= 1 - 2 * ((outcomes >> (n_qubits - 1 - pos)) & 1)
+    signs.flags.writeable = False
+    return signs
+
+
 def _pauli_matrix(setting: str) -> np.ndarray:
     m = PAULI[setting[0]]
     for letter in setting[1:]:
         m = kron(m, PAULI[letter])
     return m
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of ``mask``, in C order."""
+    return tuple(int(k) for k in np.unravel_index(np.argmax(mask), mask.shape))
 
 
 def _setting_qubits(setting: str) -> int:

@@ -163,3 +163,12 @@ def test_report_text_format_only(tmp_path, config_path, capsys):
 def test_analyze_missing_results_exits_two(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 2
     assert "results.csv" in capsys.readouterr().err
+
+
+def test_run_rejects_a_label_with_a_comma(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("kind = bmzi\nangle_points = 3\nrepetitions = 1\nshots = 20\nlabel = a,b\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: label") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "results.csv").exists()

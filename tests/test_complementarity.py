@@ -158,3 +158,20 @@ def test_coherence_is_basis_dependent():
 def test_bmzi_state_is_normalised():
     for alpha in np.linspace(-np.pi, np.pi, 9):
         assert np.linalg.norm(bmzi_state(alpha)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_metrics_of_a_stack_match_each_matrix():
+    from interfero.complementarity import l1_metrics
+
+    rng = np.random.default_rng(43)
+    for dim in (2, 4):
+        g = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+        stack = g @ np.conj(np.swapaxes(g, -1, -2))
+        stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+        c, p = l1_metrics(stack)
+        assert np.array_equal(coherence_l1(stack), c)
+        assert np.array_equal(predictability_l1(stack), p)
+        for k in range(5):
+            assert isinstance(coherence_l1(stack[k]), float)
+            assert c[k] == pytest.approx(coherence_l1(stack[k]), abs=1e-15)
+            assert p[k] == pytest.approx(predictability_l1(stack[k]), abs=1e-15)

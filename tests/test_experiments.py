@@ -101,6 +101,12 @@ def test_config_defaults_and_validation():
         ExperimentConfig(kind="bmzi", depolarizing=1.5)
 
 
+@pytest.mark.parametrize("label", ["", "a,b", "a\nb", "a\rb"])
+def test_label_that_would_break_a_csv_row_is_rejected(label):
+    with pytest.raises(ValidationError, match="label"):
+        ExperimentConfig(kind="bmzi", label=label)
+
+
 def test_noiseless_analytic_bmzi_saturates_the_bound():
     config = ExperimentConfig(kind="bmzi", angle_points=12, repetitions=1, analytic=True)
     result = run_sweep(config)
@@ -172,10 +178,11 @@ def test_reconstruction_failure_carries_cell_context(monkeypatch):
     import interfero.experiments as exp
     from interfero import ReconstructionError
 
-    def boom(expectations, n_qubits):
-        raise ReconstructionError("no physical state remains")
+    def boom(stack):
+        # the projection of one angle's stack reports its failing repetition
+        raise ReconstructionError("no physical state remains", cell=(0,))
 
-    monkeypatch.setattr(exp, "reconstruct", boom)
+    monkeypatch.setattr(exp, "project_psd_stack", boom)
     config = ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, analytic=True)
     with pytest.raises(ReconstructionError, match=r"angle index 0, repetition 0"):
         run_sweep(config)

@@ -200,3 +200,45 @@ def test_statistical_consistency_many_shots():
 
 def test_reconstruction_error_type_exists():
     assert issubclass(ReconstructionError, RuntimeError)
+
+
+def test_linear_inversion_of_a_stack_matches_each_state():
+    rng = np.random.default_rng(37)
+    for n_qubits in (1, 2):
+        settings = measurement_settings(n_qubits)
+        values = rng.uniform(-1, 1, size=(3, 2, len(settings)))
+        stack = linear_inversion(values, n_qubits)
+        assert stack.shape == (3, 2, 1 << n_qubits, 1 << n_qubits)
+        for index in np.ndindex(3, 2):
+            single = linear_inversion(dict(zip(settings, values[index])), n_qubits)
+            assert np.max(np.abs(stack[index] - single)) <= 1e-15
+
+
+def test_linear_inversion_of_a_stack_names_the_bad_setting():
+    values = np.zeros((4, 3))
+    values[2, 1] = 1.5
+    with pytest.raises(ValidationError, match="'Y'.*outside"):
+        linear_inversion(values, 1)
+    with pytest.raises(ValidationError, match="3 expectation values"):
+        linear_inversion(np.zeros((4, 15)), 1)
+
+
+def test_project_psd_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(41)
+    stack = []
+    for _ in range(12):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = 0.3 * (g + g.conj().T) + np.eye(4)
+        stack.append(h / np.trace(h).real)
+    stack = np.array(stack).reshape(3, 4, 4, 4)
+    rho, violation = project_psd(stack)
+    assert rho.shape == stack.shape and violation.shape == (3, 4)
+    assert np.any(violation > 0) and np.any(violation == 0)
+    for index in np.ndindex(3, 4):
+        single, mass = project_psd(stack[index])
+        assert isinstance(mass, float)
+        assert violation[index] == pytest.approx(mass, abs=1e-15)
+        assert np.max(np.abs(rho[index] - single)) <= 1e-14
+        if mass == 0.0:
+            # physical matrices come back untouched, not rebuilt from eigenvectors
+            assert np.array_equal(rho[index], stack[index])
