@@ -9,13 +9,11 @@ reporting.
 __version__ = "0.1.0"
 
 from .errors import ReconstructionError, ValidationError
-from .linalg import eig_hermitian, kron, outer, purity
+from .linalg import kron, outer, purity
 from .noise import NoiseModel, amplitude_damping, depolarizing, phase_damping, readout_confusion
 from .circuits import (
     Circuit,
     Gate,
-    GateKind,
-    gate_matrix,
     sample_counts,
     simulate_density,
     simulate_statevector,
@@ -69,7 +67,6 @@ __all__ = [
     "kron",
     "outer",
     "purity",
-    "eig_hermitian",
     "NoiseModel",
     "depolarizing",
     "amplitude_damping",
@@ -77,8 +74,6 @@ __all__ = [
     "readout_confusion",
     "Circuit",
     "Gate",
-    "GateKind",
-    "gate_matrix",
     "simulate_statevector",
     "simulate_density",
     "sample_counts",

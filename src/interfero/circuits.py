@@ -1,14 +1,14 @@
-"""Gate definitions, circuit representation and exact simulation.
+"""Gate definitions, circuit representation and exact simulation of 1-2 qubits.
 
 Qubit ordering: qubit ``q`` occupies bit ``q`` of the basis index, so for two
 qubits the basis label is ``|q1 q0>`` and the index is ``2*q1 + q0``.  Counts
 use bitstrings in the same order (leftmost character = highest qubit).
+Two-qubit gate matrices are written in the same ``|q1 q0>`` basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -24,100 +24,76 @@ IX = 1j * PAULI_X
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-class GateKind(Enum):
-    """Supported gate families."""
-
-    RX_NEG = "rx_neg"        # beam splitter: matrix conventionally written R_X(-theta)
-    IX = "ix"                # mirror pair
-    PHASE = "phase"          # phase shifter P(phi)
-    CX = "cx"                # half-wave plate: flip target when control is |1>
-    CTRL_H_OPEN = "ctrl_h0"  # quarter-wave plate: H on target when control is |0>
-    CTRL_IX = "ctrl_ix"      # polarizing beam splitter: iX on target when control is |1>
-    UNITARY = "unitary"      # caller-supplied matrix
-
-
 @dataclass(frozen=True, eq=False)
 class Gate:
-    kind: GateKind
+    """A named unitary on its own qubits (2x2, or 4x4 in the ``|q1 q0>`` basis)."""
+
+    name: str
     qubits: tuple[int, ...]
-    param: float = 0.0
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
 
 
 def rx_neg(theta: float, qubit: int = 0) -> Gate:
-    return Gate(GateKind.RX_NEG, (qubit,), param=float(theta))
+    """Beam splitter: the matrix conventionally written R_X(-theta)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return Gate("rx_neg", (qubit,), np.array([[c, 1j * s], [1j * s, c]]))
 
 
 def ix(qubit: int = 0) -> Gate:
-    return Gate(GateKind.IX, (qubit,))
+    """Mirror pair."""
+    return Gate("ix", (qubit,), IX.copy())
 
 
 def phase(phi: float, qubit: int = 0) -> Gate:
-    return Gate(GateKind.PHASE, (qubit,), param=float(phi))
+    """Phase shifter P(phi)."""
+    return Gate("phase", (qubit,), np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex))
 
 
 def cx(control: int, target: int) -> Gate:
-    return Gate(GateKind.CX, (control, target))
+    """Half-wave plate: flip the target when the control is |1>."""
+    return _controlled("cx", PAULI_X, PROJ1, control, target)
 
 
 def ctrl_h_open(control: int, target: int) -> Gate:
-    return Gate(GateKind.CTRL_H_OPEN, (control, target))
+    """Quarter-wave plate: H on the target when the control is |0>."""
+    return _controlled("ctrl_h0", HADAMARD, PROJ0, control, target)
 
 
 def ctrl_ix(control: int, target: int) -> Gate:
-    return Gate(GateKind.CTRL_IX, (control, target))
+    """Polarizing beam splitter: iX on the target when the control is |1>."""
+    return _controlled("ctrl_ix", IX, PROJ1, control, target)
 
 
 def unitary(matrix: np.ndarray, qubits: tuple[int, ...]) -> Gate:
-    return Gate(GateKind.UNITARY, tuple(qubits), matrix=np.asarray(matrix, dtype=complex))
+    """Caller-supplied matrix; a two-qubit one is read in the ``|q1 q0>`` basis."""
+    return Gate("unitary", tuple(qubits), np.asarray(matrix, dtype=complex))
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Unitary matrix of a gate on its own qubits.
-
-    Single-qubit kinds give a 2x2 matrix.  Two-qubit kinds give a 4x4 matrix
-    in the ``|q_high q_low>`` basis of the gate's two qubit indices.
-    """
-    k = gate.kind
-    if k is GateKind.RX_NEG:
-        c, s = np.cos(gate.param / 2), np.sin(gate.param / 2)
-        return np.array([[c, 1j * s], [1j * s, c]])
-    if k is GateKind.IX:
-        return IX.copy()
-    if k is GateKind.PHASE:
-        return np.array([[1, 0], [0, np.exp(1j * gate.param)]], dtype=complex)
-    if k is GateKind.UNITARY:
-        m = gate.matrix
-        if m is None or m.shape != (1 << len(gate.qubits),) * 2:
-            raise ValidationError("custom gate matrix does not match its qubit count")
-        return m
-    if k in (GateKind.CX, GateKind.CTRL_H_OPEN, GateKind.CTRL_IX):
-        control, target = gate.qubits
-        applied = {GateKind.CX: PAULI_X, GateKind.CTRL_H_OPEN: HADAMARD, GateKind.CTRL_IX: IX}[k]
-        trigger = PROJ0 if k is GateKind.CTRL_H_OPEN else PROJ1
-        resting = PROJ1 if k is GateKind.CTRL_H_OPEN else PROJ0
-        if control > target:
-            return kron(trigger, applied) + kron(resting, ID2)
-        return kron(applied, trigger) + kron(ID2, resting)
-    raise ValidationError(f"unknown gate kind {k!r}")
+def _controlled(name: str, applied: np.ndarray, trigger: np.ndarray, control: int, target: int) -> Gate:
+    resting = ID2 - trigger
+    if control > target:
+        matrix = kron(trigger, applied) + kron(resting, ID2)
+    else:
+        matrix = kron(applied, trigger) + kron(ID2, resting)
+    return Gate(name, (control, target), matrix)
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over ``n_qubits`` qubits."""
+    """Ordered gate list over ``n_qubits`` (1 or 2) qubits."""
 
     n_qubits: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= 4:
-            raise ValidationError(f"n_qubits must be in 1..4, got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= 2:
+            raise ValidationError(f"n_qubits must be in 1..2, got {self.n_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
-                raise ValidationError(f"gate {g.kind.value} touches qubit outside 0..{self.n_qubits - 1}")
+                raise ValidationError(f"gate {g.name} touches qubit outside 0..{self.n_qubits - 1}")
             if len(set(g.qubits)) != len(g.qubits):
-                raise ValidationError(f"gate {g.kind.value} repeats a qubit index")
+                raise ValidationError(f"gate {g.name} repeats a qubit index")
 
     @property
     def dim(self) -> int:
@@ -130,35 +106,20 @@ class Circuit:
         return Circuit(self.n_qubits, self.gates + other.gates)
 
 
-def lift_gate(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Expand a gate to the full 2^n-dimensional unitary.
+def _apply(op: np.ndarray, qubits: tuple[int, ...], n_qubits: int, m: np.ndarray) -> np.ndarray:
+    """``op @ m`` with ``op`` placed on ``qubits`` of the register, acting on ``m``'s rows.
 
-    The gate's local matrix indexes its qubits from most to least significant
-    as ``sorted(gate.qubits, reverse=True)`` for two-qubit kinds (their
-    matrices are built in that basis by :func:`gate_matrix`).
+    ``m`` is a state vector or a matrix whose rows index the register.
     """
-    local = gate_matrix(gate)
-    if len(gate.qubits) == 1:
-        placed = list(gate.qubits)
-    else:
-        placed = sorted(gate.qubits, reverse=True)
-    _check_unitary(local, gate)
-    dim = 1 << n_qubits
-    k = len(placed)
-    full = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        sub_col = 0
-        for pos, q in enumerate(placed):
-            sub_col |= ((col >> q) & 1) << (k - 1 - pos)
-        base = col
-        for q in placed:
-            base &= ~(1 << q)
-        for sub_row in range(1 << k):
-            row = base
-            for pos, q in enumerate(placed):
-                row |= ((sub_row >> (k - 1 - pos)) & 1) << q
-            full[row, col] = local[sub_row, sub_col]
-    return full
+    if len(qubits) == n_qubits:
+        return op @ m
+    (q,) = qubits
+    return np.einsum("ab,ibj->iaj", op, m.reshape(1 << (n_qubits - 1 - q), 2, -1)).reshape(m.shape)
+
+
+def _conjugate(op: np.ndarray, qubits: tuple[int, ...], n_qubits: int, rho: np.ndarray) -> np.ndarray:
+    """``op rho op^dag`` for Hermitian ``rho``, as two left applications."""
+    return _apply(op, qubits, n_qubits, _apply(op, qubits, n_qubits, rho).conj().T)
 
 
 def simulate_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -169,7 +130,8 @@ def simulate_statevector(circuit: Circuit, initial: np.ndarray | None = None) ->
     else:
         v = check_state_vector(initial, circuit.n_qubits).copy()
     for g in circuit.gates:
-        v = lift_gate(g, circuit.n_qubits) @ v
+        _check_unitary(g)
+        v = _apply(g.matrix, g.qubits, circuit.n_qubits, v)
     return check_state_vector(v, circuit.n_qubits)
 
 
@@ -185,35 +147,19 @@ def simulate_density(
     product of the statevector simulation.
     """
     noise = noise or NoiseModel()
+    n = circuit.n_qubits
     if initial is None:
         rho = np.zeros((circuit.dim, circuit.dim), dtype=complex)
         rho[0, 0] = 1.0
     else:
         rho = check_density_matrix(initial).copy()
     for g in circuit.gates:
-        u = lift_gate(g, circuit.n_qubits)
-        rho = u @ rho @ u.conj().T
+        _check_unitary(g)
+        rho = _conjugate(g.matrix, g.qubits, n, rho)
         for channel in noise.channels:
             for q in g.qubits:
-                rho = _apply_channel(rho, channel, q, circuit.n_qubits)
+                rho = sum(_conjugate(k, (q,), n, rho) for k in channel)
     return check_density_matrix(rho)
-
-
-def _apply_channel(rho: np.ndarray, kraus: tuple[np.ndarray, ...], qubit: int, n_qubits: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in kraus:
-        full = lift_operator(k, qubit, n_qubits)
-        out += full @ rho @ full.conj().T
-    return out
-
-
-def lift_operator(op2: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Place a single-qubit operator on ``qubit`` of an n-qubit register."""
-    factors = [np.asarray(op2, dtype=complex) if q == qubit else ID2 for q in range(n_qubits - 1, -1, -1)]
-    full = factors[0]
-    for f in factors[1:]:
-        full = np.kron(full, f)
-    return full
 
 
 def outcome_probabilities(state: np.ndarray) -> np.ndarray:
@@ -269,7 +215,10 @@ def _bits(index: int, n_bits: int) -> str:
     return format(index, f"0{n_bits}b")
 
 
-def _check_unitary(u: np.ndarray, gate: Gate) -> None:
-    dim = u.shape[0]
+def _check_unitary(gate: Gate) -> None:
+    u = gate.matrix
+    dim = 1 << len(gate.qubits)
+    if u.shape != (dim, dim):
+        raise ValidationError(f"gate {gate.name} matrix does not match its qubit count")
     if float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))) > 1e-12:
-        raise ValidationError(f"gate {gate.kind.value} matrix is not unitary within 1e-12")
+        raise ValidationError(f"gate {gate.name} matrix is not unitary within 1e-12")

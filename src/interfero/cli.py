@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ValidationError
-from .experiments import ExperimentConfig, run_sweep, theory_series
+from .experiments import CONFIG_COMMENT, ExperimentConfig, run_sweep, theory_series
 from .report import (
     aggregate_curves,
     fmt12,
@@ -64,7 +64,7 @@ def _read_config_values(path: str | Path) -> dict[str, object]:
     text = Path(path).read_text(encoding="utf-8")
     values: dict[str, object] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = CONFIG_COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -16,6 +16,7 @@ order or thread count.
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +43,9 @@ from .tomography import basis_change, linear_inversion, measurement_settings, pa
 KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
 DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
+
+#: Where a config-file comment starts: '#' at the start of a line or after whitespace.
+CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,11 @@ class ExperimentConfig:
             raise ValidationError(f"shots must be a positive integer, got {self.shots}")
         if self.repetitions is not None and self.repetitions < 1:
             raise ValidationError(f"repetitions must be at least 1, got {self.repetitions}")
-        if self.label is not None and (not self.label or any(ch in self.label for ch in ",\n\r")):
-            # the label is a results.csv field: a comma or line break would split the row
-            raise ValidationError(f"label must be non-empty without ',' or line breaks, got {self.label!r}")
+        if self.label is not None and not _label_reads_back(self.label):
+            raise ValidationError(
+                "label must be non-empty, without ',', line breaks, surrounding whitespace "
+                f"or a '#' that starts a config comment, got {self.label!r}"
+            )
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError(f"master_seed must fit in 64 bits, got {self.master_seed}")
         for name in ("depolarizing", "amplitude_damping", "phase_damping", "readout_flip0", "readout_flip1"):
@@ -283,6 +289,17 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         series=series,
         decompositions=decompositions,
         report=report,
+    )
+
+
+def _label_reads_back(label: str) -> bool:
+    """Whether ``label`` survives as one results.csv field and as a config.cfg value."""
+    return (
+        bool(label)
+        and "," not in label
+        and label.splitlines() == [label]
+        and label == label.strip()
+        and not CONFIG_COMMENT.search(label)
     )
 
 

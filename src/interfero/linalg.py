@@ -19,8 +19,8 @@ ATOL_IDENTITY = 1e-12
 ATOL_EVOLUTION = 1e-10
 ATOL_EIG = 1e-8
 
-#: Largest supported Hilbert-space dimension (4 qubits).
-MAX_DIM = 16
+#: Largest supported Hilbert-space dimension (2 qubits).
+MAX_DIM = 4
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,34 +53,6 @@ def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); equals 1 for pure states and 1/d for the maximally mixed one."""
     rho = check_density_matrix(rho)
     return float(np.real(np.trace(rho @ rho)))
-
-
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with a reproducible ordering.
-
-    Eigenvalues come back ascending; within numerically degenerate groups the
-    eigenvector columns are phase-fixed (first significant component real and
-    positive) and ordered lexicographically, so repeated calls on identical
-    input produce identical output.
-
-    Parameters
-    ----------
-    m:
-        Square matrix, Hermitian within 1e-8.
-
-    Returns
-    -------
-    ``(eigenvalues, eigenvectors)`` with ``eigenvectors[:, k]`` the unit
-    eigenvector for ``eigenvalues[k]``.
-    """
-    m = np.asarray(m, dtype=complex)
-    _require_square(m)
-    if float(np.max(np.abs(m - m.conj().T))) > ATOL_EIG:
-        raise ValidationError("matrix is not Hermitian within 1e-8")
-    lam, vecs = np.linalg.eigh(m)
-    vecs = _fix_phases(vecs)
-    order = _tie_broken_order(lam, vecs)
-    return lam[order], vecs[:, order]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,33 +103,3 @@ def _require_square(m: np.ndarray) -> None:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
         raise ValidationError(f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}")
-
-
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col) > 1e-10))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
-
-
-def _tie_broken_order(lam: np.ndarray, vecs: np.ndarray) -> list[int]:
-    # eigh is already ascending; only reorder inside degenerate groups
-    def key(j: int):
-        col = np.round(vecs[:, j], 10)
-        return tuple(x for c in col for x in (c.real, c.imag))
-
-    order: list[int] = []
-    start = 0
-    n = lam.shape[0]
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    while start < n:
-        stop = start + 1
-        while stop < n and lam[stop] - lam[start] <= 1e-10 * scale:
-            stop += 1
-        order.extend(sorted(range(start, stop), key=key))
-        start = stop
-    return order

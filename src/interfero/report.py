@@ -9,17 +9,19 @@ in a text variant (8-level block characters) and an SVG variant.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import ExperimentConfig, ExperimentResult
+from .experiments import KINDS, ExperimentConfig, ExperimentResult
 from .mse import HIST_BINS, MetricSeries, MseReport, decompose, summarize
 from .complementarity import theory_bmzi, theory_pqe
 
 CSV_HEADER = "kind,label,angle_index,angle,repetition,coherence,predictability,sum,sum_raw,psd_violation"
+CSV_FIELDS = tuple(CSV_HEADER.split(","))
 
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -30,7 +32,7 @@ def fmt12(x: float) -> str:
     return f"{x:.12f}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResultRow:
     kind: str
     label: str
@@ -69,26 +71,14 @@ class RunManifest:
 
 
 def result_csv(result: ExperimentResult) -> str:
-    lines = [CSV_HEADER]
     kind = result.config.kind
     label = result.config.run_label
-    for rec in result.records:
-        lines.append(
-            ",".join(
-                (
-                    kind,
-                    label,
-                    str(rec.angle_index),
-                    fmt12(rec.angle),
-                    str(rec.repetition),
-                    fmt12(rec.coherence),
-                    fmt12(rec.predictability),
-                    fmt12(rec.total),
-                    fmt12(rec.total_raw),
-                    fmt12(rec.psd_violation),
-                )
-            )
-        )
+    lines = [CSV_HEADER]
+    lines.extend(
+        f"{kind},{label},{rec.angle_index},{rec.angle:.12f},{rec.repetition},{rec.coherence:.12f},"
+        f"{rec.predictability:.12f},{rec.total:.12f},{rec.total_raw:.12f},{rec.psd_violation:.12f}"
+        for rec in result.records
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -158,34 +148,62 @@ def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[
 
 
 def read_results(csv_path: str | Path) -> list[ResultRow]:
-    """Parse a results CSV back into rows."""
+    """Parse a results CSV back into rows.
+
+    A malformed line is a ValidationError naming ``path:line``: a wrong field
+    count, an unknown kind, a non-integer index, an unparseable or non-finite
+    number, a kind that differs from the label's earlier rows, or a repeated
+    (label, angle_index, repetition) cell.
+    """
     path = Path(csv_path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or unexpected results header")
     rows = []
+    label_kinds: dict[str, str] = {}
+    cells: set[tuple[str, int, int]] = set()
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 10:
             raise ValidationError(f"{path}:{ln}: expected 10 fields, got {len(parts)}")
-        rows.append(
-            ResultRow(
-                kind=parts[0],
-                label=parts[1],
-                angle_index=int(parts[2]),
-                angle=float(parts[3]),
-                repetition=int(parts[4]),
-                coherence=float(parts[5]),
-                predictability=float(parts[6]),
-                total=float(parts[7]),
-                total_raw=float(parts[8]),
-                psd_violation=float(parts[9]),
+        kind, label = parts[0], parts[1]
+        if kind not in KINDS:
+            raise ValidationError(f"{path}:{ln}: kind must be one of {KINDS}, got {kind!r}")
+        try:
+            i, angle, rep = int(parts[2]), float(parts[3]), int(parts[4])
+            metrics = (float(parts[5]), float(parts[6]), float(parts[7]), float(parts[8]), float(parts[9]))
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: {_field_error(parts)}") from None
+        if not (math.isfinite(angle) and all(map(math.isfinite, metrics))):
+            raise ValidationError(f"{path}:{ln}: {_field_error(parts)}")
+        if label_kinds.setdefault(label, kind) != kind:
+            raise ValidationError(
+                f"{path}:{ln}: label {label!r} has kind {kind!r}, but {label_kinds[label]!r} on earlier rows"
             )
-        )
+        cell = (label, i, rep)
+        if cell in cells:
+            first = 2 + next(k for k, r in enumerate(rows) if (r.label, r.angle_index, r.repetition) == cell)
+            raise ValidationError(
+                f"{path}:{ln}: duplicate row for label {label!r}, angle index {i}, repetition {rep} (first at line {first})"
+            )
+        cells.add(cell)
+        rows.append(ResultRow(kind, label, i, angle, rep, *metrics))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return rows
+
+
+def _field_error(parts: list[str]) -> str:
+    """Describe the first numeric field of a results row that does not parse or is not finite."""
+    for name, text in zip(CSV_FIELDS[2:], parts[2:]):
+        integer = name in ("angle_index", "repetition")
+        try:
+            value = int(text) if integer else float(text)
+        except ValueError:
+            return f"{name} must be {'an integer' if integer else 'a number'}, got {text!r}"
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {text!r}"
+    raise AssertionError("called on a row whose fields all parse")
 
 
 def reports_from_rows(rows: list[ResultRow]) -> dict[str, MseReport]:

@@ -7,7 +7,6 @@ from interfero import (
     ValidationError,
     build_bmzi,
     build_pqe,
-    gate_matrix,
     outer,
     purity,
     sample_counts,
@@ -19,7 +18,6 @@ from interfero.circuits import (
     ctrl_ix,
     cx,
     ix,
-    lift_gate,
     phase,
     rx_neg,
     unitary,
@@ -40,15 +38,15 @@ def pqe_probabilities(phi):
 
 
 def test_rx_neg_zero_is_identity():
-    assert np.allclose(gate_matrix(rx_neg(0.0)), np.eye(2), atol=1e-12)
+    assert np.allclose(rx_neg(0.0).matrix, np.eye(2), atol=1e-12)
 
 
 def test_rx_neg_pi_equals_ix():
-    assert np.allclose(gate_matrix(rx_neg(np.pi)), gate_matrix(ix()), atol=1e-12)
+    assert np.allclose(rx_neg(np.pi).matrix, ix().matrix, atol=1e-12)
 
 
 def test_phase_pi_is_z_like():
-    assert np.allclose(gate_matrix(phase(np.pi)), np.diag([1.0, -1.0]), atol=1e-12)
+    assert np.allclose(phase(np.pi).matrix, np.diag([1.0, -1.0]), atol=1e-12)
 
 
 def test_every_gate_kind_is_unitary():
@@ -69,7 +67,7 @@ def test_every_gate_kind_is_unitary():
             ]
         )
     for g in gates:
-        u = gate_matrix(g)
+        u = g.matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-12
 
 
@@ -78,21 +76,19 @@ def test_controlled_gate_matrix_conventions():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[1, 1] = 1
     expected[3, 2] = expected[2, 3] = 1
-    assert np.allclose(gate_matrix(cx(1, 0)), expected, atol=1e-12)
+    assert np.allclose(cx(1, 0).matrix, expected, atol=1e-12)
     # control on the low qubit: |q1 q0>, flip q1 when q0 = 1
     expected2 = np.zeros((4, 4), dtype=complex)
     expected2[0, 0] = expected2[2, 2] = 1
     expected2[3, 1] = expected2[1, 3] = 1
-    assert np.allclose(gate_matrix(cx(0, 1)), expected2, atol=1e-12)
+    assert np.allclose(cx(0, 1).matrix, expected2, atol=1e-12)
 
 
 def test_lift_single_qubit_gate():
-    full = lift_gate(ix(0), 2)
-    v = np.zeros(4, dtype=complex)
-    v[0] = 1
-    assert np.allclose(full @ v, [0, 1j, 0, 0], atol=1e-12)  # |00> -> i|01>
-    full1 = lift_gate(ix(1), 2)
-    assert np.allclose(full1 @ v, [0, 0, 1j, 0], atol=1e-12)  # |00> -> i|10>
+    v = simulate_statevector(Circuit(2, (ix(0),)))
+    assert np.allclose(v, [0, 1j, 0, 0], atol=1e-12)  # |00> -> i|01>
+    v1 = simulate_statevector(Circuit(2, (ix(1),)))
+    assert np.allclose(v1, [0, 0, 1j, 0], atol=1e-12)  # |00> -> i|10>
 
 
 def test_bmzi_statevector_examples():
@@ -193,9 +189,16 @@ def test_circuit_index_validation():
         Circuit(2, (cx(1, 1),))
     with pytest.raises(ValidationError):
         Circuit(5)
+    with pytest.raises(ValidationError, match="1..2"):
+        Circuit(3)
 
 
 def test_custom_unitary_must_be_unitary():
     bad = unitary(np.array([[1.0, 0.0], [0.0, 2.0]]), (0,))
     with pytest.raises(ValidationError):
         simulate_statevector(Circuit(1, (bad,)))
+
+
+def test_custom_matrix_must_match_its_qubit_count():
+    with pytest.raises(ValidationError, match="qubit count"):
+        simulate_statevector(Circuit(2, (unitary(np.eye(2), (0, 1)),)))

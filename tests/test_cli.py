@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from interfero import ValidationError
+from interfero import ExperimentConfig, ValidationError
 from interfero.cli import main, parse_config
+from interfero.report import config_lines
 
 
 BASE_CONFIG = """\
@@ -172,3 +175,127 @@ def test_run_rejects_a_label_with_a_comma(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: label") and err.count("\n") == 1
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+@pytest.fixture
+def results_path(tmp_path, config_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out / "results.csv"
+
+
+def _edit_field(path, line_no, field, value):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    parts = lines[line_no - 1].split(",")
+    parts[field] = value
+    lines[line_no - 1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _analyze_error(path, capsys):
+    assert main(["analyze", "--out", str(path.parent)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_analyze_rejects_a_non_integer_angle_index(results_path, capsys):
+    _edit_field(results_path, 3, 2, "1.5")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:3: angle_index must be an integer, got '1.5'\n"
+
+
+def test_analyze_rejects_a_non_integer_repetition(results_path, capsys):
+    _edit_field(results_path, 4, 4, "one")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:4: repetition must be an integer, got 'one'\n"
+
+
+def test_analyze_rejects_an_unparseable_number(results_path, capsys):
+    _edit_field(results_path, 2, 6, "0.5.1")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:2: predictability must be a number, got '0.5.1'\n"
+
+
+@pytest.mark.parametrize("field, name, value", [(5, "coherence", "nan"), (7, "sum", "inf"), (3, "angle", "-inf")])
+def test_analyze_rejects_a_non_finite_number(results_path, capsys, field, name, value):
+    _edit_field(results_path, 5, field, value)
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:5: {name} must be finite, got '{value}'\n"
+
+
+def test_analyze_rejects_a_duplicate_cell(results_path, capsys):
+    lines = results_path.read_text(encoding="utf-8").splitlines()
+    results_path.write_text("\n".join(lines + [lines[2]]) + "\n", encoding="utf-8")
+    err = _analyze_error(results_path, capsys)
+    assert err == (
+        f"error: {results_path}:{len(lines) + 1}: duplicate row for label '5', angle index 0, "
+        "repetition 1 (first at line 3)\n"
+    )
+
+
+def test_analyze_rejects_a_label_with_mixed_kinds(results_path, capsys):
+    _edit_field(results_path, 6, 0, "pqe")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:6: label '5' has kind 'pqe', but 'bmzi' on earlier rows\n"
+
+
+def test_analyze_rejects_an_unknown_kind(results_path, capsys):
+    _edit_field(results_path, 2, 0, "mzi")
+    err = _analyze_error(results_path, capsys)
+    assert err.startswith(f"error: {results_path}:2: kind must be one of")
+
+
+def test_hash_inside_a_value_is_kept(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# header\nkind = bmzi  # trailing comment\nlabel = a#b\t# tab comment\n", encoding="utf-8")
+    config = parse_config(path)
+    assert config.kind == "bmzi"
+    assert config.label == "a#b"
+
+
+def test_hash_after_whitespace_starts_a_comment(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("kind = bmzi\nlabel = a #b\n", encoding="utf-8")
+    assert parse_config(path).label == "a"
+
+
+STRENGTH = st.floats(min_value=0.0, max_value=1.0)
+# Characters that matter to the CSV and config readers, plus arbitrary ones.
+TRICKY = st.sampled_from(list("a1=#, \t\n\r\x0b\x0c\x1c\x85\u2028"))
+LABEL_CHARS = st.one_of(TRICKY, TRICKY, TRICKY, st.characters())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("bmzi", "pqe")),
+    angle_points=st.integers(2, 10**6),
+    shots=st.integers(1, 10**9),
+    repetitions=st.none() | st.integers(1, 10**6),
+    master_seed=st.integers(0, 2**64 - 1),
+    analytic=st.booleans(),
+    label=st.none() | st.text(LABEL_CHARS, min_size=1, max_size=8),
+    strengths=st.tuples(STRENGTH, STRENGTH, STRENGTH, STRENGTH, STRENGTH),
+)
+def test_config_snapshot_parses_back(
+    tmp_path_factory, kind, angle_points, shots, repetitions, master_seed, analytic, label, strengths
+):
+    names = ("depolarizing", "amplitude_damping", "phase_damping", "readout_flip0", "readout_flip1")
+    try:
+        config = ExperimentConfig(
+            kind=kind,
+            angle_points=angle_points,
+            shots=shots,
+            repetitions=repetitions,
+            master_seed=master_seed,
+            analytic=analytic,
+            label=label,
+            **dict(zip(names, strengths)),
+        )
+    except ValidationError:
+        assume(False)
+    path = tmp_path_factory.mktemp("snapshot") / "config.cfg"
+    path.write_text("\n".join(config_lines(config)) + "\n", encoding="utf-8")
+    assert parse_config(path) == config

@@ -101,10 +101,21 @@ def test_config_defaults_and_validation():
         ExperimentConfig(kind="bmzi", depolarizing=1.5)
 
 
-@pytest.mark.parametrize("label", ["", "a,b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("label", ["", "a,b", "a\nb", "a\rb", "a\x0bb", "a\u2028b"])
 def test_label_that_would_break_a_csv_row_is_rejected(label):
     with pytest.raises(ValidationError, match="label"):
         ExperimentConfig(kind="bmzi", label=label)
+
+
+@pytest.mark.parametrize("label", [" a", "a ", "a #b", "#a"])
+def test_label_that_would_not_read_back_from_config_is_rejected(label):
+    with pytest.raises(ValidationError, match="label"):
+        ExperimentConfig(kind="bmzi", label=label)
+
+
+@pytest.mark.parametrize("label", ["a#b", "s-1", "0-1", "x y"])
+def test_label_that_reads_back_is_accepted(label):
+    assert ExperimentConfig(kind="bmzi", label=label).run_label == label
 
 
 def test_noiseless_analytic_bmzi_saturates_the_bound():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from interfero import ValidationError, eig_hermitian, kron, outer, purity
+from interfero import ValidationError, kron, outer, purity
 from interfero.linalg import check_density_matrix, check_state_vector, random_unitary
 
 I2 = np.eye(2)
@@ -55,7 +55,7 @@ def test_outer_is_rank_one():
     for _ in range(10):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        lam, _ = eig_hermitian(outer(v))
+        lam = np.linalg.eigvalsh(outer(v))
         assert abs(lam[-1] - 1.0) <= 1e-8
         assert np.max(np.abs(lam[:-1])) <= 1e-8
 
@@ -71,44 +71,6 @@ def test_purity_pure_state():
 def test_purity_mixed_diagonal():
     # 0.75^2 + 0.25^2
     assert purity(np.diag([0.75, 0.25])) == pytest.approx(0.625, abs=1e-12)
-
-
-def test_eig_diagonal():
-    lam, _ = eig_hermitian(np.diag([1.0, 0.0]))
-    assert np.allclose(lam, [0.0, 1.0], atol=1e-12)
-
-
-def test_eig_pauli_x():
-    lam, _ = eig_hermitian(X)
-    assert np.allclose(lam, [-1.0, 1.0], atol=1e-12)
-
-
-def test_eig_projector_onto_plus():
-    lam, _ = eig_hermitian(np.full((2, 2), 0.5))
-    assert np.allclose(lam, [0.0, 1.0], atol=1e-12)
-
-
-def test_eig_reconstruction_and_order():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = (g + g.conj().T) / 2
-        lam, vecs = eig_hermitian(m)
-        assert np.all(np.diff(lam) >= -1e-12)
-        recon = (vecs * lam) @ vecs.conj().T
-        assert np.max(np.abs(recon - m)) <= 1e-8
-
-
-def test_eig_deterministic_on_degenerate_input():
-    lam1, v1 = eig_hermitian(np.eye(4))
-    lam2, v2 = eig_hermitian(np.eye(4))
-    assert np.array_equal(lam1, lam2)
-    assert np.array_equal(v1, v2)
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_unitary_evolution_preserves_norm():
