@@ -24,6 +24,7 @@ from .report import (
     read_results,
     render_curves,
     render_sparkline_table,
+    report_lines,
     reports_from_rows,
     summary_row,
     write_manifest,
@@ -131,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(kind=args.kind, angle_points=args.points, analytic=True)
-    theory_c, theory_p = theory_series(config)
+    angles = ExperimentConfig(kind=args.kind, angle_points=args.points, analytic=True).angles()
+    theory_c, theory_p = theory_series(args.kind, angles)
     print("angle,coherence,predictability,sum")
-    for angle, c, p in zip(config.angles(), theory_c, theory_p):
+    for angle, c, p in zip(angles, theory_c, theory_p):
         print(f"{fmt12(angle)},{fmt12(c)},{fmt12(p)},{fmt12(c + p)}")
     return 0
 
@@ -157,16 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows = read_results(Path(args.out) / "results.csv")
     for label, report in reports_from_rows(rows).items():
         print(f"# label {label}")
-        print(f"mse_sum_mean = {fmt12(report.mse_sum)}")
-        print(f"mse_c_mean = {fmt12(report.mse_c)}")
-        print(f"mse_p_mean = {fmt12(report.mse_p)}")
-        print(f"corr_mean = {fmt12(report.corr)}")
-        print(f"mean = {fmt12(report.mean)}")
-        print(f"std = {fmt12(report.std)}")
-        print(f"min = {fmt12(report.min)}")
-        print(f"max = {fmt12(report.max)}")
-        print("histogram = " + ",".join(str(c) for c in report.histogram))
-        print(f"overflow = {report.overflow}")
+        print("\n".join(report_lines(report)))
     return 0
 
 

@@ -75,8 +75,9 @@ class ExperimentConfig:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.angle_points < 2:
             raise ValidationError(f"angle_points must be at least 2, got {self.angle_points}")
-        if not self.analytic and self.shots < 1:
-            raise ValidationError(f"shots must be a positive integer, got {self.shots}")
+        # the sampler takes the shot count as a C long
+        if not self.analytic and not 1 <= self.shots <= 2**63 - 1:
+            raise ValidationError(f"shots must be a positive integer at most 2**63 - 1, got {self.shots}")
         if self.repetitions is not None and self.repetitions < 1:
             raise ValidationError(f"repetitions must be at least 1, got {self.repetitions}")
         if self.label is not None and not _label_reads_back(self.label):
@@ -122,14 +123,15 @@ class ExperimentConfig:
         return 2 * np.pi * np.arange(self.angle_points) / self.angle_points
 
 
-@dataclass(frozen=True)
-class CellRecord:
-    """Reconstruction and metrics for one (angle, repetition) cell."""
+@dataclass(slots=True)
+class ResultRow:
+    """One (angle, repetition) cell as a results.csv row."""
 
+    kind: str
+    label: str
     angle_index: int
     angle: float
     repetition: int
-    rho: np.ndarray
     coherence: float
     predictability: float
     total: float
@@ -137,16 +139,50 @@ class CellRecord:
     psd_violation: float
 
 
+#: The per-cell metric columns of a :class:`SweepTable`, in results.csv order.
+METRICS = ("coherence", "predictability", "total", "total_raw", "psd_violation")
+
+
+@dataclass(frozen=True)
+class SweepTable:
+    """One label's sweep as columns.
+
+    ``angles`` has shape ``(n,)``; each metric array has shape ``(n, m)``
+    with angle ``i``'s ``m`` repetitions in row ``i``, the order of the
+    results.csv rows (angle-major).
+    """
+
+    kind: str
+    label: str
+    angles: np.ndarray
+    coherence: np.ndarray
+    predictability: np.ndarray
+    total: np.ndarray
+    total_raw: np.ndarray
+    psd_violation: np.ndarray
+
+    def columns(self) -> list[list]:
+        """The results.csv columns from ``angle_index`` to ``psd_violation`` as lists, one entry per row."""
+        n, m = self.coherence.shape
+        index = np.arange(n).repeat(m)
+        cells = [index.tolist(), self.angles[index].tolist(), np.tile(np.arange(m), n).tolist()]
+        return cells + [getattr(self, name).ravel().tolist() for name in METRICS]
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    angles: np.ndarray
-    theory_c: np.ndarray
-    theory_p: np.ndarray
-    records: tuple[CellRecord, ...]
-    series: tuple[MetricSeries, ...]
-    decompositions: tuple[MseReport, ...]
+    table: SweepTable
     report: MseReport
+
+    @property
+    def angles(self) -> np.ndarray:
+        return self.table.angles
+
+    @property
+    def records(self) -> list[ResultRow]:
+        """The table's cells as the rows results.csv holds, angle-major."""
+        return [ResultRow(self.table.kind, self.table.label, *row) for row in zip(*self.table.columns())]
 
 
 def build_bmzi(alpha: float) -> Circuit:
@@ -185,11 +221,21 @@ def build_circuit(kind: str, angle: float) -> Circuit:
     return build_bmzi(angle) if kind == "bmzi" else build_pqe(angle)
 
 
-def theory_series(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form coherence and predictability arrays over the angle grid."""
-    oracle = theory_bmzi if config.kind == "bmzi" else theory_pqe
-    points = [oracle(a) for a in config.angles()]
+def theory_series(kind: str, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form coherence and predictability arrays over an angle grid."""
+    oracle = theory_bmzi if kind == "bmzi" else theory_pqe
+    points = [oracle(a) for a in angles]
     return np.array([p.coherence for p in points]), np.array([p.predictability for p in points])
+
+
+def analyze(table: SweepTable) -> MseReport:
+    """Deconstructed MSE of each repetition against the pure-state curves, summarised."""
+    theory_c, theory_p = theory_series(table.kind, table.angles)
+    decompositions = tuple(
+        decompose(MetricSeries(table.angles, c, p, theory_c, theory_p))
+        for c, p in zip(table.coherence.T, table.predictability.T)
+    )
+    return summarize([d.mse_sum for d in decompositions], decompositions)
 
 
 def cell_rng(master_seed: int, angle_index: int, repetition: int, setting_index: int) -> np.random.Generator:
@@ -237,11 +283,9 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     angles = config.angles()
     n_qubits = config.n_qubits
     signs = parity_signs(n_qubits)
-    theory_c, theory_p = theory_series(config)
 
-    def run_angle(i: int) -> tuple[list[CellRecord], np.ndarray, np.ndarray]:
-        angle = float(angles[i])
-        probs = setting_probabilities(config, angle)
+    def run_angle(i: int) -> tuple[np.ndarray, ...]:
+        probs = setting_probabilities(config, float(angles[i]))
         if config.analytic:
             freqs = np.broadcast_to(probs, (config.m, *probs.shape))
         else:
@@ -255,9 +299,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             raise ReconstructionError(f"angle index {i}, repetition {r}: {exc}") from exc
         c, p = l1_metrics(rho)
         c_raw, p_raw = l1_metrics(rho_raw)
-        columns = zip(c.tolist(), p.tolist(), (c + p).tolist(), (c_raw + p_raw).tolist(), violation.tolist())
-        records = [CellRecord(i, angle, r, rho[r], *values) for r, values in enumerate(columns)]
-        return records, c, p
+        return c, p, c + p, c_raw + p_raw, violation
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -265,31 +307,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     else:
         per_angle = [run_angle(i) for i in range(len(angles))]
 
-    records = tuple(rec for angle_records, _, _ in per_angle for rec in angle_records)
-    coherence = np.column_stack([c for _, c, _ in per_angle])
-    predictability = np.column_stack([p for _, _, p in per_angle])
-    series = tuple(
-        MetricSeries(
-            angles=angles,
-            experimental_c=coherence[r],
-            experimental_p=predictability[r],
-            theory_c=theory_c,
-            theory_p=theory_p,
-        )
-        for r in range(config.m)
-    )
-    decompositions = tuple(decompose(s) for s in series)
-    report = summarize([d.mse_sum for d in decompositions], decompositions)
-    return ExperimentResult(
-        config=config,
-        angles=angles,
-        theory_c=theory_c,
-        theory_p=theory_p,
-        records=records,
-        series=series,
-        decompositions=decompositions,
-        report=report,
-    )
+    table = SweepTable(config.kind, config.run_label, angles, *(np.stack(column) for column in zip(*per_angle)))
+    return ExperimentResult(config, table, analyze(table))
 
 
 def _label_reads_back(label: str) -> bool:

@@ -86,6 +86,8 @@ class NoiseModel:
             if m.shape != (2, 2) or np.any(m < -1e-12) or np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-10:
                 raise ValidationError("readout confusion must be a column-stochastic 2x2 matrix")
             object.__setattr__(self, "readout", m)
+            # the register's confusion matrix, per qubit count of a circuit (1 or 2)
+            object.__setattr__(self, "_confusion", {1: m, 2: np.kron(m, m)})
 
     @classmethod
     def build(
@@ -117,10 +119,7 @@ class NoiseModel:
         """Confuse an outcome distribution; identity when no readout noise."""
         if self.readout is None:
             return probs
-        full = self.readout
-        for _ in range(n_qubits - 1):
-            full = np.kron(full, self.readout)
-        return full @ probs
+        return self._confusion[n_qubits] @ probs
 
 
 def _check_prob(value: float, name: str) -> None:

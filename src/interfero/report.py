@@ -10,15 +10,25 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import KINDS, ExperimentConfig, ExperimentResult
-from .mse import HIST_BINS, MetricSeries, MseReport, decompose, summarize
-from .complementarity import theory_bmzi, theory_pqe
+from .experiments import (
+    KINDS,
+    METRICS,
+    ExperimentConfig,
+    ExperimentResult,
+    ResultRow,
+    SweepTable,
+    analyze,
+    theory_series,
+)
+from .mse import HIST_BINS, MseReport
 
 CSV_HEADER = "kind,label,angle_index,angle,repetition,coherence,predictability,sum,sum_raw,psd_violation"
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
@@ -30,20 +40,6 @@ CURVE_COLORS = {"sum": "#000000", "coherence": "#e07b00", "predictability": "#1f
 
 def fmt12(x: float) -> str:
     return f"{x:.12f}"
-
-
-@dataclass(slots=True)
-class ResultRow:
-    kind: str
-    label: str
-    angle_index: int
-    angle: float
-    repetition: int
-    coherence: float
-    predictability: float
-    total: float
-    total_raw: float
-    psd_violation: float
 
 
 @dataclass(frozen=True)
@@ -60,43 +56,34 @@ class SummaryRow:
     overflow: int = 0
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    tool: str
-    version: str
-    timestamp: str
-    master_seed: int
-    config_path: str
-    outputs: tuple[str, ...]
-
-
 def result_csv(result: ExperimentResult) -> str:
-    kind = result.config.kind
-    label = result.config.run_label
+    kind, label = result.table.kind, result.table.label
     lines = [CSV_HEADER]
     lines.extend(
-        f"{kind},{label},{rec.angle_index},{rec.angle:.12f},{rec.repetition},{rec.coherence:.12f},"
-        f"{rec.predictability:.12f},{rec.total:.12f},{rec.total_raw:.12f},{rec.psd_violation:.12f}"
-        for rec in result.records
+        f"{kind},{label},{i},{angle:.12f},{r},{c:.12f},{p:.12f},{s:.12f},{s_raw:.12f},{v:.12f}"
+        for i, angle, r, c, p, s, s_raw, v in zip(*result.table.columns())
     )
     return "\n".join(lines) + "\n"
 
 
 def summary_text(result: ExperimentResult) -> str:
-    lines = ["# sweep summary"]
-    lines.extend(config_lines(result.config))
-    rep = result.report
-    lines.append(f"mse_sum_mean = {fmt12(rep.mse_sum)}")
-    lines.append(f"mse_c_mean = {fmt12(rep.mse_c)}")
-    lines.append(f"mse_p_mean = {fmt12(rep.mse_p)}")
-    lines.append(f"corr_mean = {fmt12(rep.corr)}")
-    lines.append(f"mean = {fmt12(rep.mean)}")
-    lines.append(f"std = {fmt12(rep.std)}")
-    lines.append(f"min = {fmt12(rep.min)}")
-    lines.append(f"max = {fmt12(rep.max)}")
-    lines.append("histogram = " + ",".join(str(c) for c in rep.histogram))
-    lines.append(f"overflow = {rep.overflow}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["# sweep summary", *config_lines(result.config), *report_lines(result.report)]) + "\n"
+
+
+def report_lines(report: MseReport) -> list[str]:
+    """The ``key = value`` lines of a report, as summary.txt and ``interfero analyze`` print them."""
+    return [
+        f"mse_sum_mean = {fmt12(report.mse_sum)}",
+        f"mse_c_mean = {fmt12(report.mse_c)}",
+        f"mse_p_mean = {fmt12(report.mse_p)}",
+        f"corr_mean = {fmt12(report.corr)}",
+        f"mean = {fmt12(report.mean)}",
+        f"std = {fmt12(report.std)}",
+        f"min = {fmt12(report.min)}",
+        f"max = {fmt12(report.max)}",
+        "histogram = " + ",".join(str(c) for c in report.histogram),
+        f"overflow = {report.overflow}",
+    ]
 
 
 def config_lines(config: ExperimentConfig) -> list[str]:
@@ -126,21 +113,13 @@ def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[
     out = Path(out_dir)
     config_path = out / "config.cfg"
     _write(config_path, "\n".join(config_lines(config)) + "\n")
-    manifest = RunManifest(
-        tool="interfero",
-        version=version,
-        timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
-        master_seed=config.master_seed,
-        config_path=config_path.name,
-        outputs=tuple(p.name for p in outputs),
-    )
     lines = [
-        f"tool = {manifest.tool}",
-        f"version = {manifest.version}",
-        f"timestamp = {manifest.timestamp}",
-        f"master_seed = {manifest.master_seed}",
-        f"config = {manifest.config_path}",
-        "outputs = " + ",".join(manifest.outputs),
+        "tool = interfero",
+        f"version = {version}",
+        f"timestamp = {_dt.datetime.now(_dt.timezone.utc).isoformat(timespec='seconds')}",
+        f"master_seed = {config.master_seed}",
+        f"config = {config_path.name}",
+        "outputs = " + ",".join(p.name for p in outputs),
     ]
     path = out / "manifest.txt"
     _write(path, "\n".join(lines) + "\n")
@@ -152,15 +131,18 @@ def read_results(csv_path: str | Path) -> list[ResultRow]:
 
     A malformed line is a ValidationError naming ``path:line``: a wrong field
     count, an unknown kind, a non-integer index, an unparseable or non-finite
-    number, a kind that differs from the label's earlier rows, or a repeated
-    (label, angle_index, repetition) cell.
+    number, a kind that differs from the label's earlier rows, an angle that
+    differs from earlier rows of the same (label, angle_index), or a repeated
+    (label, angle_index, repetition) cell.  A label whose rows miss a cell of
+    its (angle_index, repetition) grid is a ValidationError naming ``path``.
     """
     path = Path(csv_path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or unexpected results header")
     rows = []
-    label_kinds: dict[str, str] = {}
+    # per label: its kind, the angle of each angle index, and its repetitions
+    grids: dict[str, tuple[str, dict[int, float], set[int]]] = {}
     cells: set[tuple[str, int, int]] = set()
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -176,10 +158,16 @@ def read_results(csv_path: str | Path) -> list[ResultRow]:
             raise ValidationError(f"{path}:{ln}: {_field_error(parts)}") from None
         if not (math.isfinite(angle) and all(map(math.isfinite, metrics))):
             raise ValidationError(f"{path}:{ln}: {_field_error(parts)}")
-        if label_kinds.setdefault(label, kind) != kind:
+        grid = grids.get(label)
+        if grid is None:
+            grid = grids[label] = (kind, {}, set())
+        if grid[0] != kind:
+            raise ValidationError(f"{path}:{ln}: label {label!r} has kind {kind!r}, but {grid[0]!r} on earlier rows")
+        if grid[1].setdefault(i, angle) != angle:
             raise ValidationError(
-                f"{path}:{ln}: label {label!r} has kind {kind!r}, but {label_kinds[label]!r} on earlier rows"
+                f"{path}:{ln}: label {label!r}, angle index {i} has angle {angle!r}, but {grid[1][i]!r} on earlier rows"
             )
+        grid[2].add(rep)
         cell = (label, i, rep)
         if cell in cells:
             first = 2 + next(k for k, r in enumerate(rows) if (r.label, r.angle_index, r.repetition) == cell)
@@ -190,6 +178,12 @@ def read_results(csv_path: str | Path) -> list[ResultRow]:
         rows.append(ResultRow(kind, label, i, angle, rep, *metrics))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
+    # with no duplicates, a label holds its full grid exactly when the counts agree
+    counts = Counter(r.label for r in rows)
+    for label, (_, angles, reps) in grids.items():
+        if counts[label] != len(angles) * len(reps):
+            i, rep = next((i, r) for i in sorted(angles) for r in sorted(reps) if (label, i, r) not in cells)
+            raise ValidationError(f"{path}: label {label!r}: missing row for angle index {i}, repetition {rep}")
     return rows
 
 
@@ -206,38 +200,29 @@ def _field_error(parts: list[str]) -> str:
     raise AssertionError("called on a row whose fields all parse")
 
 
+def _tables(rows: list[ResultRow]) -> dict[str, SweepTable]:
+    """Each label's rows as a table, in order of first appearance.
+
+    The rows must hold every (angle_index, repetition) cell of their label
+    once, with one angle per angle index, as :func:`read_results` ensures.
+    """
+    by_label: dict[str, list[ResultRow]] = {}
+    for r in rows:
+        by_label.setdefault(r.label, []).append(r)
+    tables = {}
+    for label, subset in by_label.items():
+        subset.sort(key=attrgetter("angle_index", "repetition"))
+        n = len({r.angle_index for r in subset})
+        columns = np.array(list(map(attrgetter("angle", *METRICS), subset)))
+        # the reshape copies, so every (n, m) grid is C-contiguous
+        angle, *metrics = columns.T.reshape(1 + len(METRICS), n, -1)
+        tables[label] = SweepTable(subset[0].kind, label, angle[:, 0], *metrics)
+    return tables
+
+
 def reports_from_rows(rows: list[ResultRow]) -> dict[str, MseReport]:
-    """Recompute per-label MSE reports from stored rows."""
-    reports = {}
-    for label in _labels(rows):
-        subset = [r for r in rows if r.label == label]
-        kind = subset[0].kind
-        angle_indices = sorted({r.angle_index for r in subset})
-        reps = sorted({r.repetition for r in subset})
-        by_cell = {(r.angle_index, r.repetition): r for r in subset}
-        for i in angle_indices:
-            for rep in reps:
-                if (i, rep) not in by_cell:
-                    raise ValidationError(
-                        f"label {label!r}: missing row for angle index {i}, repetition {rep}"
-                    )
-        angles = np.array([by_cell[(i, reps[0])].angle for i in angle_indices])
-        oracle = theory_bmzi if kind == "bmzi" else theory_pqe
-        points = [oracle(a) for a in angles]
-        theory_c = np.array([p.coherence for p in points])
-        theory_p = np.array([p.predictability for p in points])
-        decomps = []
-        for rep in reps:
-            series = MetricSeries(
-                angles=angles,
-                experimental_c=np.array([by_cell[(i, rep)].coherence for i in angle_indices]),
-                experimental_p=np.array([by_cell[(i, rep)].predictability for i in angle_indices]),
-                theory_c=theory_c,
-                theory_p=theory_p,
-            )
-            decomps.append(decompose(series))
-        reports[label] = summarize([d.mse_sum for d in decomps], tuple(decomps))
-    return reports
+    """Recompute per-label MSE reports from rows as :func:`read_results` returns them."""
+    return {label: analyze(table) for label, table in _tables(rows).items()}
 
 
 def summary_row(label: str, report: MseReport) -> SummaryRow:
@@ -271,38 +256,9 @@ class CurveData:
 def aggregate_curves(rows: list[ResultRow]) -> dict[str, CurveData]:
     """Mean and standard deviation over repetitions, per label and angle."""
     curves = {}
-    for label in _labels(rows):
-        subset = [r for r in rows if r.label == label]
-        kind = subset[0].kind
-        angle_indices = sorted({r.angle_index for r in subset})
-        angles = []
-        stats = {"c": ([], []), "p": ([], []), "s": ([], [])}
-        for i in angle_indices:
-            cell = [r for r in subset if r.angle_index == i]
-            angles.append(cell[0].angle)
-            for key, values in (
-                ("c", [r.coherence for r in cell]),
-                ("p", [r.predictability for r in cell]),
-                ("s", [r.total for r in cell]),
-            ):
-                stats[key][0].append(float(np.mean(values)))
-                stats[key][1].append(float(np.std(values)))
-        angles = np.array(angles)
-        oracle = theory_bmzi if kind == "bmzi" else theory_pqe
-        points = [oracle(a) for a in angles]
-        curves[label] = CurveData(
-            label=label,
-            kind=kind,
-            angles=angles,
-            mean_c=np.array(stats["c"][0]),
-            std_c=np.array(stats["c"][1]),
-            mean_p=np.array(stats["p"][0]),
-            std_p=np.array(stats["p"][1]),
-            mean_sum=np.array(stats["s"][0]),
-            std_sum=np.array(stats["s"][1]),
-            theory_c=np.array([p.coherence for p in points]),
-            theory_p=np.array([p.predictability for p in points]),
-        )
+    for label, t in _tables(rows).items():
+        stats = [f(values, axis=1) for values in (t.coherence, t.predictability, t.total) for f in (np.mean, np.std)]
+        curves[label] = CurveData(label, t.kind, t.angles, *stats, *theory_series(t.kind, t.angles))
     return curves
 
 
@@ -463,13 +419,6 @@ def _spark_glyphs(histogram: tuple[int, ...]) -> str:
 
 def _bin_of(value: float) -> int:
     return min(max(int(np.floor(value * HIST_BINS)), 0), HIST_BINS - 1)
-
-
-def _labels(rows: list[ResultRow]) -> list[str]:
-    seen: dict[str, None] = {}
-    for r in rows:
-        seen.setdefault(r.label, None)
-    return list(seen)
 
 
 def _esc(text: str) -> str:

@@ -64,6 +64,15 @@ def test_run_rejects_zero_shots_naming_the_field(tmp_path, capsys):
     assert "shots" in capsys.readouterr().err
 
 
+def test_run_rejects_shots_beyond_a_c_long(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("kind = bmzi\nangle_points = 2\nrepetitions = 1\nshots = 100000000000000000000\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: shots") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["theory", "--kind", "bmzi", "--wat"]) == 1
     assert "--wat" in capsys.readouterr().err
@@ -240,6 +249,20 @@ def test_analyze_rejects_a_label_with_mixed_kinds(results_path, capsys):
     _edit_field(results_path, 6, 0, "pqe")
     err = _analyze_error(results_path, capsys)
     assert err == f"error: {results_path}:6: label '5' has kind 'pqe', but 'bmzi' on earlier rows\n"
+
+
+def test_analyze_rejects_an_angle_index_with_two_angles(results_path, capsys):
+    _edit_field(results_path, 3, 3, "1.500000000000")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:3: label '5', angle index 0 has angle 1.5, but -3.14159265359 on earlier rows\n"
+
+
+def test_analyze_names_the_file_of_a_missing_row(results_path, capsys):
+    lines = results_path.read_text(encoding="utf-8").splitlines()
+    del lines[4]
+    results_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}: label '5': missing row for angle index 1, repetition 1\n"
 
 
 def test_analyze_rejects_an_unknown_kind(results_path, capsys):

@@ -75,11 +75,11 @@ def test_angle_grids_contain_the_extremes():
 def test_theory_series_reference_grid():
     config = ExperimentConfig(kind="bmzi", angle_points=4, analytic=True)
     # grid is [-pi, -pi/2, 0, pi/2]
-    theory_c, theory_p = theory_series(config)
+    theory_c, theory_p = theory_series(config.kind, config.angles())
     assert np.allclose(theory_c, [0.0, 1.0, 0.0, 1.0], atol=1e-12)
     assert np.allclose(theory_p, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
     pqe = ExperimentConfig(kind="pqe", angle_points=8, analytic=True)
-    tc, tp = theory_series(pqe)
+    tc, tp = theory_series(pqe.kind, pqe.angles())
     assert np.allclose(tc + tp, 3.0, atol=1e-12)
 
 
@@ -99,6 +99,14 @@ def test_config_defaults_and_validation():
         ExperimentConfig(kind="bmzi", repetitions=0)
     with pytest.raises(ValidationError):
         ExperimentConfig(kind="bmzi", depolarizing=1.5)
+
+
+def test_shots_must_fit_a_c_long():
+    with pytest.raises(ValidationError, match="shots"):
+        ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, shots=10**20)
+    with pytest.raises(ValidationError, match="shots"):
+        ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, shots=2**63)
+    assert ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, shots=2**63 - 1).shots == 2**63 - 1
 
 
 @pytest.mark.parametrize("label", ["", "a,b", "a\nb", "a\rb", "a\x0bb", "a\u2028b"])
@@ -136,9 +144,9 @@ def test_noiseless_analytic_pqe_saturates_the_bound():
 def test_analytic_reconstruction_matches_theory_pointwise():
     config = ExperimentConfig(kind="bmzi", angle_points=16, repetitions=1, analytic=True)
     result = run_sweep(config)
-    series = result.series[0]
-    assert np.max(np.abs(series.experimental_c - series.theory_c)) <= 1e-9
-    assert np.max(np.abs(series.experimental_p - series.theory_p)) <= 1e-9
+    theory_c, theory_p = theory_series(config.kind, result.angles)
+    assert np.max(np.abs(result.table.coherence[:, 0] - theory_c)) <= 1e-9
+    assert np.max(np.abs(result.table.predictability[:, 0] - theory_p)) <= 1e-9
 
 
 def test_sweep_record_count_and_order():

@@ -224,7 +224,10 @@ def test_pqe_rows_recompute_against_dim_four_theory(tmp_path):
     result = run_sweep(config)
     paths = write_results(result, tmp_path)
     recomputed = reports_from_rows(read_results(paths["results"]))[config.run_label]
-    assert abs(recomputed.mean - result.report.mean) <= 1e-12
+    for field in ("mse_sum", "mse_c", "mse_p", "corr", "mean", "std", "min", "max"):
+        assert abs(getattr(recomputed, field) - getattr(result.report, field)) <= 1e-12
+    assert recomputed.histogram == result.report.histogram
+    assert recomputed.overflow == result.report.overflow
 
 
 def test_aggregate_curves_mean_and_std(tmp_path):
