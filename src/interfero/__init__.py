@@ -49,6 +49,7 @@ from .experiments import (
     theory_series,
 )
 from .report import (
+    ResultRows,
     SummaryRow,
     aggregate_curves,
     read_results,
@@ -108,6 +109,7 @@ __all__ = [
     "run_sweep",
     "theory_series",
     "SummaryRow",
+    "ResultRows",
     "result_csv",
     "write_results",
     "read_results",

@@ -22,6 +22,7 @@ from .report import (
     aggregate_curves,
     fmt12,
     read_results,
+    read_text,
     render_curves,
     render_sparkline_table,
     report_lines,
@@ -62,7 +63,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def _read_config_values(path: str | Path) -> dict[str, object]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(Path(path))
     values: dict[str, object] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = CONFIG_COMMENT.split(raw, maxsplit=1)[0].strip()

@@ -81,20 +81,24 @@ def bmzi_state(alpha: float) -> np.ndarray:
 
     First beam splitter angle ``alpha``; the phase shift and second beam
     splitter are fixed at their reference values (0 and a balanced flip),
-    leaving amplitudes (cos(alpha/2), i sin(alpha/2)).
+    leaving amplitudes (cos(alpha/2), i sin(alpha/2)).  An array of angles
+    gives the stack of states, shape ``(..., 2)``.
     """
     _finite(alpha, "alpha")
-    return np.array([np.cos(alpha / 2), 1j * np.sin(alpha / 2)])
+    alpha = np.asarray(alpha, dtype=float)
+    return np.stack([np.cos(alpha / 2), 1j * np.sin(alpha / 2)], axis=-1)
 
 
 def pqe_state(phi: float) -> np.ndarray:
     """Closed-form final state of the partial quantum eraser at phase ``phi``.
 
     Basis order |q1 q0> with q1 the spatial mode and q0 the polarization.
+    An array of phases gives the stack of states, shape ``(..., 4)``.
     """
     _finite(phi, "phi")
-    e = np.exp(1j * phi)
-    return -np.array([e + 1, -np.sqrt(2), -1j * np.sqrt(2) * e, -(e - 1)]) / (2 * np.sqrt(2))
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    amplitudes = np.broadcast_arrays(e + 1, -np.sqrt(2), -1j * np.sqrt(2) * e, -(e - 1))
+    return -np.stack(amplitudes, axis=-1) / (2 * np.sqrt(2))
 
 
 def theory_bmzi(alpha: float) -> ComplementarityPoint:
@@ -125,6 +129,6 @@ def _scalar(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _finite(value: float, name: str) -> None:
-    if not np.isfinite(value):
+def _finite(value: float | np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(value)):
         raise ValidationError(f"{name} must be finite, got {value!r}")

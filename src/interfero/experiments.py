@@ -34,9 +34,10 @@ from .circuits import (
     rx_neg,
     simulate_density,
 )
-from .complementarity import l1_metrics, theory_bmzi, theory_pqe
+from .complementarity import bmzi_state, l1_metrics, pqe_state
 from .errors import ReconstructionError, ValidationError
-from .mse import MetricSeries, MseReport, decompose, summarize
+from .linalg import outer
+from .mse import MseReport, decompose_rows, summarize_rows
 from .noise import NoiseModel
 from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd_stack
 
@@ -161,12 +162,19 @@ class SweepTable:
     total_raw: np.ndarray
     psd_violation: np.ndarray
 
-    def columns(self) -> list[list]:
-        """The results.csv columns from ``angle_index`` to ``psd_violation`` as lists, one entry per row."""
+    def columns(self, cells: slice = slice(None)) -> list[list]:
+        """The results.csv columns from ``angle_index`` to ``psd_violation`` as lists, one entry per row.
+
+        ``cells`` selects a range of the rows, counted angle-major.
+        """
         n, m = self.coherence.shape
-        index = np.arange(n).repeat(m)
-        cells = [index.tolist(), self.angles[index].tolist(), np.tile(np.arange(m), n).tolist()]
-        return cells + [getattr(self, name).ravel().tolist() for name in METRICS]
+        index, repetition = np.divmod(np.arange(n * m)[cells], m)
+        head = [index.tolist(), self.angles[index].tolist(), repetition.tolist()]
+        return head + [getattr(self, name).ravel()[cells].tolist() for name in METRICS]
+
+    def rows(self, cells: slice = slice(None)) -> list[ResultRow]:
+        """The cells as the rows results.csv holds, angle-major; ``cells`` selects a range of them."""
+        return [ResultRow(self.kind, self.label, *row) for row in zip(*self.columns(cells))]
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ class ExperimentResult:
     @property
     def records(self) -> list[ResultRow]:
         """The table's cells as the rows results.csv holds, angle-major."""
-        return [ResultRow(self.table.kind, self.table.label, *row) for row in zip(*self.table.columns())]
+        return self.table.rows()
 
 
 def build_bmzi(alpha: float) -> Circuit:
@@ -222,20 +230,22 @@ def build_circuit(kind: str, angle: float) -> Circuit:
 
 
 def theory_series(kind: str, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form coherence and predictability arrays over an angle grid."""
-    oracle = theory_bmzi if kind == "bmzi" else theory_pqe
-    points = [oracle(a) for a in angles]
-    return np.array([p.coherence for p in points]), np.array([p.predictability for p in points])
+    """Closed-form coherence and predictability arrays over an angle grid.
+
+    One metric evaluation on the stack of pure states; point ``i`` equals
+    ``theory_bmzi(angles[i])`` or ``theory_pqe(angles[i])`` bit for bit.
+    """
+    state = bmzi_state if kind == "bmzi" else pqe_state
+    return l1_metrics(outer(state(angles)))
 
 
 def analyze(table: SweepTable) -> MseReport:
-    """Deconstructed MSE of each repetition against the pure-state curves, summarised."""
+    """Deconstructed MSE of each repetition against the pure-state curves, summarised.
+
+    The deviations are reduced as ``(m, n)`` arrays, one row per repetition.
+    """
     theory_c, theory_p = theory_series(table.kind, table.angles)
-    decompositions = tuple(
-        decompose(MetricSeries(table.angles, c, p, theory_c, theory_p))
-        for c, p in zip(table.coherence.T, table.predictability.T)
-    )
-    return summarize([d.mse_sum for d in decompositions], decompositions)
+    return summarize_rows(*decompose_rows(theory_c - table.coherence.T, theory_p - table.predictability.T))
 
 
 def cell_rng(master_seed: int, angle_index: int, repetition: int, setting_index: int) -> np.random.Generator:

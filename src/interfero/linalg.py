@@ -34,19 +34,22 @@ def outer(v: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     v:
-        1-D complex vector with unit norm (within 1e-8).
+        Complex vector with unit norm (within 1e-8), or a stack of them
+        with shape ``(..., d)``.
 
     Returns
     -------
-    Rank-1 Hermitian matrix with unit trace.
+    Rank-1 Hermitian matrix with unit trace, or the stack ``(..., d, d)``
+    of them.
     """
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValidationError(f"state vector must be 1-D, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValidationError(f"state vector is not normalised: |v| = {norm!r}")
-    return np.outer(v, v.conj())
+    if v.ndim < 1:
+        raise ValidationError(f"state vector must be 1-D or a stack of them, got shape {v.shape}")
+    norm = np.linalg.norm(v, axis=-1).ravel()
+    off = np.abs(norm - 1.0) > 1e-8
+    if off.any():
+        raise ValidationError(f"state vector is not normalised: |v| = {float(norm[np.argmax(off)])!r}")
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def purity(rho: np.ndarray) -> float:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from collections import Counter
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -126,69 +127,122 @@ def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[
     return path
 
 
-def read_results(csv_path: str | Path) -> list[ResultRow]:
-    """Parse a results CSV back into rows.
+#: Lines :func:`read_results` parses in one step; bounds its transient field lists.
+CHUNK_LINES = 4096
+
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+
+class ResultRows(Sequence[ResultRow]):
+    """The rows of a results.csv, read-only, over its per-label tables.
+
+    ``tables`` maps each label, in order of first appearance, to its
+    :class:`SweepTable`.  The rows run through the tables in that order,
+    each angle-major, which is file order for every file ``interfero run``
+    writes; a row's ``angle_index`` and ``repetition`` are its place in its
+    table's grid.  A :class:`ResultRow` is built only when indexed or
+    iterated over.
+    """
+
+    def __init__(self, tables: dict[str, SweepTable]) -> None:
+        self.tables = tables
+        self._ends = list(accumulate(t.coherence.size for t in tables.values()))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        j = range(len(self))[k]
+        t = bisect_right(self._ends, j)
+        start = self._ends[t - 1] if t else 0
+        return list(self.tables.values())[t].rows(slice(j - start, j - start + 1))[0]
+
+    def __iter__(self) -> Iterator[ResultRow]:
+        for table in self.tables.values():
+            yield from table.rows()
+
+
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file; other bytes are a one-line ValidationError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
+def read_results(csv_path: str | Path) -> ResultRows:
+    """Parse a results CSV into one table per label.
 
     A malformed line is a ValidationError naming ``path:line``: a wrong field
     count, an unknown kind, a non-integer index, an unparseable or non-finite
     number, a kind that differs from the label's earlier rows, an angle that
     differs from earlier rows of the same (label, angle_index), or a repeated
-    (label, angle_index, repetition) cell.  A label whose rows miss a cell of
-    its (angle_index, repetition) grid is a ValidationError naming ``path``.
+    (label, angle_index, repetition) cell.  Of several such lines the lowest
+    is named.  A label whose rows miss a cell of its (angle_index,
+    repetition) grid is a ValidationError naming ``path``.
+
+    Lines are parsed column-wise, :data:`CHUNK_LINES` at a time, into arrays;
+    one sort then groups each label's cells into its table.
     """
     path = Path(csv_path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or unexpected results header")
-    rows = []
-    # per label: its kind, the angle of each angle index, and its repetitions
-    grids: dict[str, tuple[str, dict[int, float], set[int]]] = {}
-    cells: set[tuple[str, int, int]] = set()
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise ValidationError(f"{path}:{ln}: expected 10 fields, got {len(parts)}")
-        kind, label = parts[0], parts[1]
-        if kind not in KINDS:
-            raise ValidationError(f"{path}:{ln}: kind must be one of {KINDS}, got {kind!r}")
-        try:
-            i, angle, rep = int(parts[2]), float(parts[3]), int(parts[4])
-            metrics = (float(parts[5]), float(parts[6]), float(parts[7]), float(parts[8]), float(parts[9]))
-        except ValueError:
-            raise ValidationError(f"{path}:{ln}: {_field_error(parts)}") from None
-        if not (math.isfinite(angle) and all(map(math.isfinite, metrics))):
-            raise ValidationError(f"{path}:{ln}: {_field_error(parts)}")
-        grid = grids.get(label)
-        if grid is None:
-            grid = grids[label] = (kind, {}, set())
-        if grid[0] != kind:
-            raise ValidationError(f"{path}:{ln}: label {label!r} has kind {kind!r}, but {grid[0]!r} on earlier rows")
-        if grid[1].setdefault(i, angle) != angle:
-            raise ValidationError(
-                f"{path}:{ln}: label {label!r}, angle index {i} has angle {angle!r}, but {grid[1][i]!r} on earlier rows"
-            )
-        grid[2].add(rep)
-        cell = (label, i, rep)
-        if cell in cells:
-            first = 2 + next(k for k, r in enumerate(rows) if (r.label, r.angle_index, r.repetition) == cell)
-            raise ValidationError(
-                f"{path}:{ln}: duplicate row for label {label!r}, angle index {i}, repetition {rep} (first at line {first})"
-            )
-        cells.add(cell)
-        rows.append(ResultRow(kind, label, i, angle, rep, *metrics))
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    # with no duplicates, a label holds its full grid exactly when the counts agree
-    counts = Counter(r.label for r in rows)
-    for label, (_, angles, reps) in grids.items():
-        if counts[label] != len(angles) * len(reps):
-            i, rep = next((i, r) for i in sorted(angles) for r in sorted(reps) if (label, i, r) not in cells)
-            raise ValidationError(f"{path}: label {label!r}: missing row for angle index {i}, repetition {rep}")
-    return rows
+    # per row: label code, kind code, angle_index, repetition; and angle, then the metrics
+    ints = np.empty((4, len(lines) - 1), dtype=np.int64)
+    floats = np.empty((1 + len(METRICS), len(lines) - 1))
+    labels: dict[str, int] = {}
+    parsed, fault = len(lines) - 1, None
+    for start in range(1, len(lines), CHUNK_LINES):
+        chunk = lines[start : start + CHUNK_LINES]
+        if not _parse_chunk(chunk, ints, floats, start - 1, labels):
+            j, message = next((j, m) for j, m in enumerate(map(_line_fault, chunk)) if m)
+            _parse_chunk(chunk[:j], ints, floats, start - 1, labels)
+            parsed, fault = start - 1 + j, (start - 1 + j, message)
+            break
+    return ResultRows(_group(path, ints[:, :parsed], floats[:, :parsed], list(labels), fault))
 
 
-def _field_error(parts: list[str]) -> str:
-    """Describe the first numeric field of a results row that does not parse or is not finite."""
+def _parse_chunk(chunk: list[str], ints: np.ndarray, floats: np.ndarray, row: int, labels: dict[str, int]) -> bool:
+    """Parse ``chunk`` into the columns from ``row`` on; False when one of its lines is faulty on its own."""
+    if not chunk:
+        return True
+    if list(map(str.count, chunk, repeat(","))).count(9) != len(chunk):
+        return False
+    fields = ",".join(chunk).split(",")
+    kinds, names = fields[0::10], fields[1::10]
+    if not KIND_CODES.keys() >= set(kinds):
+        return False
+    for name in dict.fromkeys(names):
+        labels.setdefault(name, len(labels))
+    end = row + len(chunk)
+    try:
+        ints[0, row:end] = list(map(labels.__getitem__, names))
+        ints[1, row:end] = list(map(KIND_CODES.__getitem__, kinds))
+        ints[2, row:end] = list(map(int, fields[2::10]))
+        ints[3, row:end] = list(map(int, fields[4::10]))
+        for k, column in enumerate((3, 5, 6, 7, 8, 9)):
+            floats[k, row:end] = list(map(float, fields[column::10]))
+    except (ValueError, OverflowError):
+        return False
+    return bool(np.isfinite(floats[:, row:end]).all())
+
+
+def _line_fault(line: str) -> str | None:
+    """What is wrong with one results line on its own, or None."""
+    parts = line.split(",")
+    if len(parts) != 10:
+        return f"expected 10 fields, got {len(parts)}"
+    if parts[0] not in KINDS:
+        return f"kind must be one of {KINDS}, got {parts[0]!r}"
+    return _field_error(parts)
+
+
+def _field_error(parts: list[str]) -> str | None:
+    """Describe the first numeric field of a results row that does not parse, is not finite
+    or is an index beyond 64 bits; None when there is none."""
     for name, text in zip(CSV_FIELDS[2:], parts[2:]):
         integer = name in ("angle_index", "repetition")
         try:
@@ -197,32 +251,83 @@ def _field_error(parts: list[str]) -> str:
             return f"{name} must be {'an integer' if integer else 'a number'}, got {text!r}"
         if not math.isfinite(value):
             return f"{name} must be finite, got {text!r}"
-    raise AssertionError("called on a row whose fields all parse")
+        if integer and not -(2**63) <= value < 2**63:
+            return f"{name} must fit in 64 bits, got {text!r}"
+    return None
 
 
-def _tables(rows: list[ResultRow]) -> dict[str, SweepTable]:
+def _group(
+    path: Path, ints: np.ndarray, floats: np.ndarray, labels: list[str], fault: tuple[int, str] | None
+) -> dict[str, SweepTable]:
     """Each label's rows as a table, in order of first appearance.
 
-    The rows must hold every (angle_index, repetition) cell of their label
-    once, with one angle per angle index, as :func:`read_results` ensures.
+    ``fault`` is the first row that is faulty on its own, if any; only the
+    rows before it are given.  The lowest row that is faulty on its own or
+    against earlier rows is a ValidationError, then the first missing cell.
     """
-    by_label: dict[str, list[ResultRow]] = {}
-    for r in rows:
-        by_label.setdefault(r.label, []).append(r)
+    code, kind, index, rep = ints
+    angle = floats[0]
+    n = len(code)
+    # stable, so the rows of a cell stay in file order
+    order = np.lexsort((rep, index, code))
+    c, i, r = code[order], index[order], rep[order]
+    new_label = np.ones(n, dtype=bool)
+    new_label[1:] = c[1:] != c[:-1]
+    new_angle = new_label.copy()
+    new_angle[1:] |= i[1:] != i[:-1]
+    new_cell = new_angle.copy()
+    new_cell[1:] |= r[1:] != r[:-1]
+
+    def first_rows(new: np.ndarray) -> np.ndarray:
+        """For each row, the lowest row of its group."""
+        out = np.empty(n, dtype=np.int64)
+        out[order] = np.minimum.reduceat(order, np.flatnonzero(new))[np.cumsum(new) - 1]
+        return out
+
+    label_first, angle_first, cell_first = first_rows(new_label), first_rows(new_angle), first_rows(new_cell)
+    bad = (kind != kind[label_first]) | (angle != angle[angle_first]) | (cell_first != np.arange(n))
+    if bad.any():
+        k = int(np.argmax(bad))
+        label, i0 = labels[code[k]], int(index[k])
+        if kind[k] != kind[label_first[k]]:
+            message = f"label {label!r} has kind {KINDS[kind[k]]!r}, but {KINDS[kind[label_first[k]]]!r} on earlier rows"
+        elif angle[k] != angle[angle_first[k]]:
+            message = (
+                f"label {label!r}, angle index {i0} has angle {float(angle[k])!r}, "
+                f"but {float(angle[angle_first[k]])!r} on earlier rows"
+            )
+        else:
+            message = (
+                f"duplicate row for label {label!r}, angle index {i0}, repetition {int(rep[k])} "
+                f"(first at line {cell_first[k] + 2})"
+            )
+        fault = (k, message)
+    if fault is not None:
+        raise ValidationError(f"{path}:{fault[0] + 2}: {fault[1]}")
+    if n == 0:
+        raise ValidationError(f"{path}: no data rows")
+    # each label's rows are one block of the sorted columns, angle-major
+    columns = floats.take(order, axis=1)  # C-contiguous, so every (n, m) grid is too
+    bounds = np.append(np.flatnonzero(new_label), n)
     tables = {}
-    for label, subset in by_label.items():
-        subset.sort(key=attrgetter("angle_index", "repetition"))
-        n = len({r.angle_index for r in subset})
-        columns = np.array(list(map(attrgetter("angle", *METRICS), subset)))
-        # the reshape copies, so every (n, m) grid is C-contiguous
-        angle, *metrics = columns.T.reshape(1 + len(METRICS), n, -1)
-        tables[label] = SweepTable(subset[0].kind, label, angle[:, 0], *metrics)
+    for label, a, b in zip(labels, bounds[:-1], bounds[1:]):
+        angle_indices, reps = i[a:b][new_angle[a:b]], np.unique(r[a:b])
+        # with no duplicates, a label holds its full grid exactly when the counts agree
+        if b - a != len(angle_indices) * len(reps):
+            held = np.zeros((len(angle_indices), len(reps)), dtype=bool)
+            held[np.searchsorted(angle_indices, i[a:b]), np.searchsorted(reps, r[a:b])] = True
+            q, s = divmod(int(np.argmin(held)), len(reps))
+            raise ValidationError(
+                f"{path}: label {label!r}: missing row for angle index {angle_indices[q]}, repetition {reps[s]}"
+            )
+        angles, *metrics = columns[:, a:b].reshape(len(columns), len(angle_indices), len(reps))
+        tables[label] = SweepTable(KINDS[kind[order[a]]], label, angles[:, 0], *metrics)
     return tables
 
 
-def reports_from_rows(rows: list[ResultRow]) -> dict[str, MseReport]:
-    """Recompute per-label MSE reports from rows as :func:`read_results` returns them."""
-    return {label: analyze(table) for label, table in _tables(rows).items()}
+def reports_from_rows(rows: ResultRows) -> dict[str, MseReport]:
+    """Per-label MSE reports of the tables :func:`read_results` returns."""
+    return {label: analyze(table) for label, table in rows.tables.items()}
 
 
 def summary_row(label: str, report: MseReport) -> SummaryRow:
@@ -253,10 +358,10 @@ class CurveData:
     theory_p: np.ndarray
 
 
-def aggregate_curves(rows: list[ResultRow]) -> dict[str, CurveData]:
+def aggregate_curves(rows: ResultRows) -> dict[str, CurveData]:
     """Mean and standard deviation over repetitions, per label and angle."""
     curves = {}
-    for label, t in _tables(rows).items():
+    for label, t in rows.tables.items():
         stats = [f(values, axis=1) for values in (t.coherence, t.predictability, t.total) for f in (np.mean, np.std)]
         curves[label] = CurveData(label, t.kind, t.angles, *stats, *theory_series(t.kind, t.angles))
     return curves
@@ -268,6 +373,8 @@ def render_curves(curve: CurveData) -> str:
     left, right, top, bottom = 56, 16, 28, 44
     plot_w, plot_h = width - left - right, height - top - bottom
     x_min, x_max = float(curve.angles[0]), float(curve.angles[-1])
+    # one angle (or equal end angles) would leave the x scale zero wide
+    x_lo, x_hi = (x_min, x_max) if x_max != x_min else (x_min - 1.0, x_max + 1.0)
     y_top_data = max(
         1.05,
         float(np.max(curve.mean_sum + curve.std_sum)) * 1.05,
@@ -276,7 +383,7 @@ def render_curves(curve: CurveData) -> str:
     y_min, y_max = -0.05, y_top_data
 
     def sx(x: float) -> float:
-        return left + (x - x_min) / (x_max - x_min) * plot_w
+        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
         return top + (y_max - y) / (y_max - y_min) * plot_h

@@ -1,10 +1,12 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from interfero import ExperimentConfig, ValidationError
 from interfero.cli import main, parse_config
-from interfero.report import config_lines
+from interfero.report import CSV_HEADER, config_lines
 
 
 BASE_CONFIG = """\
@@ -322,3 +324,52 @@ def test_config_snapshot_parses_back(
     path = tmp_path_factory.mktemp("snapshot") / "config.cfg"
     path.write_text("\n".join(config_lines(config)) + "\n", encoding="utf-8")
     assert parse_config(path) == config
+
+
+def test_analyze_names_the_lower_of_two_faulty_lines(results_path, capsys):
+    lines = results_path.read_text(encoding="utf-8").splitlines()
+    results_path.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    _edit_field(results_path, 7, 6, "x")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:7: predictability must be a number, got 'x'\n"
+    _edit_field(results_path, 7, 6, "0.5")
+    _edit_field(results_path, 4, 0, "pqe")
+    err = _analyze_error(results_path, capsys)
+    assert err == f"error: {results_path}:4: label '5' has kind 'pqe', but 'bmzi' on earlier rows\n"
+
+
+def test_analyze_names_the_first_check_a_line_fails(results_path, capsys):
+    _edit_field(results_path, 3, 0, "mzi")
+    _edit_field(results_path, 3, 5, "x")
+    err = _analyze_error(results_path, capsys)
+    assert err.startswith(f"error: {results_path}:3: kind must be one of")
+
+
+def test_report_renders_a_label_with_one_angle(tmp_path, capsys):
+    out = tmp_path / "one"
+    out.mkdir()
+    rows = [f"bmzi,0,0,0.500000000000,{r},0.4{r},0.5{r},0.9{r},0.9{r},0.000000000000" for r in range(2)]
+    (out / "results.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert main(["report", "--out", str(out)]) == 0
+    capsys.readouterr()
+    svg = (out / "curves_0.svg").read_text(encoding="utf-8")
+    ET.fromstring(svg)
+    assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_results_that_are_not_utf8_exit_one(results_path, capsys, command):
+    data = results_path.read_bytes().replace(b",5,", b",\xff,", 1)
+    results_path.write_bytes(data)
+    at = data.index(b"\xff")
+    assert main([command, "--out", str(results_path.parent)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {results_path}: not valid UTF-8 at byte {at}\n"
+
+
+def test_a_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"kind = bmzi\nlabel = \xff\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte 20\n"
+    assert not (tmp_path / "o").exists()

@@ -215,3 +215,33 @@ def test_sampled_sweep_respects_the_bound_after_projection():
         assert rec.psd_violation >= 0.0
     # raw sums may exceed the bound; at least the column is populated
     assert all(np.isfinite(rec.total_raw) for rec in result.records)
+
+
+@pytest.mark.parametrize("kind", ["bmzi", "pqe"])
+def test_theory_series_equals_the_oracle_point_by_point(kind):
+    from interfero import bmzi_state, pqe_state, theory_bmzi, theory_pqe
+
+    oracle, state = (theory_bmzi, bmzi_state) if kind == "bmzi" else (theory_pqe, pqe_state)
+    angles = np.concatenate([ExperimentConfig(kind=kind, angle_points=120).angles(), [0.0, -0.0, 7.5, -40.25]])
+    theory_c, theory_p = theory_series(kind, angles)
+    points = [oracle(float(a)) for a in angles]
+    assert np.array_equal(theory_c, [p.coherence for p in points])
+    assert np.array_equal(theory_p, [p.predictability for p in points])
+    assert np.array_equal(state(angles)[3], state(float(angles[3])))
+    with pytest.raises(ValidationError, match="must be finite"):
+        state(np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("kind, shape", [("bmzi", (120, 128)), ("pqe", (7, 3)), ("bmzi", (1, 5)), ("pqe", (130, 1))])
+def test_analyze_equals_the_per_repetition_loop(kind, shape):
+    from interfero import MetricSeries, decompose, summarize
+    from interfero.experiments import SweepTable, analyze
+
+    rng = np.random.default_rng(sum(shape))
+    angles = ExperimentConfig(kind=kind, angle_points=max(shape[0], 2)).angles()[: shape[0]]
+    theory_c, theory_p = theory_series(kind, angles)
+    c = np.clip(theory_c[:, None] + 0.05 * rng.standard_normal(shape), 0.0, None)
+    p = np.clip(theory_p[:, None] + 0.05 * rng.standard_normal(shape), 0.0, None)
+    table = SweepTable(kind, "x", angles, c, p, c + p, c + p, np.zeros(shape))
+    per_repetition = tuple(decompose(MetricSeries(angles, cc, pp, theory_c, theory_p)) for cc, pp in zip(c.T, p.T))
+    assert analyze(table) == summarize([d.mse_sum for d in per_repetition], per_repetition)

@@ -20,7 +20,7 @@ from interfero import (
     write_results,
 )
 from interfero.cli import parse_config
-from interfero.report import CSV_HEADER, config_lines, fmt12, summary_text, write_manifest
+from interfero.report import CHUNK_LINES, CSV_HEADER, config_lines, fmt12, summary_text, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +239,124 @@ def test_aggregate_curves_mean_and_std(tmp_path):
     per_angle = [r.coherence for r in rows if r.angle_index == 1]
     assert curve.mean_c[1] == pytest.approx(float(np.mean(per_angle)), abs=5e-13)
     assert curve.std_c[1] == pytest.approx(float(np.std(per_angle)), abs=5e-13)
+
+
+def _tables_equal(a, b):
+    assert list(a) == list(b)
+    for label in a:
+        ta, tb = a[label], b[label]
+        assert (ta.kind, ta.label) == (tb.kind, tb.label)
+        for name in ("angles", "coherence", "predictability", "total", "total_raw", "psd_violation"):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name))
+
+
+def test_result_rows_index_slice_and_iterate_like_the_records(tmp_path, noisy_result):
+    rows = read_results(write_results(noisy_result, tmp_path)["results"])
+    records = noisy_result.records
+    assert len(rows) == len(records) == 18
+    assert list(rows.tables) == [noisy_result.config.run_label]
+
+    def key(r):
+        return (r.kind, r.label, r.angle_index, r.repetition)
+
+    assert [key(r) for r in rows] == [key(r) for r in records]
+    assert [key(r) for r in rows[2:11:3]] == [key(r) for r in records[2:11:3]]
+    assert [key(r) for r in rows[::-1]] == [key(r) for r in records[::-1]]
+    assert key(rows[-1]) == key(records[-1])
+    for row, rec in zip(rows[4:9], records[4:9]):
+        for name in ("angle", "coherence", "predictability", "total", "total_raw", "psd_violation"):
+            assert getattr(row, name) == pytest.approx(getattr(rec, name), abs=5e-13)
+    assert list(rows) == [rows[k] for k in range(len(rows))]
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+
+
+def test_shuffled_rows_give_the_same_tables_and_reports(tmp_path, noisy_result):
+    pqe = run_sweep(ExperimentConfig(kind="pqe", angle_points=4, repetitions=3, shots=200, master_seed=5, label="e"))
+    lines = result_csv(noisy_result).splitlines() + result_csv(pqe).splitlines()[1:]
+    ordered = tmp_path / "ordered.csv"
+    ordered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    body = lines[1:]
+    np.random.default_rng(4).shuffle(body)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([CSV_HEADER, *body]) + "\n", encoding="utf-8")
+    a, b = read_results(ordered), read_results(shuffled)
+    # tables come in order of each label's first row
+    first = body[0].split(",")[1]
+    assert list(b.tables)[0] == first
+    _tables_equal(a.tables, {label: b.tables[label] for label in a.tables})
+    assert reports_from_rows(a) == {label: reports_from_rows(b)[label] for label in a.tables}
+
+
+def test_crlf_line_ends_are_accepted(tmp_path, noisy_result):
+    lf = write_results(noisy_result, tmp_path / "lf")["results"]
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    _tables_equal(read_results(lf).tables, read_results(crlf).tables)
+
+
+def test_read_tables_are_c_contiguous_grids(tmp_path, noisy_result):
+    table = read_results(write_results(noisy_result, tmp_path)["results"]).tables[noisy_result.config.run_label]
+    assert table.coherence.shape == (6, 3)
+    assert all(getattr(table, name).flags.c_contiguous for name in ("coherence", "predictability", "total"))
+    assert np.array_equal(table.angles, np.round(noisy_result.angles, 12))
+
+
+@pytest.fixture(scope="module")
+def two_chunk_lines():
+    """The results.csv lines of a sweep that spans two parse chunks."""
+    config = ExperimentConfig(kind="bmzi", angle_points=CHUNK_LINES // 64 + 8, repetitions=64, analytic=True)
+    lines = result_csv(run_sweep(config)).splitlines()
+    assert len(lines) - 1 > CHUNK_LINES + 100
+    return lines
+
+
+@pytest.mark.parametrize("offset", [0, 1, 57])
+def test_a_fault_in_the_second_chunk_names_its_own_line(tmp_path, two_chunk_lines, offset):
+    lines = list(two_chunk_lines)
+    ln = CHUNK_LINES + 1 + offset + 1  # line numbers count the header as line 1
+    parts = lines[ln - 1].split(",")
+    parts[6] = "x"
+    lines[ln - 1] = ",".join(parts)
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        read_results(path)
+    assert str(info.value) == f"{path}:{ln}: predictability must be a number, got 'x'"
+
+
+def test_a_duplicate_in_the_second_chunk_names_its_own_line(tmp_path, two_chunk_lines):
+    lines = list(two_chunk_lines)
+    ln = CHUNK_LINES + 40
+    lines[ln - 1] = lines[ln - 3]
+    lines[ln + 9] = lines[9]
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf":{ln}: duplicate row .* \(first at line {ln - 2}\)$"):
+        read_results(path)
+    # a cell first seen in the first chunk
+    lines[ln - 1] = two_chunk_lines[ln - 1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf":{ln + 10}: duplicate row .* \(first at line 10\)$"):
+        read_results(path)
+
+
+def test_a_line_fault_in_a_later_chunk_loses_to_a_grid_fault_in_an_earlier_one(tmp_path, two_chunk_lines):
+    lines = list(two_chunk_lines)
+    lines[CHUNK_LINES + 20] = lines[CHUNK_LINES + 20].replace("bmzi", "mzi", 1)
+    lines[9] = lines[9].replace("bmzi", "pqe", 1)
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r":10: label '0' has kind 'pqe', but 'bmzi' on earlier rows$"):
+        read_results(path)
+
+
+def test_an_index_beyond_64_bits_is_a_line_fault(tmp_path, noisy_result):
+    lines = result_csv(noisy_result).splitlines()
+    parts = lines[3].split(",")
+    parts[4] = str(2**64)
+    lines[3] = ",".join(parts)
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf":4: repetition must fit in 64 bits, got '{2**64}'$"):
+        read_results(path)
