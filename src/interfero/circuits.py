@@ -4,6 +4,11 @@ Qubit ordering: qubit ``q`` occupies bit ``q`` of the basis index, so for two
 qubits the basis label is ``|q1 q0>`` and the index is ``2*q1 + q0``.  Counts
 use bitstrings in the same order (leftmost character = highest qubit).
 Two-qubit gate matrices are written in the same ``|q1 q0>`` basis.
+
+Angle-dependent gates accept an array of angles and then carry a leading
+angle axis: their matrix is ``(A, k, k)`` instead of ``(k, k)``.  A circuit
+with such gates describes ``A`` circuits at once, and
+:func:`simulate_density` returns the stack of their states, ``(A, d, d)``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import check_density_matrix, check_state_vector, kron
+from .linalg import at_index, check_density_matrix, check_state_vector, dagger, first, kron
 from .noise import NoiseModel
 
 ID2 = np.eye(2, dtype=complex)
@@ -26,17 +31,17 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A named unitary on its own qubits (2x2, or 4x4 in the ``|q1 q0>`` basis)."""
+    """A named unitary on its own qubits (2x2, or 4x4 in the ``|q1 q0>`` basis), or a stack of them."""
 
     name: str
     qubits: tuple[int, ...]
     matrix: np.ndarray
 
 
-def rx_neg(theta: float, qubit: int = 0) -> Gate:
+def rx_neg(theta: float | np.ndarray, qubit: int = 0) -> Gate:
     """Beam splitter: the matrix conventionally written R_X(-theta)."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return Gate("rx_neg", (qubit,), np.array([[c, 1j * s], [1j * s, c]]))
+    c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
+    return Gate("rx_neg", (qubit,), _entries(c, 1j * s, 1j * s, c))
 
 
 def ix(qubit: int = 0) -> Gate:
@@ -44,9 +49,15 @@ def ix(qubit: int = 0) -> Gate:
     return Gate("ix", (qubit,), IX.copy())
 
 
-def phase(phi: float, qubit: int = 0) -> Gate:
+def phase(phi: float | np.ndarray, qubit: int = 0) -> Gate:
     """Phase shifter P(phi)."""
-    return Gate("phase", (qubit,), np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex))
+    return Gate("phase", (qubit,), _entries(1, 0, 0, np.exp(1j * np.asarray(phi))))
+
+
+def _entries(*entries: complex | np.ndarray) -> np.ndarray:
+    """2x2 matrix from its entries in row order, each a scalar or an angle array."""
+    values = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
+    return values.reshape(*values.shape[:-1], 2, 2)
 
 
 def cx(control: int, target: int) -> Gate:
@@ -109,30 +120,33 @@ class Circuit:
 def _apply(op: np.ndarray, qubits: tuple[int, ...], n_qubits: int, m: np.ndarray) -> np.ndarray:
     """``op @ m`` with ``op`` placed on ``qubits`` of the register, acting on ``m``'s rows.
 
-    ``m`` is a state vector or a matrix whose rows index the register.
+    ``m`` is a matrix ``(..., d, c)`` whose rows index the register; a
+    stacked ``op`` ``(..., k, k)`` broadcasts against its leading axes.
     """
     if len(qubits) == n_qubits:
         return op @ m
     (q,) = qubits
-    return np.einsum("ab,ibj->iaj", op, m.reshape(1 << (n_qubits - 1 - q), 2, -1)).reshape(m.shape)
+    out = np.einsum("...ab,...ibj->...iaj", op, m.reshape(*m.shape[:-2], 1 << (n_qubits - 1 - q), 2, -1))
+    return out.reshape(*out.shape[:-3], *m.shape[-2:])
 
 
 def _conjugate(op: np.ndarray, qubits: tuple[int, ...], n_qubits: int, rho: np.ndarray) -> np.ndarray:
     """``op rho op^dag`` for Hermitian ``rho``, as two left applications."""
-    return _apply(op, qubits, n_qubits, _apply(op, qubits, n_qubits, rho).conj().T)
+    return _apply(op, qubits, n_qubits, np.swapaxes(_apply(op, qubits, n_qubits, rho).conj(), -1, -2))
 
 
 def simulate_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Apply the circuit's gates in order to ``initial`` (default |0...0>)."""
+    """Apply the circuit's gates in order to ``initial`` (default |0...0>); one circuit, no angle stack."""
     if initial is None:
         v = np.zeros(circuit.dim, dtype=complex)
         v[0] = 1.0
     else:
         v = check_state_vector(initial, circuit.n_qubits).copy()
+    v = v[:, None]
     for g in circuit.gates:
         _check_unitary(g)
         v = _apply(g.matrix, g.qubits, circuit.n_qubits, v)
-    return check_state_vector(v, circuit.n_qubits)
+    return check_state_vector(v[..., 0], circuit.n_qubits)
 
 
 def simulate_density(
@@ -144,7 +158,8 @@ def simulate_density(
 
     After every gate, each configured Kraus channel acts on each qubit the
     gate touched.  With an empty noise model the result equals the outer
-    product of the statevector simulation.
+    product of the statevector simulation.  ``initial`` may be a stack
+    ``(A, d, d)``; it and the circuit's stacked gates evolve entry-wise.
     """
     noise = noise or NoiseModel()
     n = circuit.n_qubits
@@ -163,19 +178,22 @@ def simulate_density(
 
 
 def outcome_probabilities(state: np.ndarray) -> np.ndarray:
-    """Computational-basis probabilities of a state vector or density matrix."""
+    """Computational-basis probabilities of a state vector or of density matrices.
+
+    A 1-D ``state`` is a state vector; a ``(..., d, d)`` one is a density
+    matrix or a stack of them, giving ``(..., d)``.
+    """
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        probs = np.abs(state) ** 2
-    elif state.ndim == 2:
-        probs = np.real(np.diag(state)).copy()
-    else:
-        raise ValidationError(f"expected a vector or matrix, got ndim={state.ndim}")
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"outcome probabilities sum to {total!r}, expected 1")
+    if state.ndim == 0:
+        raise ValidationError("expected a vector or matrices, got ndim=0")
+    probs = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diagonal(state, axis1=-2, axis2=-1)).copy()
+    total = probs.sum(axis=-1)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        cell = first(off)
+        raise ValidationError(f"outcome probabilities{at_index(cell)} sum to {float(total[cell])!r}, expected 1")
     np.clip(probs, 0.0, None, out=probs)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def sample_counts(
@@ -218,7 +236,9 @@ def _bits(index: int, n_bits: int) -> str:
 def _check_unitary(gate: Gate) -> None:
     u = gate.matrix
     dim = 1 << len(gate.qubits)
-    if u.shape != (dim, dim):
+    if u.ndim not in (2, 3) or u.shape[-2:] != (dim, dim):
         raise ValidationError(f"gate {gate.name} matrix does not match its qubit count")
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))) > 1e-12:
-        raise ValidationError(f"gate {gate.name} matrix is not unitary within 1e-12")
+    off = np.max(np.abs(dagger(u) @ u - np.eye(dim)), axis=(-2, -1)) > 1e-12
+    if off.any():
+        raise ValidationError(f"gate {gate.name} matrix{at_index(first(off))} is not unitary within 1e-12")
+

@@ -167,6 +167,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     rows = read_results(out / "results.csv")
     reports = reports_from_rows(rows)
+    with_svg = args.format in ("svg", "all")
+    # one curve file per label, checked for clashes before anything is written
+    figures = {label: out / f"curves_{re.sub(r'[^-A-Za-z0-9_.]', '_', label)}.svg" for label in reports if with_svg}
+    owner: dict[Path, str] = {}
+    for label, path in figures.items():
+        if owner.setdefault(path, label) != label:
+            raise ValidationError(
+                f"{out / 'results.csv'}: labels {owner[path]!r} and {label!r} both map to {path.name}"
+            )
     table_rows = [summary_row(label, rep) for label, rep in reports.items()]
     text, svg = render_sparkline_table(table_rows)
     written: list[Path] = []
@@ -174,15 +183,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = out / "table.txt"
         path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
-    if args.format in ("svg", "all"):
+    if with_svg:
         path = out / "table.svg"
         path.write_text(svg, encoding="utf-8", newline="\n")
         written.append(path)
         for label, curve in aggregate_curves(rows).items():
-            safe = re.sub(r"[^-A-Za-z0-9_.]", "_", label)
-            path = out / f"curves_{safe}.svg"
-            path.write_text(render_curves(curve), encoding="utf-8", newline="\n")
-            written.append(path)
+            figures[label].write_text(render_curves(curve), encoding="utf-8", newline="\n")
+            written.append(figures[label])
     if args.format in ("csv", "all"):
         path = out / "table.csv"
         lines = ["label,mean,std,corr,min,max,overflow"]

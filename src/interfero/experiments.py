@@ -5,13 +5,14 @@ every tomography setting with ``shots`` samples (or exact frequencies in
 analytic mode), reconstructs the state and evaluates the complementarity
 metrics.
 
-The unit of work is one angle.  Its interferometer is simulated once, each
-setting's basis change continues from that state, and the counts of all its
-(repetition, setting) cells are drawn in one multinomial call from a
-counter-based stream derived from (master_seed, angle index).  Inversion,
-PSD projection and metrics then run on the angle's stack of repetitions.
-Because every angle owns its stream, results do not depend on execution
-order or thread count.
+The unit of work is a block of up to :data:`ANGLE_BLOCK` consecutive angles.
+The block's interferometers are simulated once as one angle stack, and each
+setting's basis change continues once from that stack.  Each angle then
+draws the counts of all its (repetition, setting) cells in one multinomial
+call from a counter-based stream derived from (master_seed, angle index).
+Expectations, inversion, PSD projection and metrics run once on the block's
+``(angles, repetitions)`` stack of states.  Because every angle owns its
+stream, results depend neither on the block size nor on the thread count.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ from .noise import NoiseModel
 from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd_stack
 
 KINDS = ("bmzi", "pqe")
+
+#: Angles simulated and reconstructed together (one stack) by :func:`run_sweep`.
+ANGLE_BLOCK = 64
+
+#: Largest angle_points * repetitions of one sweep: results.csv is built in
+#: memory at ~104 bytes per cell, so ~26 MB at the cap.
+MAX_CELLS = 250_000
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
 DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
@@ -81,6 +89,10 @@ class ExperimentConfig:
             raise ValidationError(f"shots must be a positive integer at most 2**63 - 1, got {self.shots}")
         if self.repetitions is not None and self.repetitions < 1:
             raise ValidationError(f"repetitions must be at least 1, got {self.repetitions}")
+        if self.angle_points * self.m > MAX_CELLS:
+            raise ValidationError(
+                f"angle_points * repetitions must be at most {MAX_CELLS}, got {self.angle_points} * {self.m}"
+            )
         if self.label is not None and not _label_reads_back(self.label):
             raise ValidationError(
                 "label must be non-empty, without ',', line breaks, surrounding whitespace "
@@ -193,22 +205,24 @@ class ExperimentResult:
         return self.table.rows()
 
 
-def build_bmzi(alpha: float) -> Circuit:
+def build_bmzi(alpha: float | np.ndarray) -> Circuit:
     """Biased Mach-Zehnder interferometer on one qubit.
 
     Biased beam splitter at ``alpha``, mirror pair, zero phase shift, and a
-    balanced second beam splitter fixed at its reference angle.
+    balanced second beam splitter fixed at its reference angle.  An array of
+    angles gives the angle-stacked circuit.
     """
     _finite(alpha, "alpha")
     return Circuit(1, (rx_neg(alpha, 0), ix(0), phase(0.0, 0), rx_neg(-np.pi, 0)))
 
 
-def build_pqe(phi: float) -> Circuit:
+def build_pqe(phi: float | np.ndarray) -> Circuit:
     """Partial quantum eraser on two qubits (q1 spatial mode, q0 polarization).
 
     Balanced splitter, half-wave plate marking the path on the polarization,
     mirrors and phase shift, recombining splitter, then quarter-wave plate
-    and polarizing splitters that partially erase the marker.
+    and polarizing splitters that partially erase the marker.  An array of
+    phases gives the angle-stacked circuit.
     """
     _finite(phi, "phi")
     return Circuit(
@@ -225,7 +239,7 @@ def build_pqe(phi: float) -> Circuit:
     )
 
 
-def build_circuit(kind: str, angle: float) -> Circuit:
+def build_circuit(kind: str, angle: float | np.ndarray) -> Circuit:
     return build_bmzi(angle) if kind == "bmzi" else build_pqe(angle)
 
 
@@ -263,61 +277,63 @@ def angle_rng(master_seed: int, angle_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def setting_probabilities(config: ExperimentConfig, angle: float) -> np.ndarray:
-    """Read-out outcome distribution of every tomography setting, shape ``(S, d)``.
+def setting_probabilities(config: ExperimentConfig, angles: float | np.ndarray) -> np.ndarray:
+    """Read-out outcome distribution of every tomography setting, shape ``(A, S, d)``.
 
-    The interferometer is simulated once; each setting's basis change then
-    runs from its output state with the same per-gate noise.
+    One angle gives ``(S, d)``.  The interferometer is simulated once for
+    all angles; each setting's basis change then runs once from that stack
+    of output states with the same per-gate noise.
     """
     noise = config.noise
-    base = simulate_density(build_circuit(config.kind, angle), noise)
-    return np.array(
-        [
-            noise.apply_readout(
-                outcome_probabilities(simulate_density(basis_change(setting), noise, initial=base)),
-                config.n_qubits,
-            )
-            for setting in measurement_settings(config.n_qubits)
-        ]
-    )
+    base = simulate_density(build_circuit(config.kind, angles), noise)
+    probs = [
+        outcome_probabilities(simulate_density(basis_change(setting), noise, initial=base))
+        for setting in measurement_settings(config.n_qubits)
+    ]
+    return noise.apply_readout(np.stack(probs, axis=-2), config.n_qubits)
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
-    Angles are independent; with ``threads > 1`` they run on a thread pool,
-    and the output is identical to the single-threaded run.  Working memory
-    is one angle's ``(repetitions, settings, d)`` counts and
-    ``(repetitions, d, d)`` matrices per thread.
+    The grid runs in blocks of :data:`ANGLE_BLOCK` angles (see the module
+    docstring).  With ``threads > 1`` the per-angle counts draws run on a
+    thread pool; the output is identical to the single-threaded run.
+    Working memory is one block's ``(angles, repetitions, settings, d)``
+    counts and ``(angles, repetitions, d, d)`` matrices.
     """
     angles = config.angles()
-    n_qubits = config.n_qubits
+    n_qubits, m = config.n_qubits, config.m
     signs = parity_signs(n_qubits)
 
-    def run_angle(i: int) -> tuple[np.ndarray, ...]:
-        probs = setting_probabilities(config, float(angles[i]))
+    def draw(i: int, probs: np.ndarray) -> np.ndarray:
+        return angle_rng(config.master_seed, i).multinomial(config.shots, probs, size=(m, len(probs)))
+
+    def run_block(start: int, mapper) -> tuple[np.ndarray, ...]:
+        probs = setting_probabilities(config, angles[start : start + ANGLE_BLOCK])
         if config.analytic:
-            freqs = np.broadcast_to(probs, (config.m, *probs.shape))
+            freqs = np.broadcast_to(probs[:, None], (len(probs), m, *probs.shape[1:]))
         else:
-            rng = angle_rng(config.master_seed, i)
-            freqs = rng.multinomial(config.shots, probs, size=(config.m, len(probs))) / config.shots
-        rho_raw = linear_inversion(np.einsum("rsk,sk->rs", freqs, signs), n_qubits)
+            freqs = np.stack(list(mapper(draw, range(start, start + len(probs)), probs))) / config.shots
+        # one (angles * repetitions, d, d) stack; cell k is repetition k % m of angle start + k // m
+        rho_raw = linear_inversion(np.einsum("rsk,sk->rs", freqs.reshape(-1, *signs.shape), signs), n_qubits)
         try:
             rho, violation = project_psd_stack(rho_raw)
         except ReconstructionError as exc:
-            r = exc.cell[0]
-            raise ReconstructionError(f"angle index {i}, repetition {r}: {exc}") from exc
+            b, r = divmod(exc.cell[0], m)
+            raise ReconstructionError(f"angle index {start + b}, repetition {r}: {exc}") from exc
         c, p = l1_metrics(rho)
         c_raw, p_raw = l1_metrics(rho_raw)
-        return c, p, c + p, c_raw + p_raw, violation
+        return tuple(column.reshape(-1, m) for column in (c, p, c + p, c_raw + p_raw, violation))
 
+    starts = range(0, len(angles), ANGLE_BLOCK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_angle = list(pool.map(run_angle, range(len(angles))))
+            blocks = [run_block(start, pool.map) for start in starts]
     else:
-        per_angle = [run_angle(i) for i in range(len(angles))]
+        blocks = [run_block(start, map) for start in starts]
 
-    table = SweepTable(config.kind, config.run_label, angles, *(np.stack(column) for column in zip(*per_angle)))
+    table = SweepTable(config.kind, config.run_label, angles, *(np.concatenate(column) for column in zip(*blocks)))
     return ExperimentResult(config, table, analyze(table))
 
 
@@ -332,6 +348,6 @@ def _label_reads_back(label: str) -> bool:
     )
 
 
-def _finite(value: float, name: str) -> None:
-    if not np.isfinite(value):
+def _finite(value: float | np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(value)):
         raise ValidationError(f"{name} must be finite, got {value!r}")

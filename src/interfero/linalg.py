@@ -84,25 +84,47 @@ def check_state_vector(v: np.ndarray, n_qubits: int | None = None) -> np.ndarray
 def check_density_matrix(rho: np.ndarray, require_psd: bool = True) -> np.ndarray:
     """Validate hermiticity, unit trace and (optionally) positivity.
 
-    Raw tomography output may carry negative eigenvalues; pass
-    ``require_psd=False`` for matrices that have not been projected yet.
+    ``rho`` is a matrix or a stack ``(..., d, d)``; for a stack, a message
+    names the index of the first failing matrix.  Raw tomography output may
+    carry negative eigenvalues; pass ``require_psd=False`` for matrices that
+    have not been projected yet.
     """
     rho = np.asarray(rho, dtype=complex)
     _require_square(rho)
-    if float(np.max(np.abs(rho - rho.conj().T))) > ATOL_EVOLUTION:
-        raise ValidationError("density matrix is not Hermitian within 1e-10")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > ATOL_EVOLUTION:
-        raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
+    herm = np.max(np.abs(rho - dagger(rho)), axis=(-2, -1)) > ATOL_EVOLUTION
+    if herm.any():
+        raise ValidationError(f"density matrix{at_index(first(herm))} is not Hermitian within 1e-10")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > ATOL_EVOLUTION
+    if off.any():
+        cell = first(off)
+        raise ValidationError(f"density matrix{at_index(cell)} trace is {complex(tr[cell])!r}, expected 1")
     if require_psd:
-        lam = np.linalg.eigvalsh(rho)
-        if float(lam[0]) < -ATOL_EIG:
-            raise ValidationError(f"density matrix has negative eigenvalue {float(lam[0])!r}")
+        lam = np.linalg.eigvalsh(rho)[..., 0]
+        negative = lam < -ATOL_EIG
+        if negative.any():
+            cell = first(negative)
+            raise ValidationError(f"density matrix{at_index(cell)} has negative eigenvalue {float(lam[cell])!r}")
     return rho
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def first(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of ``mask``, in C order (``()`` for a 0-d mask)."""
+    return tuple(int(k) for k in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def at_index(cell: tuple[int, ...]) -> str:
+    """How a message names entry ``cell`` of a stack: ``""`` for a single item."""
+    return f" at index {', '.join(map(str, cell))}" if cell else ""
+
+
 def _require_square(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValidationError(f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}")
+    if m.shape[-1] > MAX_DIM:
+        raise ValidationError(f"dimension {m.shape[-1]} exceeds the supported maximum {MAX_DIM}")

@@ -116,10 +116,10 @@ class NoiseModel:
         return not self.channels and self.readout is None
 
     def apply_readout(self, probs: np.ndarray, n_qubits: int) -> np.ndarray:
-        """Confuse an outcome distribution; identity when no readout noise."""
+        """Confuse an outcome distribution or a stack ``(..., d)`` of them; identity when no readout noise."""
         if self.readout is None:
             return probs
-        return self._confusion[n_qubits] @ probs
+        return (self._confusion[n_qubits] @ probs[..., None])[..., 0]
 
 
 def _check_prob(value: float, name: str) -> None:

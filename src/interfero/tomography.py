@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, unitary
 from .errors import ReconstructionError, ValidationError
-from .linalg import kron
+from .linalg import dagger, first, kron
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -120,7 +120,7 @@ def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: i
             )
     outside = ~(np.abs(values) <= 1.0 + 1e-9)
     if np.any(outside):
-        cell = _first(outside)
+        cell = first(outside)
         raise ValidationError(f"expectation for {required[cell[-1]]!r} is {float(values[cell])!r}, outside [-1, 1]")
     dim = 1 << n_qubits
     return (np.eye(dim) + np.einsum("...s,sij->...ij", values, pauli_basis(n_qubits))) / dim
@@ -149,12 +149,12 @@ def project_psd_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if m.size and float(np.max(np.abs(m - _dagger(m)))) > 1e-6:
+    if m.size and float(np.max(np.abs(m - dagger(m)))) > 1e-6:
         raise ValidationError("matrix to project is not Hermitian within 1e-6")
     traces = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > 1e-6
     if np.any(off):
-        raise ValidationError(f"matrix to project has trace {complex(traces[_first(off)])!r}, expected 1")
+        raise ValidationError(f"matrix to project has trace {complex(traces[first(off)])!r}, expected 1")
     lam, vecs = np.linalg.eigh(m)
     negative = lam[..., 0] < 0.0
     violation = np.where(negative, -np.sum(np.minimum(lam, 0.0), axis=-1), 0.0)
@@ -162,9 +162,9 @@ def project_psd_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     total = clipped.sum(axis=-1)
     dead = negative & (total <= 0.0)
     if np.any(dead):
-        raise ReconstructionError("all eigenvalues clipped to zero; no physical state remains", _first(dead))
+        raise ReconstructionError("all eigenvalues clipped to zero; no physical state remains", first(dead))
     clipped /= np.where(negative, total, 1.0)[..., None]
-    projected = (vecs * clipped[..., None, :]) @ _dagger(vecs)
+    projected = (vecs * clipped[..., None, :]) @ dagger(vecs)
     return np.where(negative[..., None, None], projected, m), violation
 
 
@@ -212,15 +212,6 @@ def _pauli_matrix(setting: str) -> np.ndarray:
     for letter in setting[1:]:
         m = kron(m, PAULI[letter])
     return m
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(m, -1, -2))
-
-
-def _first(mask: np.ndarray) -> tuple[int, ...]:
-    """Index of the first True entry of ``mask``, in C order."""
-    return tuple(int(k) for k in np.unravel_index(np.argmax(mask), mask.shape))
 
 
 def _setting_qubits(setting: str) -> int:

@@ -373,3 +373,15 @@ def test_a_config_that_is_not_utf8_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte 20\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fmt", ["svg", "all"])
+def test_report_rejects_labels_that_share_a_curve_file(tmp_path, capsys, fmt):
+    rows = [f"bmzi,{label},{i},{angle},0,0.5,0.5,1.0,1.0,0.0" for label in ("a/b", "a_b") for i, angle in ((0, -1.5), (1, 0.5))]
+    (tmp_path / "results.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'results.csv'}: labels 'a/b' and 'a_b' both map to curves_a_b.svg\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+    assert main(["report", "--out", str(tmp_path), "--format", "text"]) == 0

@@ -100,3 +100,35 @@ def test_statevector_matches_full_kron_reference(n_qubits):
         got = simulate_statevector(Circuit(n_qubits, tuple(g for g, _ in steps)))
         assert np.max(np.abs(got - v)) <= 1e-12
 
+
+
+
+def stacked_gate(rng, thetas, n_qubits):
+    """An angle-stacked gate and its full-register reference matrix per angle."""
+    q = int(rng.integers(n_qubits))
+    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
+    if rng.random() < 0.5:
+        return rx_neg(thetas, q), [place(np.array([[ca, 1j * sa], [1j * sa, ca]]), q, n_qubits) for ca, sa in zip(c, s)]
+    return phase(thetas, q), [place(np.diag([1.0, np.exp(1j * t)]), q, n_qubits) for t in thetas]
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("noise", NOISE_MODELS, ids=["noiseless", "depolarizing", "mixed"])
+def test_angle_stacked_density_matches_full_kron_reference_per_angle(n_qubits, noise):
+    rng = np.random.default_rng(300 + n_qubits)
+    for _ in range(20):
+        thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=5)
+        gates, per_angle = [], [[] for _ in thetas]
+        for k in range(int(rng.integers(1, 7))):
+            if k == 0 or rng.random() < 0.5:
+                gate, fulls = stacked_gate(rng, thetas, n_qubits)
+            else:
+                gate, full = random_gate(rng, n_qubits)
+                fulls = [full] * len(thetas)
+            gates.append(gate)
+            for steps, full in zip(per_angle, fulls):
+                steps.append((gate, full))
+        rho = simulate_density(Circuit(n_qubits, tuple(gates)), noise)
+        assert rho.shape == (len(thetas), 1 << n_qubits, 1 << n_qubits)
+        for a, steps in enumerate(per_angle):
+            assert np.max(np.abs(rho[a] - reference_density(steps, n_qubits, noise))) <= 1e-12
