@@ -18,6 +18,8 @@ from .linalg import outer
 # Populations this close to zero are numerical residue of inversion and
 # projection; the square root in the predictability would otherwise blow
 # 1e-16-level noise up to 1e-8-level metric error at vanishing populations.
+# A floored population zeroes the coherences of its row and column as well,
+# so that C + P <= d - 1 holds exactly.
 POPULATION_FLOOR = 1e-12
 
 
@@ -35,7 +37,9 @@ class ComplementarityPoint:
 def coherence_l1(rho: np.ndarray) -> float | np.ndarray:
     """Sum of |rho_jk| over all off-diagonal entries.
 
-    A stack ``(..., d, d)`` gives an array over its leading axes.
+    Entries in the row or column of a population within
+    :data:`POPULATION_FLOOR` of zero count as zero.  A stack ``(..., d, d)``
+    gives an array over its leading axes.
     """
     return _scalar(l1_metrics(rho)[0])
 
@@ -54,10 +58,11 @@ def predictability_l1(rho: np.ndarray) -> float | np.ndarray:
 def l1_metrics(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coherence and predictability arrays of a matrix or a stack ``(..., d, d)``."""
     rho = _light_check(rho)
-    mags = np.abs(rho)
-    coherence = mags.sum(axis=(-2, -1)) - np.trace(mags, axis1=-2, axis2=-1)
     pops = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).copy()
-    pops[pops <= POPULATION_FLOOR] = 0.0
+    kept = pops > POPULATION_FLOOR
+    pops[~kept] = 0.0
+    mags = np.where(kept[..., :, None] & kept[..., None, :], np.abs(rho), 0.0)
+    coherence = mags.sum(axis=(-2, -1)) - np.trace(mags, axis1=-2, axis2=-1)
     root = np.sqrt(pops)
     cross = root[..., :, None] * root[..., None, :]
     predictability = rho.shape[-1] - 1 - (cross.sum(axis=(-2, -1)) - np.trace(cross, axis1=-2, axis2=-1))

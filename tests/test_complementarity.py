@@ -175,3 +175,18 @@ def test_metrics_of_a_stack_match_each_matrix():
             assert isinstance(coherence_l1(stack[k]), float)
             assert c[k] == pytest.approx(coherence_l1(stack[k]), abs=1e-15)
             assert p[k] == pytest.approx(predictability_l1(stack[k]), abs=1e-15)
+
+
+@pytest.mark.parametrize("amplitude", [1e-6, 1e-7, 3e-7])
+def test_a_floored_population_zeroes_its_coherences(amplitude):
+    # |rho_11| ~ amplitude**2 lies at or below the 1e-12 population floor
+    v = np.array([1.0, amplitude], dtype=complex)
+    rho = outer(v / np.linalg.norm(v))
+    assert coherence_l1(rho) == 0.0
+    assert coherence_l1(rho) + predictability_l1(rho) == 1.0
+    eraser = np.zeros((3, 4, 4), dtype=complex)
+    eraser[:, :3, :3] = outer(np.array([1.0, 0.5, 0.5j]) / np.sqrt(1.5))
+    eraser[1] = outer(np.array([1.0, 0.5, 0.5j, amplitude]) / np.sqrt(1.5 + amplitude**2))
+    total = coherence_l1(eraser) + predictability_l1(eraser)
+    assert np.all(total <= 3.0 + 1e-12)
+    assert coherence_l1(eraser)[1] == pytest.approx(coherence_l1(eraser[1][:3, :3]), abs=1e-15)

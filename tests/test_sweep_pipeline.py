@@ -73,9 +73,10 @@ def reference_probabilities(config, angle):
 
 
 def reference_metrics(rho):
+    # a population at or below 1e-12 counts as 0, and so do the coherences of its row and column
     d = rho.shape[0]
     pops = [float(rho[j, j].real) if rho[j, j].real > 1e-12 else 0.0 for j in range(d)]
-    c = sum(abs(rho[j, k]) for j in range(d) for k in range(d) if j != k)
+    c = sum(abs(rho[j, k]) for j in range(d) for k in range(d) if j != k and pops[j] and pops[k])
     p = d - 1 - sum(np.sqrt(pops[j]) * np.sqrt(pops[k]) for j in range(d) for k in range(d) if j != k)
     return c, p
 
