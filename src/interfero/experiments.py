@@ -309,14 +309,20 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     def draw(i: int, probs: np.ndarray) -> np.ndarray:
         return angle_rng(config.master_seed, i).multinomial(config.shots, probs, size=(m, len(probs)))
 
+    def frequencies(start: int, probs: np.ndarray, mapper) -> np.ndarray:
+        """The block's ``(angles * repetitions, S, d)`` outcome frequencies."""
+        if config.analytic:
+            return np.broadcast_to(probs[:, None], (len(probs), m, *probs.shape[1:])).reshape(-1, *probs.shape[1:])
+        freqs = np.empty((len(probs), m, *probs.shape[1:]))
+        for b, counts in enumerate(mapper(draw, range(start, start + len(probs)), probs)):
+            freqs[b] = counts
+        freqs /= config.shots
+        return freqs.reshape(-1, *probs.shape[1:])
+
     def run_block(start: int, mapper) -> tuple[np.ndarray, ...]:
         probs = setting_probabilities(config, angles[start : start + ANGLE_BLOCK])
-        if config.analytic:
-            freqs = np.broadcast_to(probs[:, None], (len(probs), m, *probs.shape[1:]))
-        else:
-            freqs = np.stack(list(mapper(draw, range(start, start + len(probs)), probs))) / config.shots
-        # one (angles * repetitions, d, d) stack; cell k is repetition k % m of angle start + k // m
-        rho_raw = linear_inversion(np.einsum("rsk,sk->rs", freqs.reshape(-1, *signs.shape), signs), n_qubits)
+        # cell k of the block's stack is repetition k % m of angle start + k // m
+        rho_raw = linear_inversion(np.einsum("rsk,sk->rs", frequencies(start, probs, mapper), signs), n_qubits)
         try:
             rho, violation = project_psd_stack(rho_raw)
         except ReconstructionError as exc:
