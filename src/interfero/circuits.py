@@ -178,11 +178,7 @@ def simulate_density(
 
 
 def outcome_probabilities(state: np.ndarray) -> np.ndarray:
-    """Computational-basis probabilities of a state vector or of density matrices.
-
-    A 1-D ``state`` is a state vector; a ``(..., d, d)`` one is a density
-    matrix or a stack of them, giving ``(..., d)``.
-    """
+    """Computational-basis probabilities of a state vector, a density matrix or a stack ``(..., d, d)``."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 0:
         raise ValidationError("expected a vector or matrices, got ndim=0")

@@ -167,11 +167,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     rows = read_results(out / "results.csv")
     reports = reports_from_rows(rows)
-    with_svg = args.format in ("svg", "all")
     # one curve file per label, checked for clashes before anything is written
-    figures = {label: out / f"curves_{re.sub(r'[^-A-Za-z0-9_.]', '_', label)}.svg" for label in reports if with_svg}
+    figures: dict[str, Path] = {}
     owner: dict[Path, str] = {}
-    for label, path in figures.items():
+    for label in reports if args.format in ("svg", "all") else ():
+        path = figures[label] = out / f"curves_{re.sub(r'[^-A-Za-z0-9_.]', '_', label)}.svg"
         if owner.setdefault(path, label) != label:
             raise ValidationError(
                 f"{out / 'results.csv'}: labels {owner[path]!r} and {label!r} both map to {path.name}"
@@ -183,7 +183,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = out / "table.txt"
         path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
-    if with_svg:
+    if args.format in ("svg", "all"):
         path = out / "table.svg"
         path.write_text(svg, encoding="utf-8", newline="\n")
         written.append(path)

@@ -43,6 +43,8 @@ from .noise import NoiseModel
 from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd_stack
 
 KINDS = ("bmzi", "pqe")
+DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
+DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
 #: Angles simulated and reconstructed together (one stack) by :func:`run_sweep`.
 ANGLE_BLOCK = 64
@@ -50,8 +52,6 @@ ANGLE_BLOCK = 64
 #: Largest angle_points * repetitions of one sweep: results.csv is built in
 #: memory at ~104 bytes per cell, so ~26 MB at the cap.
 MAX_CELLS = 250_000
-DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
-DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
 #: Where a config-file comment starts: '#' at the start of a line or after whitespace.
 CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
@@ -300,7 +300,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     docstring).  With ``threads > 1`` the per-angle counts draws run on a
     thread pool; the output is identical to the single-threaded run.
     Working memory is one block's ``(angles, repetitions, settings, d)``
-    counts and ``(angles, repetitions, d, d)`` matrices.
+    frequencies and ``(angles, repetitions, d, d)`` matrices.
     """
     angles = config.angles()
     n_qubits, m = config.n_qubits, config.m
@@ -310,13 +310,14 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         return angle_rng(config.master_seed, i).multinomial(config.shots, probs, size=(m, len(probs)))
 
     def frequencies(start: int, probs: np.ndarray, mapper) -> np.ndarray:
-        """The block's ``(angles * repetitions, S, d)`` outcome frequencies."""
-        if config.analytic:
-            return np.broadcast_to(probs[:, None], (len(probs), m, *probs.shape[1:])).reshape(-1, *probs.shape[1:])
+        """The block's outcome frequencies as one ``(angles * repetitions, S, d)`` stack."""
         freqs = np.empty((len(probs), m, *probs.shape[1:]))
-        for b, counts in enumerate(mapper(draw, range(start, start + len(probs)), probs)):
-            freqs[b] = counts
-        freqs /= config.shots
+        if config.analytic:
+            freqs[:] = probs[:, None]
+        else:
+            for b, counts in enumerate(mapper(draw, range(start, start + len(probs)), probs)):
+                freqs[b] = counts
+            freqs /= config.shots
         return freqs.reshape(-1, *probs.shape[1:])
 
     def run_block(start: int, mapper) -> tuple[np.ndarray, ...]:

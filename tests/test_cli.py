@@ -377,7 +377,8 @@ def test_a_config_that_is_not_utf8_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["svg", "all"])
 def test_report_rejects_labels_that_share_a_curve_file(tmp_path, capsys, fmt):
-    rows = [f"bmzi,{label},{i},{angle},0,0.5,0.5,1.0,1.0,0.0" for label in ("a/b", "a_b") for i, angle in ((0, -1.5), (1, 0.5))]
+    cells = ((0, -1.5), (1, 0.5))
+    rows = [f"bmzi,{label},{i},{angle},0,0.5,0.5,1.0,1.0,0.0" for label in ("a/b", "a_b") for i, angle in cells]
     (tmp_path / "results.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
     assert main(["report", "--out", str(tmp_path), "--format", fmt]) == 1
     captured = capsys.readouterr()
