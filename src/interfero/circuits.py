@@ -132,7 +132,7 @@ def _apply(op: np.ndarray, qubits: tuple[int, ...], n_qubits: int, m: np.ndarray
 
 def _conjugate(op: np.ndarray, qubits: tuple[int, ...], n_qubits: int, rho: np.ndarray) -> np.ndarray:
     """``op rho op^dag`` for Hermitian ``rho``, as two left applications."""
-    return _apply(op, qubits, n_qubits, np.swapaxes(_apply(op, qubits, n_qubits, rho).conj(), -1, -2))
+    return _apply(op, qubits, n_qubits, dagger(_apply(op, qubits, n_qubits, rho)))
 
 
 def simulate_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
