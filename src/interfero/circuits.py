@@ -105,6 +105,9 @@ class Circuit:
                 raise ValidationError(f"gate {g.name} touches qubit outside 0..{self.n_qubits - 1}")
             if len(set(g.qubits)) != len(g.qubits):
                 raise ValidationError(f"gate {g.name} repeats a qubit index")
+        stacks = {np.shape(g.matrix)[:-2] for g in self.gates} - {()}
+        if len(stacks) > 1:
+            raise ValidationError(f"gates carry different angle axes: {sorted(stacks)}")
 
     @property
     def dim(self) -> int:
@@ -168,6 +171,8 @@ def simulate_density(
         rho[0, 0] = 1.0
     else:
         rho = check_density_matrix(initial).copy()
+        if rho.ndim > 2 and {np.shape(g.matrix)[:-2] for g in circuit.gates} - {(), rho.shape[:-2]}:
+            raise ValidationError(f"initial state stack {rho.shape[:-2]} does not match the gates' angle axis")
     for g in circuit.gates:
         _check_unitary(g)
         rho = _conjugate(g.matrix, g.qubits, n, rho)

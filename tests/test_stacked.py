@@ -145,3 +145,13 @@ def test_cells_above_the_cap_are_rejected_before_any_allocation():
     with pytest.raises(ValidationError, match="must be at most 250000"):
         ExperimentConfig(kind="bmzi", angle_points=exp.MAX_CELLS // 128 + 1)
     assert ExperimentConfig(kind="bmzi", angle_points=2, repetitions=exp.MAX_CELLS // 2).m == exp.MAX_CELLS // 2
+
+
+def test_mismatched_angle_axes_are_rejected():
+    with pytest.raises(ValidationError, match=r"^gates carry different angle axes: \[\(3,\), \(4,\)\]$"):
+        Circuit(1, (rx_neg(np.zeros(3)), phase(np.zeros(4))))
+    stacked = Circuit(1, (rx_neg(np.zeros(3)),))
+    with pytest.raises(ValidationError, match=r"^initial state stack \(4,\) does not match the gates' angle axis$"):
+        simulate_density(stacked, initial=np.stack([np.eye(2) / 2] * 4))
+    assert simulate_density(stacked, initial=np.stack([np.eye(2) / 2] * 3)).shape == (3, 2, 2)
+    assert simulate_density(Circuit(1, (ix(0),)), initial=np.stack([np.eye(2) / 2] * 4)).shape == (4, 2, 2)
