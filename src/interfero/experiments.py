@@ -5,7 +5,8 @@ every tomography setting with ``shots`` samples (or exact frequencies in
 analytic mode), reconstructs the state and evaluates the complementarity
 metrics.
 
-The unit of work is a block of up to :data:`ANGLE_BLOCK` consecutive angles.
+The unit of work is a block of consecutive angles holding at most
+:data:`BLOCK_CELLS` (angle, repetition) cells, or one angle if it has more.
 The block's interferometers are simulated once as one angle stack, and each
 setting's basis change continues once from that stack.  Each angle then
 draws the counts of all its (repetition, setting) cells in one multinomial
@@ -46,8 +47,10 @@ KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
 DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
-#: Angles simulated and reconstructed together (one stack) by :func:`run_sweep`.
-ANGLE_BLOCK = 64
+#: (angle, repetition) cells that :func:`run_sweep` simulates and reconstructs as
+#: one stack: a block holds max(1, BLOCK_CELLS // repetitions) angles, so the
+#: working memory is O(max(BLOCK_CELLS, repetitions) * settings * d).
+BLOCK_CELLS = 2048
 
 #: Largest angle_points * repetitions of one sweep: results.csv is built in
 #: memory at ~104 bytes per cell, so ~26 MB at the cap.
@@ -296,8 +299,8 @@ def setting_probabilities(config: ExperimentConfig, angles: float | np.ndarray) 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
-    The grid runs in blocks of :data:`ANGLE_BLOCK` angles (see the module
-    docstring).  With ``threads > 1`` the per-angle counts draws run on a
+    The grid runs in blocks of angles sized by :data:`BLOCK_CELLS` (see the
+    module docstring).  With ``threads > 1`` the per-angle counts draws run on a
     thread pool; the output is identical to the single-threaded run.
     Working memory is one block's ``(angles, repetitions, settings, d)``
     frequencies and ``(angles, repetitions, d, d)`` matrices.
@@ -321,7 +324,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         return freqs.reshape(-1, *probs.shape[1:])
 
     def run_block(start: int, mapper) -> tuple[np.ndarray, ...]:
-        probs = setting_probabilities(config, angles[start : start + ANGLE_BLOCK])
+        probs = setting_probabilities(config, angles[start : start + block])
         # cell k of the block's stack is repetition k % m of angle start + k // m
         rho_raw = linear_inversion(np.einsum("rsk,sk->rs", frequencies(start, probs, mapper), signs), n_qubits)
         try:
@@ -333,7 +336,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         c_raw, p_raw = l1_metrics(rho_raw)
         return tuple(column.reshape(-1, m) for column in (c, p, c + p, c_raw + p_raw, violation))
 
-    starts = range(0, len(angles), ANGLE_BLOCK)
+    block = max(1, BLOCK_CELLS // m)
+    starts = range(0, len(angles), block)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = [run_block(start, pool.map) for start in starts]

@@ -67,8 +67,10 @@ def test_a_stack_check_names_the_first_failing_index():
         simulate_density(Circuit(1, (unitary(np.stack([np.eye(2), 2 * np.eye(2)]), (0,)),)))
 
 
-def _sweep_bytes(config, threads=1, block=exp.ANGLE_BLOCK):
-    with mock.patch.object(exp, "ANGLE_BLOCK", block):
+def _sweep_bytes(config, threads=1, block=None):
+    """results.csv of the sweep, with blocks of ``block`` angles (default: the sweep's own size)."""
+    cells = exp.BLOCK_CELLS if block is None else block * config.m
+    with mock.patch.object(exp, "BLOCK_CELLS", cells):
         return result_csv(run_sweep(config, threads=threads))
 
 
@@ -114,7 +116,7 @@ def test_a_reconstruction_failure_names_its_angle_across_blocks(monkeypatch):
             raise ReconstructionError("no physical state remains", cell=(4,))
         return real(stack)
 
-    monkeypatch.setattr(exp, "ANGLE_BLOCK", 2)
+    monkeypatch.setattr(exp, "BLOCK_CELLS", 7)  # two angles of 3 repetitions per block
     monkeypatch.setattr(exp, "project_psd_stack", fail_in_the_third_block)
     config = ExperimentConfig(kind="bmzi", angle_points=7, repetitions=3, shots=50)
     with pytest.raises(ReconstructionError, match=r"^angle index 5, repetition 1: no physical state remains$"):
@@ -133,10 +135,17 @@ def test_a_sweep_simulates_once_per_block_and_setting(monkeypatch):
     monkeypatch.setattr(exp, "simulate_density", counting)
     run_sweep(ExperimentConfig(kind="pqe", angle_points=60, repetitions=2, shots=10, **NOISE))
     assert len(calls) == 16
-    monkeypatch.setattr(exp, "ANGLE_BLOCK", 25)
+    monkeypatch.setattr(exp, "BLOCK_CELLS", 50)  # 25 angles of 2 repetitions per block
     calls.clear()
     run_sweep(ExperimentConfig(kind="bmzi", angle_points=60, repetitions=2, shots=10))
     assert len(calls) == 3 * 4
+
+
+def test_a_block_holds_at_least_one_angle(monkeypatch):
+    config = ExperimentConfig(kind="bmzi", angle_points=5, repetitions=40, shots=30, master_seed=9)
+    reference = result_csv(run_sweep(config))
+    monkeypatch.setattr(exp, "BLOCK_CELLS", 3)  # fewer cells than one angle's repetitions
+    assert result_csv(run_sweep(config)) == reference
 
 
 def test_cells_above_the_cap_are_rejected_before_any_allocation():
