@@ -300,13 +300,14 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
     The grid runs in blocks of angles sized by :data:`BLOCK_CELLS` (see the
-    module docstring).  With ``threads > 1`` the per-angle counts draws run on a
-    thread pool; the output is identical to the single-threaded run.
+    module docstring).  With ``threads > 1`` the per-angle counts draws run
+    on a thread pool; the output is identical to the single-threaded run.
     Working memory is one block's ``(angles, repetitions, settings, d)``
     frequencies and ``(angles, repetitions, d, d)`` matrices.
     """
     angles = config.angles()
     n_qubits, m = config.n_qubits, config.m
+    block = max(1, BLOCK_CELLS // m)
     signs = parity_signs(n_qubits)
 
     def draw(i: int, probs: np.ndarray) -> np.ndarray:
@@ -336,7 +337,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         c_raw, p_raw = l1_metrics(rho_raw)
         return tuple(column.reshape(-1, m) for column in (c, p, c + p, c_raw + p_raw, violation))
 
-    block = max(1, BLOCK_CELLS // m)
     starts = range(0, len(angles), block)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
