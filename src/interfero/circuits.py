@@ -164,15 +164,20 @@ def simulate_density(
     product of the statevector simulation.  ``initial`` may be a stack
     ``(A, d, d)``; it and the circuit's stacked gates evolve entry-wise.
     """
-    noise = noise or NoiseModel()
-    n = circuit.n_qubits
     if initial is None:
         rho = np.zeros((circuit.dim, circuit.dim), dtype=complex)
         rho[0, 0] = 1.0
     else:
         rho = check_density_matrix(initial).copy()
-        if rho.ndim > 2 and {np.shape(g.matrix)[:-2] for g in circuit.gates} - {(), rho.shape[:-2]}:
-            raise ValidationError(f"initial state stack {rho.shape[:-2]} does not match the gates' angle axis")
+    return _evolve_density(circuit, noise, rho)
+
+
+def _evolve_density(circuit: Circuit, noise: NoiseModel | None, rho: np.ndarray) -> np.ndarray:
+    """:func:`simulate_density` from ``rho``, a complex state or stack the caller has already checked."""
+    noise = noise or NoiseModel()
+    n = circuit.n_qubits
+    if rho.ndim > 2 and {np.shape(g.matrix)[:-2] for g in circuit.gates} - {(), rho.shape[:-2]}:
+        raise ValidationError(f"initial state stack {rho.shape[:-2]} does not match the gates' angle axis")
     for g in circuit.gates:
         _check_unitary(g)
         rho = _conjugate(g.matrix, g.qubits, n, rho)

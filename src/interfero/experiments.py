@@ -35,6 +35,7 @@ from .circuits import (
     phase,
     rx_neg,
     simulate_density,
+    _evolve_density,
 )
 from .complementarity import bmzi_state, l1_metrics, pqe_state
 from .errors import ReconstructionError, ValidationError
@@ -289,8 +290,9 @@ def setting_probabilities(config: ExperimentConfig, angles: float | np.ndarray) 
     """
     noise = config.noise
     base = simulate_density(build_circuit(config.kind, angles), noise)
+    # base is checked once, by the call that made it; each continuation checks only its output
     probs = [
-        outcome_probabilities(simulate_density(basis_change(setting), noise, initial=base))
+        outcome_probabilities(_evolve_density(basis_change(setting), noise, base))
         for setting in measurement_settings(config.n_qubits)
     ]
     return noise.apply_readout(np.stack(probs, axis=-2), config.n_qubits)

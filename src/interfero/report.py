@@ -132,6 +132,20 @@ CHUNK_LINES = 4096
 
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
+INDEX_FIELDS = ("angle_index", "repetition")
+FLOAT_FIELDS = ("angle", *CSV_FIELDS[5:])
+
+#: One results line as :func:`read_results` converts it; ``kind`` and
+#: ``label`` stay Python strings, so no label is truncated.
+RECORD = np.dtype(
+    [
+        (name, np.int64 if name in INDEX_FIELDS else np.float64 if name in FLOAT_FIELDS else object)
+        for name in CSV_FIELDS
+    ]
+)
+
+_CONVERT = {**dict.fromkeys(INDEX_FIELDS, int), **dict.fromkeys(FLOAT_FIELDS, float)}
+
 
 class ResultRows(Sequence[ResultRow]):
     """The rows of a results.csv, read-only, over its per-label tables.
@@ -183,8 +197,10 @@ def read_results(csv_path: str | Path) -> ResultRows:
     is named.  A label whose rows miss a cell of its (angle_index,
     repetition) grid is a ValidationError naming ``path``.
 
-    Lines are parsed column-wise, :data:`CHUNK_LINES` at a time, into arrays;
-    one sort then groups each label's cells into its table.
+    Lines are parsed :data:`CHUNK_LINES` at a time into columns, each chunk
+    by numpy's C reader (:func:`_load_chunk`) or, where that declines it, by
+    Python's ``int`` and ``float`` (:func:`_convert_chunk`), which give the
+    same values; one sort then groups each label's cells into its table.
     """
     path = Path(csv_path)
     lines = read_text(path).splitlines()
@@ -209,25 +225,62 @@ def _parse_chunk(chunk: list[str], ints: np.ndarray, floats: np.ndarray, row: in
     """Parse ``chunk`` into the columns from ``row`` on; False when one of its lines is faulty on its own."""
     if not chunk:
         return True
-    if list(map(str.count, chunk, repeat(","))).count(9) != len(chunk):
-        return False
-    fields = ",".join(chunk).split(",")
-    kinds, names = fields[0::10], fields[1::10]
+    records = _load_chunk(chunk)
+    if records is None:
+        records = _convert_chunk(chunk)
+        if records is None:
+            return False
+    kinds, names = records["kind"], records["label"]
     if not KIND_CODES.keys() >= set(kinds):
         return False
     for name in dict.fromkeys(names):
         labels.setdefault(name, len(labels))
     end = row + len(chunk)
-    try:
-        ints[0, row:end] = list(map(labels.__getitem__, names))
-        ints[1, row:end] = list(map(KIND_CODES.__getitem__, kinds))
-        ints[2, row:end] = list(map(int, fields[2::10]))
-        ints[3, row:end] = list(map(int, fields[4::10]))
-        for k, column in enumerate((3, 5, 6, 7, 8, 9)):
-            floats[k, row:end] = list(map(float, fields[column::10]))
-    except (ValueError, OverflowError):
-        return False
+    ints[0, row:end] = list(map(labels.__getitem__, names))
+    ints[1, row:end] = list(map(KIND_CODES.__getitem__, kinds))
+    ints[2, row:end] = records["angle_index"]
+    ints[3, row:end] = records["repetition"]
+    for k, name in enumerate(FLOAT_FIELDS):
+        floats[k, row:end] = records[name]
     return bool(np.isfinite(floats[:, row:end]).all())
+
+
+def _load_chunk(chunk: list[str]) -> np.ndarray | None:
+    """``chunk`` as :data:`RECORD` rows from numpy's C reader; None leaves it to :func:`_convert_chunk`.
+
+    Declined are the chunks where numpy could differ from Python's ``int``
+    and ``float``: one with an empty line (numpy skips those, and warns on a
+    chunk of nothing else), with non-ASCII text (its integer parser takes
+    some non-ASCII characters as digits) or with ``\\x1f`` (both its number
+    parsers take it for whitespace).  On the rest numpy accepts no number
+    that Python rejects and parses every other one to the same value.  A
+    chunk numpy raises on is declined too, so the exact conversion finds
+    the fault.
+    """
+    if "" in chunk:
+        return None
+    text = "\n".join(chunk)
+    if not text.isascii() or "\x1f" in text:
+        return None
+    try:
+        records = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=RECORD)
+    except ValueError:
+        return None
+    return records if len(records) == len(chunk) else None
+
+
+def _convert_chunk(chunk: list[str]) -> np.ndarray | None:
+    """``chunk`` as :data:`RECORD` rows through Python's ``int`` and ``float``; None when a line does not convert."""
+    if list(map(str.count, chunk, repeat(","))).count(9) != len(chunk):
+        return None
+    fields = ",".join(chunk).split(",")
+    records = np.empty(len(chunk), dtype=RECORD)
+    try:
+        for k, name in enumerate(CSV_FIELDS):
+            records[name] = list(map(_CONVERT.get(name, str), fields[k::10]))
+    except (ValueError, OverflowError):
+        return None
+    return records
 
 
 def _line_fault(line: str) -> str | None:
@@ -244,7 +297,7 @@ def _field_error(parts: list[str]) -> str | None:
     """Describe the first numeric field of a results row that does not parse, is not finite
     or is an index beyond 64 bits; None when there is none."""
     for name, text in zip(CSV_FIELDS[2:], parts[2:]):
-        integer = name in ("angle_index", "repetition")
+        integer = name in INDEX_FIELDS
         try:
             value = int(text) if integer else float(text)
         except ValueError:

@@ -142,7 +142,9 @@ def project_psd_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`project_psd` of every matrix in a stack, with one stacked ``eigh``.
 
     A matrix whose smallest eigenvalue is >= 0 comes back unchanged with mass
-    0.  The clipped mass is always an array over the leading axes.  A
+    0; only the others are rebuilt from their clipped spectra, and a stack
+    with none of them comes back as the complex input array itself.  The
+    clipped mass is always an array over the leading axes.  A
     :class:`ReconstructionError` names the first matrix left with no
     eigenvalue above zero in its ``cell``.
     """
@@ -163,9 +165,13 @@ def project_psd_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dead = negative & (total <= 0.0)
     if np.any(dead):
         raise ReconstructionError("all eigenvalues clipped to zero; no physical state remains", first(dead))
-    clipped /= np.where(negative, total, 1.0)[..., None]
-    projected = (vecs * clipped[..., None, :]) @ dagger(vecs)
-    return np.where(negative[..., None, None], projected, m), violation
+    if not negative.any():
+        return m, violation
+    vecs = vecs[negative]
+    projected = (vecs * (clipped[negative] / total[negative][..., None])[..., None, :]) @ dagger(vecs)
+    out = m.copy()
+    out[negative] = projected
+    return out, violation
 
 
 def reconstruct(expectations: dict[str, float], n_qubits: int) -> TomographyResult:

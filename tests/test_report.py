@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interfero import (
     ExperimentConfig,
@@ -19,6 +21,7 @@ from interfero import (
     summary_row,
     write_results,
 )
+from interfero import report
 from interfero.cli import parse_config
 from interfero.report import CHUNK_LINES, CSV_HEADER, config_lines, fmt12, summary_text, write_manifest
 
@@ -247,7 +250,8 @@ def _tables_equal(a, b):
         ta, tb = a[label], b[label]
         assert (ta.kind, ta.label) == (tb.kind, tb.label)
         for name in ("angles", "coherence", "predictability", "total", "total_raw", "psd_violation"):
-            assert np.array_equal(getattr(ta, name), getattr(tb, name))
+            x, y = getattr(ta, name), getattr(tb, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_result_rows_index_slice_and_iterate_like_the_records(tmp_path, noisy_result):
@@ -360,3 +364,114 @@ def test_an_index_beyond_64_bits_is_a_line_fault(tmp_path, noisy_result):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=rf":4: repetition must fit in 64 bits, got '{2**64}'$"):
         read_results(path)
+
+
+def test_angle_index_and_repetition_gaps_read_back_renumbered(tmp_path):
+    path = tmp_path / "results.csv"
+    lines = [
+        f"bmzi,g,{i},{angle:.12f},{r},0.1,0.9,1.0,1.0,0.0"
+        for i, angle in ((0, 0.0), (3, 0.3), (7, 0.7))
+        for r in (2, 5)
+    ]
+    path.write_text("\n".join([CSV_HEADER, *lines]) + "\n", encoding="utf-8")
+    rows = read_results(path)
+    assert [(row.angle_index, row.repetition) for row in rows] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert [row.angle for row in rows] == [0.0, 0.0, 0.3, 0.3, 0.7, 0.7]
+    assert np.array_equal(rows.tables["g"].angles, [0.0, 0.3, 0.7])
+
+
+@pytest.fixture(scope="module")
+def clean_lines():
+    """A valid results.csv of two labels, one per kind, as lines."""
+    bmzi = run_sweep(ExperimentConfig(kind="bmzi", angle_points=3, repetitions=2, shots=50, master_seed=3, label="b"))
+    pqe = run_sweep(ExperimentConfig(kind="pqe", angle_points=2, repetitions=2, shots=50, master_seed=4, label="q"))
+    return result_csv(bmzi).splitlines() + result_csv(pqe).splitlines()[1:]
+
+
+def _records_identical(a, b):
+    assert a.dtype == b.dtype and len(a) == len(b)
+    for name in a.dtype.names:
+        if a.dtype[name] == object:
+            assert a[name].tolist() == b[name].tolist()
+        else:
+            assert a[name].tobytes() == b[name].tobytes()
+
+
+def test_the_c_reader_declines_the_text_it_could_read_differently(clean_lines):
+    data = clean_lines[1:]
+    _records_identical(report._load_chunk(data), report._convert_chunk(data))
+    assert report._load_chunk([CSV_HEADER]) is None
+    assert report._load_chunk(data[:3] + [""] + data[3:]) is None  # numpy would skip the empty line
+    for index in ("1\u01fe", "1\x1f"):  # numpy reads these as 472 and 1, Python's int rejects them
+        parts = data[0].split(",")
+        parts[2] = index
+        assert report._load_chunk([",".join(parts)]) is None
+        assert report._convert_chunk([",".join(parts)]) is None
+    relabelled = [line.replace(",b,", ",\u03bb,") for line in data]
+    assert report._load_chunk(relabelled) is None
+    assert report._convert_chunk(relabelled)["label"][0] == "\u03bb"
+
+
+MANGLED = (
+    "1_0", "\u0661", "1\u01fe", "\x1f", "1\x1f", "nan", "-inf", "1e400", str(2**63), str(-(2**63)),
+    str(-(2**63) - 1), "+1", " 1 ", "\t1", "1.0", "", "-0.0", ".5", "1e-320", "0.10000000000000000555", "1\x00",
+)
+ODD_LABELS = ("\u03bb", "\xe4", "a#b", "#", "  lead", "trail\x00", "x\x1fy", "b")
+
+
+@st.composite
+def mutated_results(draw, lines):
+    """The text of ``lines`` after up to three line faults, odd labels, blank lines and a choice of line end."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, len(lines) - 1))
+        parts = lines[k].split(",")
+        how = draw(st.sampled_from(("number",) * 4 + ("relabel",) * 2 + ("label", "drop", "add", "blank")))
+        if how == "drop":
+            del parts[draw(st.integers(0, len(parts) - 1))]
+        elif how == "add":
+            parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(MANGLED)))
+        elif how == "number" and len(parts) > 2:
+            parts[draw(st.integers(2, len(parts) - 1))] = draw(st.sampled_from(MANGLED))
+        elif how == "label" and len(parts) > 1:
+            parts[1] = draw(st.sampled_from(ODD_LABELS))
+        elif how == "relabel" and len(parts) > 1:
+            old, new = parts[1], draw(st.sampled_from(ODD_LABELS))
+            rows = [line.split(",") for line in lines]
+            lines = [",".join([row[0], new, *row[2:]] if row[1:2] == [old] else row) for row in rows]
+            continue
+        elif how == "blank":
+            lines.insert(k, draw(st.sampled_from(("", " ", "\t"))))
+            continue
+        lines[k] = ",".join(parts)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), chunk_lines=st.sampled_from((1, 3, CHUNK_LINES)))
+def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_lines, data, chunk_lines):
+    text = data.draw(mutated_results(clean_lines))
+    path = tmp_path_factory.mktemp("differential") / "results.csv"
+    path.write_bytes(text.encode("utf-8"))
+    # a line the C reader converts, Python converts to the same values
+    for line in text.splitlines():
+        fast = report._load_chunk([line])
+        if fast is not None:
+            exact = report._convert_chunk([line])
+            assert exact is not None, line
+            _records_identical(fast, exact)
+    outcomes = []
+    for load_chunk in (report._load_chunk, lambda chunk: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(report, "CHUNK_LINES", chunk_lines)
+            mp.setattr(report, "_load_chunk", load_chunk)
+            try:
+                outcomes.append(read_results(path).tables)
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+    fast, exact = outcomes
+    if isinstance(exact, str):
+        assert fast == exact
+    else:
+        _tables_equal(fast, exact)

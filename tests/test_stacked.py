@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interfero.circuits as circuits
 import interfero.experiments as exp
 from interfero import Circuit, ExperimentConfig, NoiseModel, ReconstructionError, ValidationError, run_sweep
 from interfero.circuits import ctrl_ix, cx, ix, phase, rx_neg, simulate_density, unitary
@@ -126,19 +127,28 @@ def test_a_reconstruction_failure_names_its_angle_across_blocks(monkeypatch):
 
 def test_a_sweep_simulates_once_per_block_and_setting(monkeypatch):
     calls = []
-    real = exp.simulate_density
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(exp, name)
 
-    monkeypatch.setattr(exp, "simulate_density", counting)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    # the interferometer once per block, then one continuation per setting from its checked output
+    monkeypatch.setattr(exp, "simulate_density", counting("simulate_density"))
+    monkeypatch.setattr(exp, "_evolve_density", counting("_evolve_density"))
+    checks = mock.Mock(wraps=check_density_matrix)
+    monkeypatch.setattr(circuits, "check_density_matrix", checks)
     run_sweep(ExperimentConfig(kind="pqe", angle_points=60, repetitions=2, shots=10, **NOISE))
-    assert len(calls) == 16
+    assert calls == ["simulate_density"] + ["_evolve_density"] * 15
+    assert checks.call_count == 16  # each output once; no continuation re-checks its input
     monkeypatch.setattr(exp, "BLOCK_CELLS", 50)  # 25 angles of 2 repetitions per block
     calls.clear()
     run_sweep(ExperimentConfig(kind="bmzi", angle_points=60, repetitions=2, shots=10))
-    assert len(calls) == 3 * 4
+    assert calls == (["simulate_density"] + ["_evolve_density"] * 3) * 3
 
 
 def test_a_block_holds_at_least_one_angle(monkeypatch):

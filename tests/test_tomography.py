@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from interfero import (
     simulate_statevector,
     trace_distance,
 )
-from interfero.tomography import PAULI
+from interfero.tomography import PAULI, project_psd_stack
 from interfero.linalg import kron
 
 
@@ -242,3 +244,41 @@ def test_project_psd_of_a_stack_matches_each_matrix():
         if mass == 0.0:
             # physical matrices come back untouched, not rebuilt from eigenvectors
             assert np.array_equal(rho[index], stack[index])
+
+
+def _mixed_stack(rng, d, shape):
+    """Unit-trace Hermitian matrices ``shape + (d, d)``, some with negative eigenvalues."""
+    g = rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d))
+    h = 0.3 * (g + np.swapaxes(g, -1, -2).conj()) + np.eye(d)
+    return h / np.trace(h, axis1=-2, axis2=-1).real[..., None, None]
+
+
+@pytest.mark.parametrize("d, shape", [(2, (40,)), (4, (3, 7)), (4, ())])
+def test_projecting_only_the_negative_matrices_is_bitwise_the_whole_stack_formula(d, shape):
+    stack = _mixed_stack(np.random.default_rng(5 + d), d, shape)
+    # the whole-stack formula: every matrix rebuilt, the physical ones then put back
+    lam, vecs = np.linalg.eigh(stack)
+    negative = lam[..., 0] < 0.0
+    clipped = np.clip(lam, 0.0, None)
+    clipped /= np.where(negative, clipped.sum(axis=-1), 1.0)[..., None]
+    rebuilt = (vecs * clipped[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    reference = np.where(negative[..., None, None], rebuilt, stack)
+    if shape:
+        assert negative.any() and not negative.all()
+    rho, violation = project_psd_stack(stack)
+    assert rho.tobytes() == reference.tobytes()
+    assert rho[~negative].tobytes() == stack[~negative].tobytes()
+    assert np.all((violation > 0) == negative)
+
+
+def test_a_physical_stack_comes_back_as_the_input_without_a_rebuilt_copy():
+    stack = np.tile(np.eye(4, dtype=complex) / 4, (960, 1, 1))
+    tracemalloc.start()
+    try:
+        rho, violation = project_psd_stack(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho is stack and not violation.any()
+    # the eigenvectors and the Hermitian check's temporaries; rebuilding every matrix held about 4.4 stacks
+    assert peak < 3 * stack.nbytes
