@@ -26,7 +26,7 @@ config = ExperimentConfig(
     depolarizing=0.03,
     label="demo",
 )
-result = run_sweep(config, threads=4)
+result = run_sweep(config)
 
 # noise pulls the sum below the pure-state bound of 1
 totals = np.array([rec.total for rec in result.records])

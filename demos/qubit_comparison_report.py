@@ -31,7 +31,7 @@ profiles = {
 rows = []
 for label, noise in profiles.items():
     config = replace(base, label=label, **noise)
-    result = run_sweep(config, threads=4)
+    result = run_sweep(config)
     rows.append(summary_row(label, result.report))
     print(f"qubit {label}: MSE mean {result.report.mean:.4f}, corr {result.report.corr:+.4f}")
 

@@ -50,7 +50,6 @@ from .experiments import (
 )
 from .report import (
     ResultRows,
-    SummaryRow,
     aggregate_curves,
     read_results,
     render_curves,
@@ -108,7 +107,6 @@ __all__ = [
     "build_pqe",
     "run_sweep",
     "theory_series",
-    "SummaryRow",
     "ResultRows",
     "result_csv",
     "write_results",

@@ -12,6 +12,8 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +29,6 @@ from .report import (
     render_sparkline_table,
     report_lines,
     reports_from_rows,
-    summary_row,
     write_manifest,
     write_results,
 )
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the config master_seed")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1, help="accepted (at least 1); the sweep runs on one thread")
 
     p_analyze = sub.add_parser("analyze", help="recompute MSE reports from stored results")
     p_analyze.add_argument("--out", default="out", help="directory holding results.csv")
@@ -156,8 +157,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    rows = read_results(Path(args.out) / "results.csv")
-    for label, report in reports_from_rows(rows).items():
+    path = Path(args.out) / "results.csv"
+    rows = read_results(path)
+    with _naming(path):
+        reports = reports_from_rows(rows)
+    for label, report in reports.items():
         print(f"# label {label}")
         print("\n".join(report_lines(report)))
     return 0
@@ -166,18 +170,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     rows = read_results(out / "results.csv")
-    reports = reports_from_rows(rows)
+    with _naming(out / "results.csv"):
+        reports = reports_from_rows(rows)
+        curves = aggregate_curves(rows) if args.format in ("svg", "all") else {}
     # one curve file per label, checked for clashes before anything is written
     figures: dict[str, Path] = {}
     owner: dict[Path, str] = {}
-    for label in reports if args.format in ("svg", "all") else ():
+    for label in curves:
         path = figures[label] = out / f"curves_{re.sub(r'[^-A-Za-z0-9_.]', '_', label)}.svg"
         if owner.setdefault(path, label) != label:
             raise ValidationError(
                 f"{out / 'results.csv'}: labels {owner[path]!r} and {label!r} both map to {path.name}"
             )
-    table_rows = [summary_row(label, rep) for label, rep in reports.items()]
-    text, svg = render_sparkline_table(table_rows)
+    text, svg = render_sparkline_table(list(reports.items()))
     written: list[Path] = []
     if args.format in ("text", "all"):
         path = out / "table.txt"
@@ -187,21 +192,28 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = out / "table.svg"
         path.write_text(svg, encoding="utf-8", newline="\n")
         written.append(path)
-        for label, curve in aggregate_curves(rows).items():
+        for label, curve in curves.items():
             figures[label].write_text(render_curves(curve), encoding="utf-8", newline="\n")
             written.append(figures[label])
     if args.format in ("csv", "all"):
         path = out / "table.csv"
         lines = ["label,mean,std,corr,min,max,overflow"]
-        for row in table_rows:
-            lines.append(
-                f"{row.label},{row.mean:.3f},{row.std:.3f},{row.corr:.3f},{row.min:.3f},{row.max:.2f},{row.overflow}"
-            )
+        for label, r in reports.items():
+            lines.append(f"{label},{r.mean:.3f},{r.std:.3f},{r.corr:.3f},{r.min:.3f},{r.max:.2f},{r.overflow}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         written.append(path)
     for p in written:
         print(p)
     return 0
+
+
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Prefix ``path`` to a ValidationError raised in the block."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

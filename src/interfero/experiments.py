@@ -13,12 +13,13 @@ draws the counts of all its (repetition, setting) cells in one multinomial
 call from a counter-based stream derived from (master_seed, angle index).
 Expectations, inversion, PSD projection and metrics run once on the block's
 ``(angles, repetitions)`` stack of states.  Because every angle owns its
-stream, results depend neither on the block size nor on the thread count.
+stream, results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import re
+# not used here: the benchmark's tracer patches this attribute (perfbench/tracing.py)
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +43,7 @@ from .errors import ReconstructionError, ValidationError
 from .linalg import outer
 from .mse import MseReport, decompose_rows, summarize_rows
 from .noise import NoiseModel
-from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd_stack
+from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd
 
 KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
@@ -302,49 +303,36 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
     The grid runs in blocks of angles sized by :data:`BLOCK_CELLS` (see the
-    module docstring).  With ``threads > 1`` the per-angle counts draws run
-    on a thread pool; the output is identical to the single-threaded run.
-    Working memory is one block's ``(angles, repetitions, settings, d)``
-    frequencies and ``(angles, repetitions, d, d)`` matrices.
+    module docstring), on the calling thread; ``threads`` is accepted and
+    changes nothing.  Working memory is one block's ``(angles, repetitions,
+    settings, d)`` frequencies and ``(angles, repetitions, d, d)`` matrices.
     """
     angles = config.angles()
     n_qubits, m = config.n_qubits, config.m
     block = max(1, BLOCK_CELLS // m)
     signs = parity_signs(n_qubits)
-
-    def draw(i: int, probs: np.ndarray) -> np.ndarray:
-        return angle_rng(config.master_seed, i).multinomial(config.shots, probs, size=(m, len(probs)))
-
-    def frequencies(start: int, probs: np.ndarray, mapper) -> np.ndarray:
-        """The block's outcome frequencies as one ``(angles * repetitions, S, d)`` stack."""
+    blocks = []
+    for start in range(0, len(angles), block):
+        probs = setting_probabilities(config, angles[start : start + block])
         freqs = np.empty((len(probs), m, *probs.shape[1:]))
         if config.analytic:
             freqs[:] = probs[:, None]
         else:
-            for b, counts in enumerate(mapper(draw, range(start, start + len(probs)), probs)):
-                freqs[b] = counts
+            for b, dist in enumerate(probs):
+                rng = angle_rng(config.master_seed, start + b)
+                freqs[b] = rng.multinomial(config.shots, dist, size=(m, len(dist)))
             freqs /= config.shots
-        return freqs.reshape(-1, *probs.shape[1:])
-
-    def run_block(start: int, mapper) -> tuple[np.ndarray, ...]:
-        probs = setting_probabilities(config, angles[start : start + block])
         # cell k of the block's stack is repetition k % m of angle start + k // m
-        rho_raw = linear_inversion(np.einsum("rsk,sk->rs", frequencies(start, probs, mapper), signs), n_qubits)
+        expectations = np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), signs)
+        rho_raw = linear_inversion(expectations, n_qubits)
         try:
-            rho, violation = project_psd_stack(rho_raw)
+            rho, violation = project_psd(rho_raw)
         except ReconstructionError as exc:
             b, r = divmod(exc.cell[0], m)
             raise ReconstructionError(f"angle index {start + b}, repetition {r}: {exc}") from exc
         c, p = l1_metrics(rho)
         c_raw, p_raw = l1_metrics(rho_raw)
-        return tuple(column.reshape(-1, m) for column in (c, p, c + p, c_raw + p_raw, violation))
-
-    starts = range(0, len(angles), block)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = [run_block(start, pool.map) for start in starts]
-    else:
-        blocks = [run_block(start, map) for start in starts]
+        blocks.append([column.reshape(-1, m) for column in (c, p, c + p, c_raw + p_raw, violation)])
 
     table = SweepTable(config.kind, config.run_label, angles, *(np.concatenate(column) for column in zip(*blocks)))
     return ExperimentResult(config, table, analyze(table))

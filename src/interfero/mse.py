@@ -184,11 +184,16 @@ def histogram_counts(values) -> tuple[tuple[int, ...], int]:
 
     Returns the counts and how many values overflowed the range.
     """
-    counts = [0] * HIST_BINS
-    overflow = 0
-    for v in np.asarray(values, dtype=float):
-        if v > 1.0:
-            overflow += 1
-        bin_index = int(np.floor(v * HIST_BINS))
-        counts[min(max(bin_index, 0), HIST_BINS - 1)] += 1
-    return tuple(counts), overflow
+    values = np.asarray(values, dtype=float)
+    counts = np.bincount(histogram_bins(values), minlength=HIST_BINS)
+    return tuple(counts.tolist()), int(np.count_nonzero(values > 1.0))
+
+
+def histogram_bins(values) -> np.ndarray:
+    """The bin of each value under :func:`histogram_counts`'s rule.
+
+    That is ``floor(v * 60)`` clamped to the bins: values below 0 fall in the
+    first bin, values of 1 and above (inf included) in the last.
+    """
+    scaled = np.floor(np.clip(np.asarray(values, dtype=float), 0.0, 1.0) * HIST_BINS)
+    return np.minimum(scaled, HIST_BINS - 1).astype(np.intp)

@@ -12,6 +12,7 @@ import datetime as _dt
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
 from pathlib import Path
@@ -29,7 +30,7 @@ from .experiments import (
     analyze,
     theory_series,
 )
-from .mse import HIST_BINS, MseReport
+from .mse import HIST_BINS, MseReport, histogram_bins
 
 CSV_HEADER = "kind,label,angle_index,angle,repetition,coherence,predictability,sum,sum_raw,psd_violation"
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
@@ -41,20 +42,6 @@ CURVE_COLORS = {"sum": "#000000", "coherence": "#e07b00", "predictability": "#1f
 
 def fmt12(x: float) -> str:
     return f"{x:.12f}"
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """One line of the sparkline table: distribution of the summed MSE."""
-
-    label: str
-    mean: float
-    std: float
-    corr: float
-    min: float
-    max: float
-    histogram: tuple[int, ...]
-    overflow: int = 0
 
 
 def result_csv(result: ExperimentResult) -> str:
@@ -379,21 +366,20 @@ def _group(
 
 
 def reports_from_rows(rows: ResultRows) -> dict[str, MseReport]:
-    """Per-label MSE reports of the tables :func:`read_results` returns."""
-    return {label: analyze(table) for label, table in rows.tables.items()}
+    """Per-label MSE reports of the tables :func:`read_results` returns.
+
+    A report whose arithmetic overflows a float is a ValidationError naming its label.
+    """
+    reports = {}
+    for label, table in rows.tables.items():
+        with _float_faults(label):
+            reports[label] = analyze(table)
+    return reports
 
 
-def summary_row(label: str, report: MseReport) -> SummaryRow:
-    return SummaryRow(
-        label=label,
-        mean=report.mean,
-        std=report.std,
-        corr=report.corr,
-        min=report.min,
-        max=report.max,
-        histogram=report.histogram,
-        overflow=report.overflow,
-    )
+def summary_row(label: str, report: MseReport) -> tuple[str, MseReport]:
+    """One row of :func:`render_sparkline_table`: the label and its report."""
+    return label, report
 
 
 @dataclass(frozen=True)
@@ -415,9 +401,20 @@ def aggregate_curves(rows: ResultRows) -> dict[str, CurveData]:
     """Mean and standard deviation over repetitions, per label and angle."""
     curves = {}
     for label, t in rows.tables.items():
-        stats = [f(values, axis=1) for values in (t.coherence, t.predictability, t.total) for f in (np.mean, np.std)]
+        with _float_faults(label):
+            stats = [f(v, axis=1) for v in (t.coherence, t.predictability, t.total) for f in (np.mean, np.std)]
         curves[label] = CurveData(label, t.kind, t.angles, *stats, *theory_series(t.kind, t.angles))
     return curves
+
+
+@contextmanager
+def _float_faults(label: str) -> Iterator[None]:
+    """Turn numpy's overflow and invalid-value warnings in the block into a ValidationError naming ``label``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValidationError(f"label {label!r}: {exc} while reducing its rows") from None
 
 
 def render_curves(curve: CurveData) -> str:
@@ -490,8 +487,8 @@ def render_curves(curve: CurveData) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_sparkline_table(rows: list[SummaryRow]) -> tuple[str, str]:
-    """Sparkline histogram table in text and SVG form.
+def render_sparkline_table(rows: list[tuple[str, MseReport]]) -> tuple[str, str]:
+    """Sparkline histogram table in text and SVG form, one row per (label, report) pair.
 
     Text rows show mean/std/corr/min, a 60-bin block-character sparkline and
     max, with a marker line underneath ('^' at the min, mean and max bins).
@@ -502,24 +499,25 @@ def render_sparkline_table(rows: list[SummaryRow]) -> tuple[str, str]:
     return _sparkline_text(rows), _sparkline_svg(rows)
 
 
-def _sparkline_text(rows: list[SummaryRow]) -> str:
+def _sparkline_text(rows: list[tuple[str, MseReport]]) -> str:
     header = f"{'label':>8}  {'mean':>7} {'std':>7} {'corr':>8} {'min':>7}  {'MSE histogram':<{HIST_BINS}}  {'max':>6}"
     lines = [header]
-    for row in rows:
-        spark = _spark_glyphs(row.histogram)
-        corr_text = f"{row.corr:.3f}" + ("*" if row.corr < 0 else "")
+    for label, report in rows:
+        spark = _spark_glyphs(report.histogram)
+        corr_text = f"{report.corr:.3f}" + ("*" if report.corr < 0 else "")
         lines.append(
-            f"{row.label:>8}  {row.mean:7.3f} {row.std:7.3f} {corr_text:>8} {row.min:7.3f}  {spark}  {row.max:6.2f}"
+            f"{label:>8}  {report.mean:7.3f} {report.std:7.3f} {corr_text:>8} {report.min:7.3f}"
+            f"  {spark}  {report.max:6.2f}"
         )
         marker = [" "] * HIST_BINS
-        for value in (row.min, row.mean, row.max):
-            marker[_bin_of(value)] = "^"
+        for b in histogram_bins([report.min, report.mean, report.max]):
+            marker[b] = "^"
         prefix = " " * (len(header) - HIST_BINS - 8)
         lines.append(prefix + "".join(marker))
     return "\n".join(lines) + "\n"
 
 
-def _sparkline_svg(rows: list[SummaryRow]) -> str:
+def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
     row_h, spark_w, spark_h = 30, 240, 20
     left_cols = 320
     width = left_cols + spark_w + 70
@@ -536,29 +534,29 @@ def _sparkline_svg(rows: list[SummaryRow]) -> str:
         f'<text x="{left_cols}" y="16" font-size="11" font-weight="bold">MSE histogram</text>',
         f'<text x="{left_cols + spark_w + 12}" y="16" font-size="11" font-weight="bold">max</text>',
     ]
-    for k, row in enumerate(rows):
+    for k, (label, report) in enumerate(rows):
         y0 = 26 + k * row_h
         base = y0 + spark_h + 4
-        corr_color = "#cc0000" if row.corr < 0 else "#000000"
-        parts.append(f'<text x="8" y="{base - 6}" font-size="11">{_esc(row.label)}</text>')
-        parts.append(f'<text x="68" y="{base - 6}" font-size="11">{row.mean:.3f}</text>')
-        parts.append(f'<text x="128" y="{base - 6}" font-size="11">{row.std:.3f}</text>')
-        parts.append(f'<text x="188" y="{base - 6}" font-size="11" fill="{corr_color}">{row.corr:.3f}</text>')
-        parts.append(f'<text x="248" y="{base - 6}" font-size="11">{row.min:.3f}</text>')
-        peak = max(max(row.histogram), 1)
+        corr_color = "#cc0000" if report.corr < 0 else "#000000"
+        parts.append(f'<text x="8" y="{base - 6}" font-size="11">{_esc(label)}</text>')
+        parts.append(f'<text x="68" y="{base - 6}" font-size="11">{report.mean:.3f}</text>')
+        parts.append(f'<text x="128" y="{base - 6}" font-size="11">{report.std:.3f}</text>')
+        parts.append(f'<text x="188" y="{base - 6}" font-size="11" fill="{corr_color}">{report.corr:.3f}</text>')
+        parts.append(f'<text x="248" y="{base - 6}" font-size="11">{report.min:.3f}</text>')
+        peak = max(max(report.histogram), 1)
         pts = []
         for b in range(HIST_BINS):
             x = left_cols + (b + 0.5) / HIST_BINS * spark_w
-            y = base - row.histogram[b] / peak * spark_h
+            y = base - report.histogram[b] / peak * spark_h
             pts.append(f"{x:.2f},{y:.2f}")
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" stroke-width="1"/>'
         )
-        for value, on_curve in ((row.min, False), (row.max, False), (row.mean, True)):
-            x = left_cols + (_bin_of(value) + 0.5) / HIST_BINS * spark_w
-            y = base - (row.histogram[_bin_of(value)] / peak * spark_h if on_curve else 0.0)
+        for b, on_curve in zip(histogram_bins([report.min, report.max, report.mean]), (False, False, True)):
+            x = left_cols + (b + 0.5) / HIST_BINS * spark_w
+            y = base - (report.histogram[b] / peak * spark_h if on_curve else 0.0)
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="black"/>')
-        parts.append(f'<text x="{left_cols + spark_w + 12}" y="{base - 6}" font-size="11">{row.max:.2f}</text>')
+        parts.append(f'<text x="{left_cols + spark_w + 12}" y="{base - 6}" font-size="11">{report.max:.2f}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -575,10 +573,6 @@ def _spark_glyphs(histogram: tuple[int, ...]) -> str:
             level = int(np.ceil(count / peak * len(SPARK_BLOCKS)))
             glyphs.append(SPARK_BLOCKS[min(level, len(SPARK_BLOCKS)) - 1])
     return "".join(glyphs)
-
-
-def _bin_of(value: float) -> int:
-    return min(max(int(np.floor(value * HIST_BINS)), 0), HIST_BINS - 1)
 
 
 def _esc(text: str) -> str:

@@ -129,22 +129,12 @@ def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: i
 def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Clip negative eigenvalues and renormalise the trace to 1.
 
-    Returns the projected state together with the clipped negative mass
-    (0 when the input was already physical, in which case the input comes
-    back unchanged).  A stack ``(..., d, d)`` gives an array of masses over
-    its leading axes; see :func:`project_psd_stack`.
-    """
-    rho, violation = project_psd_stack(m)
-    return rho, float(violation) if violation.ndim == 0 else violation
-
-
-def project_psd_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`project_psd` of every matrix in a stack, with one stacked ``eigh``.
-
-    A matrix whose smallest eigenvalue is >= 0 comes back unchanged with mass
-    0; only the others are rebuilt from their clipped spectra, and a stack
-    with none of them comes back as the complex input array itself.  The
-    clipped mass is always an array over the leading axes.  A
+    Returns the projected state together with the clipped negative mass.  A
+    stack ``(..., d, d)`` is projected with one stacked ``eigh`` and gives an
+    array of masses over its leading axes; one matrix gives a float.  A
+    matrix whose smallest eigenvalue is >= 0 comes back unchanged with mass
+    0; only the others are rebuilt from their clipped spectra, and an input
+    with none of them comes back as the complex input array itself.  A
     :class:`ReconstructionError` names the first matrix left with no
     eigenvalue above zero in its ``cell``.
     """
@@ -165,6 +155,7 @@ def project_psd_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dead = negative & (total <= 0.0)
     if np.any(dead):
         raise ReconstructionError("all eigenvalues clipped to zero; no physical state remains", first(dead))
+    violation = float(violation) if violation.ndim == 0 else violation
     if not negative.any():
         return m, violation
     vecs = vecs[negative]

@@ -386,3 +386,22 @@ def test_report_rejects_labels_that_share_a_curve_file(tmp_path, capsys, fmt):
     assert captured.err == f"error: {tmp_path / 'results.csv'}: labels 'a/b' and 'a_b' both map to curves_a_b.svg\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
     assert main(["report", "--out", str(tmp_path), "--format", "text"]) == 0
+
+
+# analyze reduces coherence and predictability; report also averages the sum over repetitions
+@pytest.mark.parametrize("command, column", [("analyze", "coherence"), ("report", "coherence"), ("report", "sum")])
+def test_statistics_that_overflow_a_float_exit_one_naming_the_label(tmp_path, capsys, command, column):
+    field = CSV_HEADER.split(",").index(column)
+    rows = []
+    for i, angle in enumerate((-1.5, 0.5)):
+        for r, huge in enumerate(("1e200", "-1e200")):
+            parts = ["bmzi", "a", str(i), str(angle), str(r), "0.5", "0.5", "1.0", "1.0", "0.0"]
+            parts[field] = huge
+            rows.append(",".join(parts))
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert main([command, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: label 'a': overflow encountered in square while reducing its rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]

@@ -201,7 +201,7 @@ def test_reconstruction_failure_carries_cell_context(monkeypatch):
         # the projection of one angle's stack reports its failing repetition
         raise ReconstructionError("no physical state remains", cell=(0,))
 
-    monkeypatch.setattr(exp, "project_psd_stack", boom)
+    monkeypatch.setattr(exp, "project_psd", boom)
     config = ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, analytic=True)
     with pytest.raises(ReconstructionError, match=r"angle index 0, repetition 0"):
         run_sweep(config)

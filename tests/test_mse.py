@@ -127,12 +127,12 @@ def test_summarize_aggregates_decompositions():
 
 
 def test_histogram_clamps_and_counts_overflow():
-    counts, overflow = histogram_counts([0.0, 0.5, 1.0, 1.5])
-    assert counts[0] == 1
+    counts, overflow = histogram_counts([0.0, 0.5, 1.0, 1.5, np.inf, -0.2, -np.inf])
+    assert counts[0] == 3  # 0.0, and -0.2 and -inf clamp into the first bin
     assert counts[30] == 1
-    assert counts[59] == 2  # 1.0 lands in the last bin, 1.5 clamps into it
-    assert overflow == 1
-    assert sum(counts) == 4
+    assert counts[59] == 3  # 1.0 lands in the last bin, 1.5 and inf clamp into it
+    assert overflow == 2
+    assert sum(counts) == 7
 
 
 def test_series_length_validation():

@@ -16,7 +16,6 @@ from interfero import (
     write_results,
 )
 from interfero.complementarity import POPULATION_FLOOR
-from interfero.tomography import project_psd_stack
 
 ENTRY = st.floats(min_value=-1.0, max_value=1.0)
 
@@ -70,7 +69,7 @@ def test_projection_is_a_state_and_idempotent(m):
     assert second <= 1e-12
     if violation == 0.0:
         assert np.array_equal(rho, m)
-    stacked, masses = project_psd_stack(np.stack([m, rho]))
+    stacked, masses = project_psd(np.stack([m, rho]))
     assert np.array_equal(stacked[0], rho) and masses[0] == violation
     assert np.array_equal(stacked[1], again) and masses[1] == second
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from interfero import (
     ExperimentConfig,
-    SummaryRow,
+    MseReport,
     ValidationError,
     aggregate_curves,
     read_results,
@@ -155,15 +155,16 @@ def test_sparkline_single_value_distribution():
     assert marker_line.count("^") == 1  # min, mean, max markers coincide
 
 
+def _shown(**fields) -> MseReport:
+    """A report holding the fields a sparkline row shows; the decomposition is left NaN."""
+    nan = float("nan")
+    return MseReport(mse_sum=nan, mse_c=nan, mse_p=nan, per_experiment=(), overflow=0, **fields)
+
+
 def test_sparkline_negative_corr_flagged():
-    row = SummaryRow(
-        label="17",
-        mean=0.062,
-        std=0.046,
-        corr=-0.294,
-        min=0.024,
-        max=0.22,
-        histogram=tuple([3] + [1] * 10 + [0] * 49),
+    row = (
+        "17",
+        _shown(mean=0.062, std=0.046, corr=-0.294, min=0.024, max=0.22, histogram=tuple([3] + [1] * 10 + [0] * 49)),
     )
     text, svg = render_sparkline_table([row])
     assert "-0.294*" in text
@@ -171,14 +172,9 @@ def test_sparkline_negative_corr_flagged():
 
 
 def test_sparkline_numbers_round_per_column_rules():
-    row = SummaryRow(
-        label="0",
-        mean=0.16349,
-        std=0.02649,
-        corr=0.01751,
-        min=0.09149,
-        max=0.2199,
-        histogram=tuple([2] * 10 + [0] * 50),
+    row = (
+        "0",
+        _shown(mean=0.16349, std=0.02649, corr=0.01751, min=0.09149, max=0.2199, histogram=tuple([2] * 10 + [0] * 50)),
     )
     text, _ = render_sparkline_table([row])
     body = text.splitlines()[1]
@@ -189,7 +185,8 @@ def test_sparkline_numbers_round_per_column_rules():
 def test_sparkline_normalisation_peak_is_full_height():
     hist = [0] * 60
     hist[5], hist[6], hist[7] = 2, 8, 4
-    text, _ = render_sparkline_table([SummaryRow("x", 0.1, 0.0, 0.0, 0.1, 0.13, tuple(hist))])
+    row = ("x", _shown(mean=0.1, std=0.0, corr=0.0, min=0.1, max=0.13, histogram=tuple(hist)))
+    text, _ = render_sparkline_table([row])
     header, body = text.splitlines()[:2]
     start = header.index("MSE histogram")
     spark = body[start : start + 60]

@@ -107,7 +107,7 @@ def test_bytes_do_not_depend_on_threads_or_block_size(kind, angle_points, repeti
 
 
 def test_a_reconstruction_failure_names_its_angle_across_blocks(monkeypatch):
-    real = exp.project_psd_stack
+    real = exp.project_psd
     seen = []
 
     def fail_in_the_third_block(stack):
@@ -118,7 +118,7 @@ def test_a_reconstruction_failure_names_its_angle_across_blocks(monkeypatch):
         return real(stack)
 
     monkeypatch.setattr(exp, "BLOCK_CELLS", 7)  # two angles of 3 repetitions per block
-    monkeypatch.setattr(exp, "project_psd_stack", fail_in_the_third_block)
+    monkeypatch.setattr(exp, "project_psd", fail_in_the_third_block)
     config = ExperimentConfig(kind="bmzi", angle_points=7, repetitions=3, shots=50)
     with pytest.raises(ReconstructionError, match=r"^angle index 5, repetition 1: no physical state remains$"):
         run_sweep(config)

@@ -19,7 +19,7 @@ from interfero import (
     simulate_statevector,
     trace_distance,
 )
-from interfero.tomography import PAULI, project_psd_stack
+from interfero.tomography import PAULI
 from interfero.linalg import kron
 
 
@@ -265,7 +265,7 @@ def test_projecting_only_the_negative_matrices_is_bitwise_the_whole_stack_formul
     reference = np.where(negative[..., None, None], rebuilt, stack)
     if shape:
         assert negative.any() and not negative.all()
-    rho, violation = project_psd_stack(stack)
+    rho, violation = project_psd(stack)
     assert rho.tobytes() == reference.tobytes()
     assert rho[~negative].tobytes() == stack[~negative].tobytes()
     assert np.all((violation > 0) == negative)
@@ -275,7 +275,7 @@ def test_a_physical_stack_comes_back_as_the_input_without_a_rebuilt_copy():
     stack = np.tile(np.eye(4, dtype=complex) / 4, (960, 1, 1))
     tracemalloc.start()
     try:
-        rho, violation = project_psd_stack(stack)
+        rho, violation = project_psd(stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
