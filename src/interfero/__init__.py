@@ -32,14 +32,13 @@ from .complementarity import (
     ComplementarityPoint,
     bmzi_state,
     coherence_l1,
-    is_incoherent,
     point_from_density,
     pqe_state,
     predictability_l1,
     theory_bmzi,
     theory_pqe,
 )
-from .mse import MetricSeries, MseReport, corr_term, decompose, histogram_counts, mse, summarize
+from .mse import MetricSeries, MseReport, decompose, histogram_counts, mse, summarize
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -88,7 +87,6 @@ __all__ = [
     "ComplementarityPoint",
     "coherence_l1",
     "predictability_l1",
-    "is_incoherent",
     "point_from_density",
     "bmzi_state",
     "pqe_state",
@@ -97,7 +95,6 @@ __all__ = [
     "MetricSeries",
     "MseReport",
     "mse",
-    "corr_term",
     "decompose",
     "summarize",
     "histogram_counts",

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import __version__
 from .errors import ValidationError
@@ -35,20 +36,8 @@ from .report import (
 
 SEED_ENV = "INTERFERO_SEED"
 
-CONFIG_TYPES = {
-    "kind": str,
-    "angle_points": int,
-    "shots": int,
-    "repetitions": int,
-    "master_seed": int,
-    "analytic": bool,
-    "label": str,
-    "depolarizing": float,
-    "amplitude_damping": float,
-    "phase_damping": float,
-    "readout_flip0": float,
-    "readout_flip1": float,
-}
+#: Each config key and the type of its value, in ExperimentConfig field order (``int | None`` -> ``int``).
+CONFIG_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,9 +92,11 @@ def _resolve_seed(config: ExperimentConfig, flag_seed: int | None, config_had_se
         return replace(config, master_seed=flag_seed)
     if not config_had_seed and SEED_ENV in os.environ:
         try:
-            return replace(config, master_seed=int(os.environ[SEED_ENV]))
+            seed = int(os.environ[SEED_ENV])
         except ValueError as exc:
             raise ValidationError(f"environment variable {SEED_ENV} is not an integer") from exc
+        with _naming(f"environment variable {SEED_ENV}"):
+            return replace(config, master_seed=seed)
     return config
 
 
@@ -134,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    angles = ExperimentConfig(kind=args.kind, angle_points=args.points, analytic=True).angles()
+    angles = ExperimentConfig(kind=args.kind, angle_points=args.points, repetitions=1, analytic=True).angles()
     theory_c, theory_p = theory_series(args.kind, angles)
     print("angle,coherence,predictability,sum")
     for angle, c, p in zip(angles, theory_c, theory_p):
@@ -208,12 +199,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _naming(path: Path) -> Iterator[None]:
-    """Prefix ``path`` to a ValidationError raised in the block."""
+def _naming(source: Path | str) -> Iterator[None]:
+    """Prefix ``source`` to a ValidationError raised in the block."""
     try:
         yield
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import dagger, outer
+from .linalg import check_finite, dagger, outer
 
 # Populations this close to zero are numerical residue of inversion and
 # projection; the square root in the predictability would otherwise blow
@@ -69,13 +69,6 @@ def l1_metrics(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coherence, predictability
 
 
-def is_incoherent(rho: np.ndarray, tol: float) -> bool:
-    """True when every off-diagonal magnitude is at most ``tol``."""
-    rho = _light_check(rho)
-    off = np.abs(rho)[..., ~np.eye(rho.shape[-1], dtype=bool)]
-    return bool(np.max(off) <= tol) if off.size else True
-
-
 def point_from_density(rho: np.ndarray) -> ComplementarityPoint:
     c, p = l1_metrics(rho)
     return ComplementarityPoint(_scalar(c), _scalar(p), np.shape(rho)[-1])
@@ -89,7 +82,7 @@ def bmzi_state(alpha: float) -> np.ndarray:
     leaving amplitudes (cos(alpha/2), i sin(alpha/2)).  An array of angles
     gives the stack of states, shape ``(..., 2)``.
     """
-    _finite(alpha, "alpha")
+    check_finite(alpha, "alpha")
     alpha = np.asarray(alpha, dtype=float)
     return np.stack([np.cos(alpha / 2), 1j * np.sin(alpha / 2)], axis=-1)
 
@@ -100,7 +93,7 @@ def pqe_state(phi: float) -> np.ndarray:
     Basis order |q1 q0> with q1 the spatial mode and q0 the polarization.
     An array of phases gives the stack of states, shape ``(..., 4)``.
     """
-    _finite(phi, "phi")
+    check_finite(phi, "phi")
     e = np.exp(1j * np.asarray(phi, dtype=float))
     amplitudes = np.broadcast_arrays(e + 1, -np.sqrt(2), -1j * np.sqrt(2) * e, -(e - 1))
     return -np.stack(amplitudes, axis=-1) / (2 * np.sqrt(2))
@@ -132,8 +125,3 @@ def _light_check(rho: np.ndarray) -> np.ndarray:
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _finite(value: float | np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValidationError(f"{name} must be finite, got {value!r}")

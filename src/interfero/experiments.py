@@ -40,7 +40,7 @@ from .circuits import (
 )
 from .complementarity import bmzi_state, l1_metrics, pqe_state
 from .errors import ReconstructionError, ValidationError
-from .linalg import outer
+from .linalg import check_finite, outer
 from .mse import MseReport, decompose_rows, summarize_rows
 from .noise import NoiseModel
 from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd
@@ -179,19 +179,16 @@ class SweepTable:
     total_raw: np.ndarray
     psd_violation: np.ndarray
 
-    def columns(self, cells: slice = slice(None)) -> list[list]:
-        """The results.csv columns from ``angle_index`` to ``psd_violation`` as lists, one entry per row.
-
-        ``cells`` selects a range of the rows, counted angle-major.
-        """
+    def columns(self) -> list[list]:
+        """The results.csv columns from ``angle_index`` to ``psd_violation`` as lists, one entry per row."""
         n, m = self.coherence.shape
-        index, repetition = np.divmod(np.arange(n * m)[cells], m)
+        index, repetition = np.divmod(np.arange(n * m), m)
         head = [index.tolist(), self.angles[index].tolist(), repetition.tolist()]
-        return head + [getattr(self, name).ravel()[cells].tolist() for name in METRICS]
+        return head + [getattr(self, name).ravel().tolist() for name in METRICS]
 
-    def rows(self, cells: slice = slice(None)) -> list[ResultRow]:
-        """The cells as the rows results.csv holds, angle-major; ``cells`` selects a range of them."""
-        return [ResultRow(self.kind, self.label, *row) for row in zip(*self.columns(cells))]
+    def rows(self) -> list[ResultRow]:
+        """The cells as the rows results.csv holds, angle-major."""
+        return [ResultRow(self.kind, self.label, *row) for row in zip(*self.columns())]
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ def build_bmzi(alpha: float | np.ndarray) -> Circuit:
     balanced second beam splitter fixed at its reference angle.  An array of
     angles gives the angle-stacked circuit.
     """
-    _finite(alpha, "alpha")
+    check_finite(alpha, "alpha")
     return Circuit(1, (rx_neg(alpha, 0), ix(0), phase(0.0, 0), rx_neg(-np.pi, 0)))
 
 
@@ -229,7 +226,7 @@ def build_pqe(phi: float | np.ndarray) -> Circuit:
     and polarizing splitters that partially erase the marker.  An array of
     phases gives the angle-stacked circuit.
     """
-    _finite(phi, "phi")
+    check_finite(phi, "phi")
     return Circuit(
         2,
         (
@@ -347,8 +344,3 @@ def _label_reads_back(label: str) -> bool:
         and label == label.strip()
         and not CONFIG_COMMENT.search(label)
     )
-
-
-def _finite(value: float | np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValidationError(f"{name} must be finite, got {value!r}")

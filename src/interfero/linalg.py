@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-ATOL_IDENTITY = 1e-12
 ATOL_EVOLUTION = 1e-10
 ATOL_EIG = 1e-8
 
@@ -81,13 +80,11 @@ def check_state_vector(v: np.ndarray, n_qubits: int | None = None) -> np.ndarray
     return v
 
 
-def check_density_matrix(rho: np.ndarray, require_psd: bool = True) -> np.ndarray:
-    """Validate hermiticity, unit trace and (optionally) positivity.
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate hermiticity, unit trace and positivity.
 
     ``rho`` is a matrix or a stack ``(..., d, d)``; for a stack, a message
-    names the index of the first failing matrix.  Raw tomography output may
-    carry negative eigenvalues; pass ``require_psd=False`` for matrices that
-    have not been projected yet.
+    names the index of the first failing matrix.
     """
     rho = np.asarray(rho, dtype=complex)
     _require_square(rho)
@@ -99,13 +96,18 @@ def check_density_matrix(rho: np.ndarray, require_psd: bool = True) -> np.ndarra
     if off.any():
         cell = first(off)
         raise ValidationError(f"density matrix{at_index(cell)} trace is {complex(tr[cell])!r}, expected 1")
-    if require_psd:
-        lam = np.linalg.eigvalsh(rho)[..., 0]
-        negative = lam < -ATOL_EIG
-        if negative.any():
-            cell = first(negative)
-            raise ValidationError(f"density matrix{at_index(cell)} has negative eigenvalue {float(lam[cell])!r}")
+    lam = np.linalg.eigvalsh(rho)[..., 0]
+    negative = lam < -ATOL_EIG
+    if negative.any():
+        cell = first(negative)
+        raise ValidationError(f"density matrix{at_index(cell)} has negative eigenvalue {float(lam[cell])!r}")
     return rho
+
+
+def check_finite(value: float | np.ndarray, name: str) -> None:
+    """Require every entry of ``value`` to be finite; the message names it ``name``."""
+    if not np.all(np.isfinite(value)):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -48,10 +48,6 @@ class MetricSeries:
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
-    @property
-    def n(self) -> int:
-        return self.angles.shape[0]
-
     def deviations(self) -> tuple[np.ndarray, np.ndarray]:
         """(theory - experimental) for coherence and predictability."""
         return self.theory_c - self.experimental_c, self.theory_p - self.experimental_p
@@ -83,12 +79,6 @@ def mse(dev_c: np.ndarray, dev_p: np.ndarray) -> float:
     return float(np.mean((dev_c + dev_p) ** 2))
 
 
-def corr_term(series: MetricSeries) -> float:
-    """Cross term (2/n) * sum(dc_i * dp_i); zero for uncorrelated deviations."""
-    dc, dp = series.deviations()
-    return 2.0 * float(np.mean(dc * dp))
-
-
 def decompose(series: MetricSeries) -> MseReport:
     """Single-experiment report: mse_sum = mse_c + mse_p + corr by identity."""
     dc, dp = series.deviations()
@@ -96,20 +86,7 @@ def decompose(series: MetricSeries) -> MseReport:
     mse_c = float(np.mean(dc**2))
     mse_p = float(np.mean(dp**2))
     cross = 2.0 * float(np.mean(dc * dp))
-    hist, overflow = histogram_counts([total])
-    return MseReport(
-        mse_sum=total,
-        mse_c=mse_c,
-        mse_p=mse_p,
-        corr=cross,
-        per_experiment=(total,),
-        mean=total,
-        std=0.0,
-        min=total,
-        max=total,
-        histogram=hist,
-        overflow=overflow,
-    )
+    return _distribution(np.array([total]), total, mse_c, mse_p, cross)
 
 
 def decompose_rows(dev_c: np.ndarray, dev_p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -111,10 +111,6 @@ class NoiseModel:
             readout = readout_confusion(readout_flip0, readout_flip1)
         return cls(channels=tuple(channels), readout=readout)
 
-    @property
-    def is_noiseless(self) -> bool:
-        return not self.channels and self.readout is None
-
     def apply_readout(self, probs: np.ndarray, n_qubits: int) -> np.ndarray:
         """Confuse an outcome distribution or a stack ``(..., d)`` of them; identity when no readout noise."""
         if self.readout is None:

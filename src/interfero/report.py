@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import accumulate, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -141,24 +140,18 @@ class ResultRows(Sequence[ResultRow]):
     :class:`SweepTable`.  The rows run through the tables in that order,
     each angle-major, which is file order for every file ``interfero run``
     writes; a row's ``angle_index`` and ``repetition`` are its place in its
-    table's grid.  A :class:`ResultRow` is built only when indexed or
-    iterated over.
+    table's grid.  Iteration builds one table's rows at a time; indexing
+    builds the rows of every table.
     """
 
     def __init__(self, tables: dict[str, SweepTable]) -> None:
         self.tables = tables
-        self._ends = list(accumulate(t.coherence.size for t in tables.values()))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return sum(t.coherence.size for t in self.tables.values())
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(*k.indices(len(self)))]
-        j = range(len(self))[k]
-        t = bisect_right(self._ends, j)
-        start = self._ends[t - 1] if t else 0
-        return list(self.tables.values())[t].rows(slice(j - start, j - start + 1))[0]
+        return list(self)[k]
 
     def __iter__(self) -> Iterator[ResultRow]:
         for table in self.tables.values():

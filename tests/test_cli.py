@@ -42,6 +42,14 @@ def test_theory_pqe_sum_is_three(capsys):
         assert line.split(",")[3] == "3.000000000000"
 
 
+def test_theory_points_are_not_capped_by_repetitions(capsys):
+    # theory has no repetitions; the bmzi default of 128 would cap it at 1,953 points
+    assert main(["theory", "--kind", "bmzi", "--points", "2000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2001
+    assert all(line.split(",")[3] == "1.000000000000" for line in out[1:])
+
+
 def test_run_is_reproducible(tmp_path, config_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(config_path), "--out", str(out1)]) == 0
@@ -116,6 +124,23 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
     assert "master_seed = 777" in (out / "config.cfg").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "environment variable INTERFERO_SEED is not an integer"),
+        ("-3", "environment variable INTERFERO_SEED: master_seed must fit in 64 bits, got -3"),
+        (str(2**64), f"environment variable INTERFERO_SEED: master_seed must fit in 64 bits, got {2**64}"),
+    ],
+)
+def test_env_seed_errors_name_the_variable_and_the_fault(tmp_path, capsys, monkeypatch, value, message):
+    path = tmp_path / "noseed.cfg"
+    path.write_text("kind = bmzi\nangle_points = 3\nrepetitions = 1\nshots = 20\n", encoding="utf-8")
+    monkeypatch.setenv("INTERFERO_SEED", value)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "env")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "env").exists()
 
 
 def test_env_seed_ignored_when_config_has_one(tmp_path, config_path, capsys, monkeypatch):

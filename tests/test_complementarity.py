@@ -4,7 +4,6 @@ import pytest
 from interfero import (
     bmzi_state,
     coherence_l1,
-    is_incoherent,
     outer,
     point_from_density,
     pqe_state,
@@ -78,12 +77,6 @@ def test_metrics_match_brute_force_on_random_states():
             rho = random_mixed(dim, rng)
             assert coherence_l1(rho) == pytest.approx(brute_coherence(rho), abs=1e-12)
             assert predictability_l1(rho) == pytest.approx(brute_predictability(rho), abs=1e-12)
-
-
-def test_is_incoherent():
-    assert is_incoherent(np.eye(2) / 2, 1e-12)
-    assert not is_incoherent(np.full((2, 2), 0.5), 1e-12)
-    assert is_incoherent(np.diag([0.7, 0.3]), 0.0)
 
 
 def test_theory_bmzi_reference_points():

@@ -97,4 +97,3 @@ def test_check_density_matrix_guards():
         check_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValidationError):
         check_density_matrix(np.diag([1.5, -0.5]))
-    check_density_matrix(np.diag([1.5, -0.5]), require_psd=False)

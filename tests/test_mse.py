@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from interfero import MetricSeries, ValidationError, corr_term, decompose, histogram_counts, mse, summarize
+from interfero import MetricSeries, ValidationError, decompose, histogram_counts, mse, summarize
 
 
 def series_from_deviations(dev_c, dev_p):
@@ -43,17 +43,17 @@ def test_mse_rejects_empty():
 
 def test_corr_term_matching_series_is_zero():
     series = series_from_deviations([0.0, 0.0], [0.0, 0.0])
-    assert corr_term(series) == 0.0
+    assert decompose(series).corr == 0.0
 
 
 def test_corr_term_anticorrelated():
     series = series_from_deviations([0.1, 0.1], [-0.1, -0.1])
-    assert corr_term(series) == pytest.approx(-0.02, abs=1e-15)
+    assert decompose(series).corr == pytest.approx(-0.02, abs=1e-15)
 
 
 def test_corr_term_orthogonal_deviations():
     series = series_from_deviations([1.0, 0.0], [0.0, 1.0])
-    assert corr_term(series) == pytest.approx(0.0, abs=1e-15)
+    assert decompose(series).corr == pytest.approx(0.0, abs=1e-15)
 
 
 def test_decompose_zero_deviations():

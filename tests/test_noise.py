@@ -59,9 +59,10 @@ def test_apply_readout_two_qubits_is_kron():
 
 
 def test_noiseless_model_flag():
-    assert NoiseModel().is_noiseless
-    assert not NoiseModel.build(depolarizing_p=0.1).is_noiseless
-    assert not NoiseModel.build(readout_flip0=0.1).is_noiseless
+    noiseless = NoiseModel.build()
+    assert noiseless.channels == () and noiseless.readout is None
+    assert len(NoiseModel.build(depolarizing_p=0.1).channels) == 1
+    assert NoiseModel.build(readout_flip0=0.1).readout is not None
 
 
 def test_bad_readout_matrix_rejected():
