@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 
 from . import __version__
 from .errors import ValidationError
-from .experiments import CONFIG_COMMENT, ExperimentConfig, run_sweep, theory_series
+from .experiments import CONFIG_COMMENT, MAX_CELLS, ExperimentConfig, run_sweep, theory_series
 from .report import (
     aggregate_curves,
     fmt12,
@@ -125,6 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
+    # the curve is built in memory, so the points share the sweep's cell cap
+    if not 2 <= args.points <= MAX_CELLS:
+        raise ValidationError(f"--points must be between 2 and {MAX_CELLS}, got {args.points}")
     angles = ExperimentConfig(kind=args.kind, angle_points=args.points, repetitions=1, analytic=True).angles()
     theory_c, theory_p = theory_series(args.kind, angles)
     print("angle,coherence,predictability,sum")

@@ -7,13 +7,18 @@ metrics.
 
 The unit of work is a block of consecutive angles holding at most
 :data:`BLOCK_CELLS` (angle, repetition) cells, or one angle if it has more.
-The block's interferometers are simulated once as one angle stack, and each
-setting's basis change continues once from that stack.  Each angle then
-draws the counts of all its (repetition, setting) cells in one multinomial
-call from a counter-based stream derived from (master_seed, angle index).
-Expectations, inversion, PSD projection and metrics run once on the block's
-``(angles, repetitions)`` stack of states.  Because every angle owns its
-stream, results do not depend on the block size.
+The block's interferometers are simulated once as one angle stack.  The
+basis changes then walk the qubits, highest first: each qubit's X and Y
+rotations evolve every partial state so far in one stacked call, so the
+``3**n`` partial states (3 for bmzi, 9 for pqe; ``3**n * angles * d**2``
+complex numbers) come from 2 or 4 evolutions and hold every setting's
+state.  Each angle then draws the counts of all its (repetition, setting)
+cells in one multinomial call from a counter-based stream derived from
+(master_seed, angle index).  Expectations, inversion, PSD projection and
+metrics run once on the block's ``(angles, repetitions)`` stack of states;
+an analytic sweep reconstructs one repetition per angle and repeats it.
+Because every angle owns its stream, results do not depend on the block
+size.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .circuits import (
     phase,
     rx_neg,
     simulate_density,
+    unitary,
     _evolve_density,
 )
 from .complementarity import bmzi_state, l1_metrics, pqe_state
@@ -43,7 +49,7 @@ from .errors import ReconstructionError, ValidationError
 from .linalg import check_finite, outer
 from .mse import MseReport, decompose_rows, summarize_rows
 from .noise import NoiseModel
-from .tomography import basis_change, linear_inversion, measurement_settings, parity_signs, project_psd
+from .tomography import BASIS_ROTATION, linear_inversion, measurement_settings, parity_signs, project_psd
 
 KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
@@ -283,17 +289,24 @@ def setting_probabilities(config: ExperimentConfig, angles: float | np.ndarray) 
     """Read-out outcome distribution of every tomography setting, shape ``(A, S, d)``.
 
     One angle gives ``(S, d)``.  The interferometer is simulated once for
-    all angles; each setting's basis change then runs once from that stack
-    of output states with the same per-gate noise.
+    all angles.  The basis changes then walk the qubits, highest first: at
+    each qubit, each rotation of :data:`BASIS_ROTATION` evolves every
+    partial state so far, with its per-gate noise, in one stacked call; the
+    unrotated states stand for I and Z.  Each setting's state thus takes
+    the same gate and Kraus steps, in the same order, as its basis-change
+    circuit would.
     """
     noise = config.noise
-    base = simulate_density(build_circuit(config.kind, angles), noise)
-    # base is checked once, by the call that made it; each continuation checks only its output
-    probs = [
-        outcome_probabilities(_evolve_density(basis_change(setting), noise, base))
-        for setting in measurement_settings(config.n_qubits)
-    ]
-    return noise.apply_readout(np.stack(probs, axis=-2), config.n_qubits)
+    n = config.n_qubits
+    # base is checked once, by the call that made it; each step checks only its output
+    states = simulate_density(build_circuit(config.kind, angles), noise)[None]
+    for qubit in reversed(range(n)):
+        rotated = [_evolve_density(Circuit(n, (unitary(r, (qubit,)),)), noise, states) for r in BASIS_ROTATION.values()]
+        states = np.stack([states, *rotated], axis=1).reshape(-1, *states.shape[1:])
+    # a setting's state sits at its letters read as base-3 digits: I, Z -> 0, then BASIS_ROTATION's X, Y
+    digits = str.maketrans("IXYZ", "0120")
+    picked = states[[int(setting.translate(digits), 3) for setting in measurement_settings(n)]]
+    return noise.apply_readout(outcome_probabilities(np.moveaxis(picked, 0, -3)), n)
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -302,37 +315,50 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     The grid runs in blocks of angles sized by :data:`BLOCK_CELLS` (see the
     module docstring), on the calling thread; ``threads`` is accepted and
     changes nothing.  Working memory is one block's ``(angles, repetitions,
-    settings, d)`` frequencies and ``(angles, repetitions, d, d)`` matrices.
+    settings, d)`` frequencies and ``(angles, repetitions, d, d)`` matrices;
+    nothing of a block but its metric columns outlives it.
     """
     angles = config.angles()
-    n_qubits, m = config.n_qubits, config.m
-    block = max(1, BLOCK_CELLS // m)
-    signs = parity_signs(n_qubits)
-    blocks = []
-    for start in range(0, len(angles), block):
-        probs = setting_probabilities(config, angles[start : start + block])
-        freqs = np.empty((len(probs), m, *probs.shape[1:]))
-        if config.analytic:
-            freqs[:] = probs[:, None]
-        else:
-            for b, dist in enumerate(probs):
-                rng = angle_rng(config.master_seed, start + b)
-                freqs[b] = rng.multinomial(config.shots, dist, size=(m, len(dist)))
-            freqs /= config.shots
-        # cell k of the block's stack is repetition k % m of angle start + k // m
-        expectations = np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), signs)
-        rho_raw = linear_inversion(expectations, n_qubits)
-        try:
-            rho, violation = project_psd(rho_raw)
-        except ReconstructionError as exc:
-            b, r = divmod(exc.cell[0], m)
-            raise ReconstructionError(f"angle index {start + b}, repetition {r}: {exc}") from exc
-        c, p = l1_metrics(rho)
-        c_raw, p_raw = l1_metrics(rho_raw)
-        blocks.append([column.reshape(-1, m) for column in (c, p, c + p, c_raw + p_raw, violation)])
-
+    block = max(1, BLOCK_CELLS // config.m)
+    blocks = [_sweep_block(config, start, angles[start : start + block]) for start in range(0, len(angles), block)]
     table = SweepTable(config.kind, config.run_label, angles, *(np.concatenate(column) for column in zip(*blocks)))
     return ExperimentResult(config, table, analyze(table))
+
+
+def _sweep_block(config: ExperimentConfig, start: int, angles: np.ndarray) -> list[np.ndarray]:
+    """The :data:`METRICS` columns, each ``(angles, m)``, of the block whose first angle index is ``start``."""
+    probs = setting_probabilities(config, angles)
+    expectations = _block_expectations(config, start, probs)
+    # cell k of the block's stack is repetition k % reps of angle start + k // reps
+    reps = len(expectations) // len(probs)
+    rho_raw = linear_inversion(expectations, config.n_qubits)
+    try:
+        rho, violation = project_psd(rho_raw)
+    except ReconstructionError as exc:
+        b, r = divmod(exc.cell[0], reps)
+        raise ReconstructionError(f"angle index {start + b}, repetition {r}: {exc}") from exc
+    c, p = l1_metrics(rho)
+    c_raw, p_raw = l1_metrics(rho_raw)
+    columns = (c, p, c + p, c_raw + p_raw, violation)
+    return [np.broadcast_to(column.reshape(-1, reps), (len(probs), config.m)) for column in columns]
+
+
+def _block_expectations(config: ExperimentConfig, start: int, probs: np.ndarray) -> np.ndarray:
+    """Setting expectations ``(cells, S)`` of a block's ``(A, S, d)`` outcome distributions.
+
+    Each angle draws its ``m`` repetitions from its own :func:`angle_rng`.  In
+    analytic mode every repetition sees the same exact frequencies, so the
+    block has one cell per angle and the caller repeats its row.
+    """
+    if config.analytic:
+        freqs = probs[:, None]
+    else:
+        freqs = np.empty((len(probs), config.m, *probs.shape[1:]))
+        for b, dist in enumerate(probs):
+            rng = angle_rng(config.master_seed, start + b)
+            freqs[b] = rng.multinomial(config.shots, dist, size=(config.m, len(dist)))
+        freqs /= config.shots
+    return np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), parity_signs(config.n_qubits))
 
 
 def _label_reads_back(label: str) -> bool:

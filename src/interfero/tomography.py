@@ -141,14 +141,10 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if m.size and float(np.max(np.abs(m - dagger(m)))) > 1e-6:
-        raise ValidationError("matrix to project is not Hermitian within 1e-6")
-    traces = np.trace(m, axis1=-2, axis2=-1)
-    off = np.abs(traces - 1.0) > 1e-6
-    if np.any(off):
-        raise ValidationError(f"matrix to project has trace {complex(traces[first(off)])!r}, expected 1")
+    _check_projectable(m)
     lam, vecs = np.linalg.eigh(m)
     negative = lam[..., 0] < 0.0
+    vecs = vecs[negative]  # drops the full stack of vectors: only these cells are rebuilt
     violation = np.where(negative, -np.sum(np.minimum(lam, 0.0), axis=-1), 0.0)
     clipped = np.clip(lam, 0.0, None)
     total = clipped.sum(axis=-1)
@@ -158,7 +154,6 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     violation = float(violation) if violation.ndim == 0 else violation
     if not negative.any():
         return m, violation
-    vecs = vecs[negative]
     projected = (vecs * (clipped[negative] / total[negative][..., None])[..., None, :]) @ dagger(vecs)
     out = m.copy()
     out[negative] = projected
@@ -202,6 +197,28 @@ def parity_signs(n_qubits: int) -> np.ndarray:
                 signs[s] *= 1 - 2 * ((outcomes >> (n_qubits - 1 - pos)) & 1)
     signs.flags.writeable = False
     return signs
+
+
+def _check_projectable(m: np.ndarray) -> None:
+    """Require each matrix of the stack ``m`` to be Hermitian and of trace 1, within 1e-6.
+
+    No temporary here is as large as the stack: entry (i, j) of ``m -
+    m^dag`` has the modulus of entry (j, i), so the strict upper triangle
+    against the conjugated lower one and twice the diagonal's imaginary part
+    give ``max |m - m^dag|``.
+    """
+    if m.size:
+        rows, cols = np.triu_indices(m.shape[-1], 1)
+        lower = m[..., cols, rows]
+        np.conjugate(lower, out=lower)
+        np.subtract(m[..., rows, cols], lower, out=lower)
+        diagonal = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag))
+        if max(float(np.max(np.abs(lower), initial=0.0)), 2 * float(diagonal)) > 1e-6:
+            raise ValidationError("matrix to project is not Hermitian within 1e-6")
+    traces = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > 1e-6
+    if np.any(off):
+        raise ValidationError(f"matrix to project has trace {complex(traces[first(off)])!r}, expected 1")
 
 
 def _pauli_matrix(setting: str) -> np.ndarray:

@@ -50,6 +50,14 @@ def test_theory_points_are_not_capped_by_repetitions(capsys):
     assert all(line.split(",")[3] == "1.000000000000" for line in out[1:])
 
 
+@pytest.mark.parametrize("points", ["1", "250001"])
+def test_theory_points_out_of_range_name_the_flag(points, capsys):
+    assert main(["theory", "--kind", "pqe", "--points", points]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --points must be between 2 and 250000, got {points}\n"
+
+
 def test_run_is_reproducible(tmp_path, config_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(config_path), "--out", str(out1)]) == 0

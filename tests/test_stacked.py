@@ -1,5 +1,6 @@
 """The angle-stacked simulation and the block-wise sweep against per-angle references."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_a_reconstruction_failure_names_its_angle_across_blocks(monkeypatch):
     assert seen == [6, 6, 6]
 
 
-def test_a_sweep_simulates_once_per_block_and_setting(monkeypatch):
+def test_a_sweep_simulates_once_per_block_and_qubit_rotation(monkeypatch):
     calls = []
 
     def counting(name):
@@ -137,18 +138,19 @@ def test_a_sweep_simulates_once_per_block_and_setting(monkeypatch):
 
         return call
 
-    # the interferometer once per block, then one continuation per setting from its checked output
+    # the interferometer once per block, then each qubit's X and Y rotation once over all partial states
     monkeypatch.setattr(exp, "simulate_density", counting("simulate_density"))
     monkeypatch.setattr(exp, "_evolve_density", counting("_evolve_density"))
+    monkeypatch.setattr(exp, "outcome_probabilities", counting("outcome_probabilities"))
     checks = mock.Mock(wraps=check_density_matrix)
     monkeypatch.setattr(circuits, "check_density_matrix", checks)
     run_sweep(ExperimentConfig(kind="pqe", angle_points=60, repetitions=2, shots=10, **NOISE))
-    assert calls == ["simulate_density"] + ["_evolve_density"] * 15
-    assert checks.call_count == 16  # each output once; no continuation re-checks its input
+    assert calls == ["simulate_density"] + ["_evolve_density"] * 4 + ["outcome_probabilities"]
+    assert checks.call_count == 5  # each output once; no step re-checks its input
     monkeypatch.setattr(exp, "BLOCK_CELLS", 50)  # 25 angles of 2 repetitions per block
     calls.clear()
     run_sweep(ExperimentConfig(kind="bmzi", angle_points=60, repetitions=2, shots=10))
-    assert calls == (["simulate_density"] + ["_evolve_density"] * 3) * 3
+    assert calls == (["simulate_density"] + ["_evolve_density"] * 2 + ["outcome_probabilities"]) * 3
 
 
 def test_a_block_holds_at_least_one_angle(monkeypatch):
@@ -174,3 +176,21 @@ def test_mismatched_angle_axes_are_rejected():
         simulate_density(stacked, initial=np.stack([np.eye(2) / 2] * 4))
     assert simulate_density(stacked, initial=np.stack([np.eye(2) / 2] * 3)).shape == (3, 2, 2)
     assert simulate_density(Circuit(1, (ix(0),)), initial=np.stack([np.eye(2) / 2] * 4)).shape == (4, 2, 2)
+
+
+def test_an_analytic_sweep_reconstructs_each_angle_once(monkeypatch):
+    inversion = mock.Mock(wraps=exp.linear_inversion)
+    monkeypatch.setattr(exp, "linear_inversion", inversion)
+    monkeypatch.setattr(exp, "BLOCK_CELLS", 40)  # 8 angles of 5 repetitions per block
+    result = run_sweep(ExperimentConfig(kind="pqe", angle_points=20, repetitions=5, analytic=True, **NOISE))
+    assert [call.args[0].shape for call in inversion.call_args_list] == [(8, 15), (8, 15), (4, 15)]
+    assert result.table.coherence.shape == (20, 5)
+
+
+@pytest.mark.parametrize("kind", ["bmzi", "pqe"])
+def test_analytic_repetitions_repeat_the_one_repetition_row(kind):
+    config = ExperimentConfig(kind=kind, angle_points=12, repetitions=1, analytic=True, **NOISE)
+    one = run_sweep(config).table
+    many = run_sweep(replace(config, repetitions=6)).table
+    for name in exp.METRICS:
+        assert getattr(many, name).tobytes() == np.repeat(getattr(one, name), 6, axis=1).tobytes()

@@ -11,7 +11,6 @@ import interfero.experiments as exp
 from interfero import (
     ExperimentConfig,
     basis_change,
-    build_pqe,
     expectation_from_counts,
     measurement_settings,
     run_sweep,
@@ -136,16 +135,16 @@ def test_campaign_mean_frequencies_follow_each_setting(monkeypatch, dim):
 
 
 def test_setting_densities_continue_bitwise_from_the_interferometer():
-    config = ExperimentConfig(kind="pqe", **NOISE)
-    for angle in config.angles()[::7]:
-        base = build_pqe(float(angle))
-        once = simulate_density(base, config.noise)
-        for setting in measurement_settings(2):
-            full = simulate_density(base.extended(basis_change(setting)), config.noise)
-            continued = simulate_density(basis_change(setting), config.noise, initial=once)
-            assert np.array_equal(full, continued)
-        probs = exp.setting_probabilities(config, float(angle))
-        assert np.array_equal(probs, reference_probabilities(config, float(angle)))
+    for config in (ExperimentConfig(kind="bmzi", **NOISE), ExperimentConfig(kind="pqe", **NOISE)):
+        for angle in config.angles()[::7]:
+            base = exp.build_circuit(config.kind, float(angle))
+            once = simulate_density(base, config.noise)
+            for setting in measurement_settings(config.n_qubits):
+                full = simulate_density(base.extended(basis_change(setting)), config.noise)
+                continued = simulate_density(basis_change(setting), config.noise, initial=once)
+                assert np.array_equal(full, continued)
+            probs = exp.setting_probabilities(config, float(angle))
+            assert np.array_equal(probs, reference_probabilities(config, float(angle)))
 
 
 def test_sampling_memory_does_not_grow_with_shots():

@@ -272,13 +272,33 @@ def test_projecting_only_the_negative_matrices_is_bitwise_the_whole_stack_formul
 
 
 def test_a_physical_stack_comes_back_as_the_input_without_a_rebuilt_copy():
-    stack = np.tile(np.eye(4, dtype=complex) / 4, (960, 1, 1))
-    tracemalloc.start()
-    try:
-        rho, violation = project_psd(stack)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rho is stack and not violation.any()
-    # the eigenvectors and the Hermitian check's temporaries; rebuilding every matrix held about 4.4 stacks
-    assert peak < 3 * stack.nbytes
+    rng = np.random.default_rng(47)
+    for d in (2, 4):
+        v = rng.standard_normal((960, d)) + 1j * rng.standard_normal((960, d))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        stack = 0.5 * outer(v) + 0.5 * np.eye(d) / d
+        project_psd(stack[:2])  # first-call caches are not per-stack memory
+        tracemalloc.start()
+        try:
+            rho, violation = project_psd(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho is stack and not violation.any()
+        # eigh's vectors and workspace; the input checks stay below one stack (m - m^dag held 2.5-3 stacks)
+        assert peak < 1.5 * stack.nbytes
+
+
+def test_the_hermitian_check_is_the_largest_entry_of_m_minus_its_adjoint():
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 4):
+        for _ in range(200):
+            m = np.eye(d, dtype=complex) / d
+            i, j = rng.integers(d, size=2)
+            m[i, j] += complex(*rng.uniform(-1.2e-6, 1.2e-6, size=2))
+            m[range(d), range(d)] -= np.trace(m).real / d - 1 / d  # keep the trace at 1
+            if np.max(np.abs(m - m.conj().T)) > 1e-6:
+                with pytest.raises(ValidationError, match=r"^matrix to project is not Hermitian within 1e-6$"):
+                    project_psd(m)
+            else:
+                project_psd(m)
