@@ -154,7 +154,12 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     violation = float(violation) if violation.ndim == 0 else violation
     if not negative.any():
         return m, violation
-    projected = (vecs * (clipped[negative] / total[negative][..., None])[..., None, :]) @ dagger(vecs)
+    # scaled in place, and both factors freed before m is copied, so at most
+    # three stacks of rebuilt cells are held at once
+    adjoint = dagger(vecs)
+    vecs *= (clipped[negative] / total[negative][..., None])[..., None, :]
+    projected = vecs @ adjoint
+    del vecs, adjoint
     out = m.copy()
     out[negative] = projected
     return out, violation

@@ -1,5 +1,7 @@
+import hashlib
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +24,17 @@ from interfero import (
     write_results,
 )
 from interfero import report
-from interfero.cli import parse_config
-from interfero.report import CHUNK_LINES, CSV_HEADER, config_lines, fmt12, summary_text, write_manifest
+from interfero.cli import main, parse_config
+from interfero.experiments import BLOCK_CELLS, SweepTable
+from interfero.report import (
+    CHUNK_LINES,
+    CSV_HEADER,
+    FIXED12_LIMIT,
+    config_lines,
+    fmt12,
+    summary_text,
+    write_manifest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +65,60 @@ def test_csv_numbers_use_twelve_decimals(noisy_result):
         assert re.fullmatch(r"-?\d+\.\d{12}", cell)
 
 
+#: sha256 of result_csv(run_sweep(config)): the bytes results.csv held before its
+#: writer was vectorised, which every later writer must reproduce.
+PINNED_CSV = {
+    "bmzi-default": (
+        ExperimentConfig(kind="bmzi", master_seed=1),
+        "2b16e3a8342af9f4b77f0d63ddff5c67509c7672aae164fba9bfd32c49748120",
+    ),
+    # the CI's noisy pqe config: 70 x 32 cells span two writer blocks
+    "pqe-noisy": (
+        ExperimentConfig(
+            kind="pqe",
+            angle_points=70,
+            repetitions=32,
+            shots=200,
+            master_seed=5,
+            depolarizing=0.02,
+            amplitude_damping=0.01,
+            phase_damping=0.01,
+            readout_flip0=0.02,
+            readout_flip1=0.03,
+        ),
+        "3b74dbaf97f6986796e10e9b0b86b57b6b24c249b283c834ddf28d76a669702b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CSV)
+def test_results_csv_bytes_are_pinned(name):
+    config, digest = PINNED_CSV[name]
+    assert hashlib.sha256(result_csv(run_sweep(config)).encode()).hexdigest() == digest
+
+
+def oracle_csv(rows) -> str:
+    """results.csv as a row-by-row writer gives it: every number through fmt12."""
+    lines = [
+        ",".join(
+            (
+                r.kind,
+                r.label,
+                str(r.angle_index),
+                fmt12(r.angle),
+                str(r.repetition),
+                fmt12(r.coherence),
+                fmt12(r.predictability),
+                fmt12(r.total),
+                fmt12(r.total_raw),
+                fmt12(r.psd_violation),
+            )
+        )
+        for r in rows
+    ]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
 def test_write_read_round_trip(tmp_path, noisy_result):
     paths = write_results(noisy_result, tmp_path)
     rows = read_results(paths["results"])
@@ -64,28 +129,88 @@ def test_write_read_round_trip(tmp_path, noisy_result):
         assert abs(row.coherence - rec.coherence) <= 5e-13
         assert abs(row.total - rec.total) <= 5e-13
     # writing what was read back reproduces the file byte for byte
-    text = paths["results"].read_text(encoding="utf-8")
-    rewritten = "\n".join(
-        [CSV_HEADER]
-        + [
-            ",".join(
-                (
-                    r.kind,
-                    r.label,
-                    str(r.angle_index),
-                    fmt12(r.angle),
-                    str(r.repetition),
-                    fmt12(r.coherence),
-                    fmt12(r.predictability),
-                    fmt12(r.total),
-                    fmt12(r.total_raw),
-                    fmt12(r.psd_violation),
-                )
-            )
-            for r in rows
-        ]
-    ) + "\n"
-    assert rewritten == text
+    assert oracle_csv(rows) == paths["results"].read_text(encoding="utf-8")
+
+
+def table_of(values: np.ndarray, m: int = 1, label: str = "x") -> SweepTable:
+    """A table holding ``values`` row by row, each row's six floats in results.csv order."""
+    values = np.asarray(values, dtype=float).reshape(-1, m, 6)
+    return SweepTable("bmzi", label, values[:, 0, 0].copy(), *np.moveaxis(values[..., 1:], -1, 0).copy())
+
+
+def kernel_only(monkeypatch):
+    """Make the row-by-row fallback of the CSV writer raise, so a passing write took the kernel."""
+
+    def fail(*args):
+        raise AssertionError("block was written row by row")
+
+    monkeypatch.setattr(report, "_rows_text", fail)
+
+
+def test_csv_kernel_writes_what_fmt12_writes(noisy_result, monkeypatch):
+    rng = np.random.default_rng(20260)
+    n = 60_000
+    random = rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-60, 13, n))
+    ties = np.arange(1, 8 * 2**13, 2) / 2**13  # every exact decimal tie q / 2**13 below 8
+    # and some above 2**52 / 10**12, where x * 10**12 is no longer a float's exact tie
+    ties = np.concatenate([ties, (2 * rng.integers(18_500_000, 9007 * 2**12, 4096) + 1) / 2**13])
+    edges = [0.0, -0.0, 5e-13, -5e-13, 1.5e-12, 9.9999999999995, 999.9999999999995, np.nextafter(FIXED12_LIMIT, 0)]
+    values = np.concatenate([random, ties, -ties, edges])
+    values = np.concatenate([values, np.zeros(-len(values) % 6)])
+    table = table_of(values)
+    kernel_only(monkeypatch)
+    text = result_csv(replace(noisy_result, table=table))
+    assert text == oracle_csv(table.rows())
+    assert "-0.000000000000" in text and "1000.000000000000" in text
+
+
+@pytest.mark.parametrize(
+    "value, in_range",
+    [
+        (np.nextafter(FIXED12_LIMIT, 0), True),
+        (-np.nextafter(FIXED12_LIMIT, 0), True),
+        (FIXED12_LIMIT, False),
+        (-FIXED12_LIMIT, False),
+        (1e300, False),
+        (float("inf"), False),
+        (float("-inf"), False),
+        (float("nan"), False),
+    ],
+)
+def test_csv_values_out_of_kernel_range_are_written_by_fmt12(noisy_result, monkeypatch, value, in_range):
+    calls, fallback = [], report._rows_text
+
+    def spy(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(report, "_rows_text", spy)
+    table = table_of([[0.5, value, -value, 0.25, value, 0.0]] * 3, m=3)
+    assert result_csv(replace(noisy_result, table=table)) == oracle_csv(table.rows())
+    assert (not calls) == in_range
+
+
+@pytest.mark.parametrize("label", ["ψ-α", "50%", "{}", "{0}%s", "a\\b"])
+def test_labels_reach_results_csv_verbatim(tmp_path, label):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        f"kind = pqe\nangle_points = 3\nrepetitions = 2\nshots = 60\nmaster_seed = 4\nlabel = {label}\n", encoding="utf-8"
+    )
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8")
+    assert text == oracle_csv(run_sweep(parse_config(path)).records)
+    assert list(read_results(tmp_path / "out" / "results.csv").tables) == [label]
+
+
+@pytest.mark.parametrize("n, m", [(10_001, 1), (1_500, 7)])
+def test_csv_blocks_join_seamlessly(noisy_result, monkeypatch, n, m):
+    assert n * m > 4 * BLOCK_CELLS and n * m % BLOCK_CELLS
+    values = np.random.default_rng(n).standard_normal((n * m, 6))
+    values[::97] *= -0.0
+    table = table_of(values, m=m, label="ψ")
+    table.angles[:] = np.linspace(-np.pi, 2 * np.pi, n)
+    kernel_only(monkeypatch)
+    assert result_csv(replace(noisy_result, table=table)) == oracle_csv(table.rows())
 
 
 def test_recomputed_reports_match_in_run_analysis(tmp_path, noisy_result):

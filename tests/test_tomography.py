@@ -289,6 +289,20 @@ def test_a_physical_stack_comes_back_as_the_input_without_a_rebuilt_copy():
         assert peak < 1.5 * stack.nbytes
 
 
+def test_projecting_a_mostly_unphysical_stack_holds_at_most_three_stacks():
+    stack = _mixed_stack(np.random.default_rng(3), 4, (2048,))
+    assert np.mean(np.linalg.eigvalsh(stack)[:, 0] < 0) > 0.8
+    project_psd(stack[:2])  # first-call caches are not per-stack memory
+    tracemalloc.start()
+    try:
+        project_psd(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # at most the clipped cells' vectors, their adjoint and their product, or the product and the output
+    assert peak < 3.25 * stack.nbytes
+
+
 def test_the_hermitian_check_is_the_largest_entry_of_m_minus_its_adjoint():
     rng = np.random.default_rng(43)
     for d in (1, 2, 4):
