@@ -20,8 +20,9 @@ from typing import get_args, get_type_hints
 
 from . import __version__
 from .errors import ValidationError
-from .experiments import CONFIG_COMMENT, MAX_CELLS, ExperimentConfig, run_sweep, theory_series
+from .experiments import CONFIG_COMMENT, KINDS, MAX_CELLS, ExperimentConfig, run_sweep, theory_series
 from .report import (
+    _write,
     aggregate_curves,
     fmt12,
     read_results,
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_theory = sub.add_parser("theory", help="print closed-form curves as CSV")
-    p_theory.add_argument("--kind", choices=("bmzi", "pqe"), required=True)
+    p_theory.add_argument("--kind", choices=KINDS, required=True)
     p_theory.add_argument("--points", type=int, default=60)
 
     p_run = sub.add_parser("run", help="execute a sweep from a config file")
@@ -167,37 +168,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     with _naming(out / "results.csv"):
         reports = reports_from_rows(rows)
         curves = aggregate_curves(rows) if args.format in ("svg", "all") else {}
-    # one curve file per label, checked for clashes before anything is written
-    figures: dict[str, Path] = {}
-    owner: dict[Path, str] = {}
-    for label in curves:
-        path = figures[label] = out / f"curves_{re.sub(r'[^-A-Za-z0-9_.]', '_', label)}.svg"
-        if owner.setdefault(path, label) != label:
-            raise ValidationError(
-                f"{out / 'results.csv'}: labels {owner[path]!r} and {label!r} both map to {path.name}"
-            )
     text, svg = render_sparkline_table(list(reports.items()))
-    written: list[Path] = []
+    # every file is rendered, and the curve names checked for clashes, before any is written
+    files: dict[Path, str] = {}
     if args.format in ("text", "all"):
-        path = out / "table.txt"
-        path.write_text(text, encoding="utf-8", newline="\n")
-        written.append(path)
+        files[out / "table.txt"] = text
     if args.format in ("svg", "all"):
-        path = out / "table.svg"
-        path.write_text(svg, encoding="utf-8", newline="\n")
-        written.append(path)
+        files[out / "table.svg"] = svg
+        owner: dict[Path, str] = {}
         for label, curve in curves.items():
-            figures[label].write_text(render_curves(curve), encoding="utf-8", newline="\n")
-            written.append(figures[label])
+            path = out / f"curves_{re.sub(r'[^-A-Za-z0-9_.]', '_', label)}.svg"
+            if owner.setdefault(path, label) != label:
+                raise ValidationError(
+                    f"{out / 'results.csv'}: labels {owner[path]!r} and {label!r} both map to {path.name}"
+                )
+            files[path] = render_curves(curve)
     if args.format in ("csv", "all"):
-        path = out / "table.csv"
         lines = ["label,mean,std,corr,min,max,overflow"]
         for label, r in reports.items():
             lines.append(f"{label},{r.mean:.3f},{r.std:.3f},{r.corr:.3f},{r.min:.3f},{r.max:.2f},{r.overflow}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        written.append(path)
-    for p in written:
-        print(p)
+        files[out / "table.csv"] = "\n".join(lines) + "\n"
+    for path, content in files.items():
+        _write(path, content)
+        print(path)
     return 0
 
 

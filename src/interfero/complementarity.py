@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import check_finite, dagger, outer
+from .linalg import check_finite, hermitian_residual, outer
 
 # Populations this close to zero are numerical residue of inversion and
 # projection; the square root in the predictability would otherwise blow
@@ -118,7 +118,7 @@ def _light_check(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValidationError(f"expected a square density matrix or a stack of them, got shape {rho.shape}")
-    if rho.size and float(np.max(np.abs(rho - dagger(rho)))) > 1e-8:
+    if np.any(hermitian_residual(rho) > 1e-8):
         raise ValidationError("density matrix is not Hermitian within 1e-8")
     return rho
 

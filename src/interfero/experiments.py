@@ -47,7 +47,7 @@ from .circuits import (
 from .complementarity import bmzi_state, l1_metrics, pqe_state
 from .errors import ReconstructionError, ValidationError
 from .linalg import check_finite, outer
-from .mse import MseReport, decompose_rows, summarize_rows
+from .mse import MseReport, decompose_rows
 from .noise import NoiseModel
 from .tomography import BASIS_ROTATION, linear_inversion, measurement_settings, parity_signs, project_psd
 
@@ -185,16 +185,13 @@ class SweepTable:
     total_raw: np.ndarray
     psd_violation: np.ndarray
 
-    def columns(self) -> list[list]:
-        """The results.csv columns from ``angle_index`` to ``psd_violation`` as lists, one entry per row."""
-        n, m = self.coherence.shape
-        index, repetition = np.divmod(np.arange(n * m), m)
-        head = [index.tolist(), self.angles[index].tolist(), repetition.tolist()]
-        return head + [getattr(self, name).ravel().tolist() for name in METRICS]
-
     def rows(self) -> list[ResultRow]:
         """The cells as the rows results.csv holds, angle-major."""
-        return [ResultRow(self.kind, self.label, *row) for row in zip(*self.columns())]
+        n, m = self.coherence.shape
+        index, repetition = np.divmod(np.arange(n * m), m)
+        columns = [index.tolist(), self.angles[index].tolist(), repetition.tolist()]
+        columns += [getattr(self, name).ravel().tolist() for name in METRICS]
+        return [ResultRow(self.kind, self.label, *row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ def analyze(table: SweepTable) -> MseReport:
     The deviations are reduced as ``(m, n)`` arrays, one row per repetition.
     """
     theory_c, theory_p = theory_series(table.kind, table.angles)
-    return summarize_rows(*decompose_rows(theory_c - table.coherence.T, theory_p - table.predictability.T))
+    return decompose_rows(theory_c - table.coherence.T, theory_p - table.predictability.T)
 
 
 def cell_rng(master_seed: int, angle_index: int, repetition: int, setting_index: int) -> np.random.Generator:

@@ -5,8 +5,16 @@ vectors are 1-D, operators and density matrices 2-D.  The helpers here
 validate the physical invariants (normalisation, hermiticity, unit trace,
 positivity) that the rest of the package relies on.
 
-Tolerance convention: 1e-12 for closed-form identities, 1e-10 for drift
-accumulated by unitary evolution, 1e-8 for eigendecomposition residuals.
+Tolerances, each with where it applies: 1e-12 for closed-form identities
+(gate unitarity, negative readout-confusion entries, the l1 metrics'
+population floor); 1e-10 for drift from evolution (state-vector norm, the
+hermiticity and trace of :func:`check_density_matrix`, Kraus trace
+preservation, readout column sums); 1e-9 for outcome-probability sums and
+the expectation range [-1, 1] of linear inversion; 1e-8 for
+eigendecomposition residuals (the smallest eigenvalue in
+:func:`check_density_matrix`), the norm in :func:`outer` and the
+hermiticity of the l1 metrics' input; 1e-6 for the hermiticity and trace of
+the input of ``tomography.project_psd``, a raw finite-shot reconstruction.
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     _require_square(rho)
-    herm = np.max(np.abs(rho - dagger(rho)), axis=(-2, -1)) > ATOL_EVOLUTION
+    herm = hermitian_residual(rho) > ATOL_EVOLUTION
     if herm.any():
         raise ValidationError(f"density matrix{at_index(first(herm))} is not Hermitian within 1e-10")
     tr = np.trace(rho, axis1=-2, axis2=-1)
@@ -113,6 +121,21 @@ def check_finite(value: float | np.ndarray, name: str) -> None:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conj(np.swapaxes(m, -1, -2))
+
+
+def hermitian_residual(m: np.ndarray) -> np.ndarray:
+    """``max |m - m^dag|`` of each matrix of a stack ``(..., d, d)``, as an array over the leading axes.
+
+    Bitwise equal to ``np.max(np.abs(m - dagger(m)), axis=(-2, -1))`` with no
+    temporary of more than one entry per matrix: entry (j, i) of ``m - m^dag``
+    has the modulus of entry (i, j), so the upper triangle gives the maximum.
+    """
+    d = m.shape[-1]
+    out = np.zeros(m.shape[:-2])
+    for i in range(d):
+        for j in range(i, d):
+            np.maximum(out, np.abs(m[..., i, j] - np.conj(m[..., j, i])), out=out)
+    return out
 
 
 def first(mask: np.ndarray) -> tuple[int, ...]:

@@ -89,23 +89,21 @@ def decompose(series: MetricSeries) -> MseReport:
     return _distribution(np.array([total]), total, mse_c, mse_p, cross)
 
 
-def decompose_rows(dev_c: np.ndarray, dev_p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """mse_sum, mse_c, mse_p and the cross term of every row of two ``(m, n)`` deviation arrays.
+def decompose_rows(dev_c: np.ndarray, dev_p: np.ndarray) -> MseReport:
+    """:func:`summarize` over the :func:`decompose` of every row of two ``(m, n)`` deviation arrays.
 
     Each row is one experiment's series.  The rows are reduced along their
-    own contiguous axis, as :func:`decompose` reduces one series, so row
-    ``k`` of each result is bitwise equal to ``decompose`` on row ``k``.
+    own contiguous axis, as :func:`decompose` reduces one series, so the
+    per-experiment values are bitwise equal to ``decompose`` on each row, and
+    the scalar fields are the means over the rows.
     """
     dev_c = np.ascontiguousarray(dev_c, dtype=float)
     dev_p = np.ascontiguousarray(dev_p, dtype=float)
     if dev_c.ndim != 2 or dev_c.size == 0 or dev_c.shape != dev_p.shape:
         raise ValidationError("deviation arrays must be nonempty, 2-D and of equal shape")
-    return (
-        np.mean((dev_c + dev_p) ** 2, axis=-1),
-        np.mean(dev_c**2, axis=-1),
-        np.mean(dev_p**2, axis=-1),
-        2.0 * np.mean(dev_c * dev_p, axis=-1),
-    )
+    values = np.mean((dev_c + dev_p) ** 2, axis=-1)
+    parts = (values, np.mean(dev_c**2, axis=-1), np.mean(dev_p**2, axis=-1), 2.0 * np.mean(dev_c * dev_p, axis=-1))
+    return _distribution(values, *(float(np.mean(part)) for part in parts))
 
 
 def summarize(values, decompositions: tuple[MseReport, ...] = ()) -> MseReport:
@@ -115,25 +113,14 @@ def summarize(values, decompositions: tuple[MseReport, ...] = ()) -> MseReport:
     decompositions are supplied, the scalar fields become their means (the
     identity survives averaging); otherwise only mse_sum is meaningful.
     """
-    values = _experiments(values)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValidationError("summarize needs a nonempty 1-D value array")
     if decompositions:
         parts = ([getattr(d, name) for d in decompositions] for name in ("mse_sum", "mse_c", "mse_p", "corr"))
         return _distribution(values, *(float(np.mean(part)) for part in parts))
     nan = float("nan")
     return _distribution(values, float(np.mean(values)), nan, nan, nan)
-
-
-def summarize_rows(mse_sum: np.ndarray, mse_c: np.ndarray, mse_p: np.ndarray, cross: np.ndarray) -> MseReport:
-    """:func:`summarize` of experiments given as the arrays :func:`decompose_rows` returns."""
-    values = _experiments(mse_sum)
-    return _distribution(values, *(float(np.mean(part)) for part in (values, mse_c, mse_p, cross)))
-
-
-def _experiments(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValidationError("summarize needs a nonempty 1-D value array")
-    return values
 
 
 def _distribution(values: np.ndarray, total: float, mse_c: float, mse_p: float, cross: float) -> MseReport:

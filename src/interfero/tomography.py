@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, unitary
 from .errors import ReconstructionError, ValidationError
-from .linalg import dagger, first, kron
+from .linalg import dagger, first, hermitian_residual, kron
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -39,9 +39,8 @@ BASIS_ROTATION = {
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Expectations, raw inversion output and its physical projection."""
+    """Raw inversion output and its physical projection."""
 
-    expectations: dict[str, float]
     rho_raw: np.ndarray
     rho: np.ndarray
     psd_violation: float
@@ -169,7 +168,7 @@ def reconstruct(expectations: dict[str, float], n_qubits: int) -> TomographyResu
     """Full pipeline: linear inversion followed by the PSD projection."""
     rho_raw = linear_inversion(expectations, n_qubits)
     rho, violation = project_psd(rho_raw)
-    return TomographyResult(dict(expectations), rho_raw, rho, violation)
+    return TomographyResult(rho_raw, rho, violation)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -205,21 +204,9 @@ def parity_signs(n_qubits: int) -> np.ndarray:
 
 
 def _check_projectable(m: np.ndarray) -> None:
-    """Require each matrix of the stack ``m`` to be Hermitian and of trace 1, within 1e-6.
-
-    No temporary here is as large as the stack: entry (i, j) of ``m -
-    m^dag`` has the modulus of entry (j, i), so the strict upper triangle
-    against the conjugated lower one and twice the diagonal's imaginary part
-    give ``max |m - m^dag|``.
-    """
-    if m.size:
-        rows, cols = np.triu_indices(m.shape[-1], 1)
-        lower = m[..., cols, rows]
-        np.conjugate(lower, out=lower)
-        np.subtract(m[..., rows, cols], lower, out=lower)
-        diagonal = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag))
-        if max(float(np.max(np.abs(lower), initial=0.0)), 2 * float(diagonal)) > 1e-6:
-            raise ValidationError("matrix to project is not Hermitian within 1e-6")
+    """Require each matrix of the stack ``m`` to be Hermitian and of trace 1, within 1e-6."""
+    if np.any(hermitian_residual(m) > 1e-6):
+        raise ValidationError("matrix to project is not Hermitian within 1e-6")
     traces = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > 1e-6
     if np.any(off):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from interfero import ValidationError, kron, outer, purity
-from interfero.linalg import check_density_matrix, check_state_vector, random_unitary
+from interfero.linalg import check_density_matrix, check_state_vector, dagger, hermitian_residual, random_unitary
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,3 +99,32 @@ def test_check_density_matrix_guards():
         check_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValidationError):
         check_density_matrix(np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("d", (2, 4))
+@pytest.mark.parametrize("lead", ((), (5,), (3, 7), (0,), (2, 0)))
+def test_hermitian_residual_is_bitwise_the_full_stack_form(d, lead):
+    rng = np.random.default_rng(len(lead) * 10 + d)
+    m = rng.standard_normal((*lead, d, d)) + 1j * rng.standard_normal((*lead, d, d))
+    near = 0.5 * (m + dagger(m)) + 1e-9 * m  # nearly Hermitian: residuals from rounding and the 1e-9 part
+    for stack in (m, near, m.transpose(*range(len(lead)), -1, -2)):
+        expected = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
+        got = hermitian_residual(stack)
+        assert got.shape == expected.shape == lead
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_check_density_matrix_holds_less_than_one_stack():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((20_000, 4)) + 1j * rng.standard_normal((20_000, 4))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    stack = 0.5 * outer(v) + 0.5 * np.eye(4) / 4
+    check_density_matrix(stack[:2])  # first-call caches are not per-stack memory
+    tracemalloc.start()
+    try:
+        assert check_density_matrix(stack) is stack
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the Hermitian check holds one entry per matrix at a time; eigvalsh gives (cells, d)
+    assert peak < stack.nbytes

@@ -97,6 +97,41 @@ def test_results_csv_bytes_are_pinned(name):
     assert hashlib.sha256(result_csv(run_sweep(config)).encode()).hexdigest() == digest
 
 
+#: sha256 of every other output of the PINNED_CSV configs: summary.txt as
+#: write_results writes it, the stdout of ``interfero analyze`` and each file of
+#: ``interfero report --format all``.
+PINNED_OUTPUTS = {
+    "bmzi-default": {
+        "summary.txt": "9e0719c01ba7010819dd0c70587c42a91d111f814087694975ef7e2186c28bc9",
+        "analyze": "97adf9b351f9e580d418c293199db77ce0ddc26b0858724ffa8573621094e747",
+        "table.txt": "19a12499b6b646a195876366fe5d1fa23acaeb8d0e87e7a2039e624ab39439ef",
+        "table.svg": "272f44c206e522a6aedf155a8d08da00e46584c3b0aaae9c09db9828c4ca3542",
+        "table.csv": "ade6b6e985f8d179dcfd82de7cbf20c353addeaecd22be0aa6e41beb66b52325",
+        "curves_0.svg": "59dd6a985cdff7aafaf1f41b2e84301ebf9e1dfbf670676df0fc536166ad5bf3",
+    },
+    "pqe-noisy": {
+        "summary.txt": "45063e14faf718bf0f54b855d6227ac0336cdec2fbd0f1541c08d9716edb2918",
+        "analyze": "7dd9d90ead1d15e03bc9ed74dc24bededa77a698a4685766282cd5a719cf3bba",
+        "table.txt": "9ace28907b32934f20e027524b24e438ce09a134f9298e5b62cacfd2f98d996c",
+        "table.svg": "42e151a0d06ef82b95f2f4d8f9aa1ca5e4f06ac4da7fa6d9e39ed7e7579f24e7",
+        "table.csv": "c0bab1a4ec6315ae71e76bb509dcc1c2262d8be7e2a03f655a5c6c581980bb6a",
+        "curves_0-1.svg": "31f48b91afe532ca37c374d3a0584c5ea84909810add6b1208bfb2883cd13fbe",
+    },
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_summary_analyze_and_report_bytes_are_pinned(name, tmp_path, capsys):
+    write_results(run_sweep(PINNED_CSV[name][0]), tmp_path)
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(tmp_path)]) == 0
+    digests = {"analyze": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    assert main(["report", "--out", str(tmp_path), "--format", "all"]) == 0
+    written = {p.name for p in tmp_path.iterdir()} - {"results.csv"}
+    digests |= {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written}
+    assert digests == PINNED_OUTPUTS[name]
+
+
 def oracle_csv(rows) -> str:
     """results.csv as a row-by-row writer gives it: every number through fmt12."""
     lines = [
