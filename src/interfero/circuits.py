@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import at_index, check_density_matrix, check_state_vector, dagger, first, kron
+from .linalg import PAULI, at_index, check_density_matrix, check_state_vector, dagger, kron, require
 from .noise import NoiseModel
 
-ID2 = np.eye(2, dtype=complex)
 PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PROJ1 = np.array([[0, 0], [0, 1]], dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-IX = 1j * PAULI_X
+IX = 1j * PAULI["X"]
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
@@ -62,7 +60,7 @@ def _entries(*entries: complex | np.ndarray) -> np.ndarray:
 
 def cx(control: int, target: int) -> Gate:
     """Half-wave plate: flip the target when the control is |1>."""
-    return _controlled("cx", PAULI_X, PROJ1, control, target)
+    return _controlled("cx", PAULI["X"], PROJ1, control, target)
 
 
 def ctrl_h_open(control: int, target: int) -> Gate:
@@ -81,11 +79,11 @@ def unitary(matrix: np.ndarray, qubits: tuple[int, ...]) -> Gate:
 
 
 def _controlled(name: str, applied: np.ndarray, trigger: np.ndarray, control: int, target: int) -> Gate:
-    resting = ID2 - trigger
+    resting = PAULI["I"] - trigger
     if control > target:
-        matrix = kron(trigger, applied) + kron(resting, ID2)
+        matrix = kron(trigger, applied) + kron(resting, PAULI["I"])
     else:
-        matrix = kron(applied, trigger) + kron(ID2, resting)
+        matrix = kron(applied, trigger) + kron(PAULI["I"], resting)
     return Gate(name, (control, target), matrix)
 
 
@@ -194,10 +192,10 @@ def outcome_probabilities(state: np.ndarray) -> np.ndarray:
         raise ValidationError("expected a vector or matrices, got ndim=0")
     probs = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diagonal(state, axis1=-2, axis2=-1)).copy()
     total = probs.sum(axis=-1)
-    off = np.abs(total - 1.0) > 1e-9
-    if off.any():
-        cell = first(off)
-        raise ValidationError(f"outcome probabilities{at_index(cell)} sum to {float(total[cell])!r}, expected 1")
+    require(
+        np.abs(total - 1.0) <= 1e-9,
+        lambda k: f"outcome probabilities{at_index(k)} sum to {float(total[k])!r}, expected 1",
+    )
     np.clip(probs, 0.0, None, out=probs)
     return probs / probs.sum(axis=-1, keepdims=True)
 
@@ -244,7 +242,6 @@ def _check_unitary(gate: Gate) -> None:
     dim = 1 << len(gate.qubits)
     if u.ndim not in (2, 3) or u.shape[-2:] != (dim, dim):
         raise ValidationError(f"gate {gate.name} matrix does not match its qubit count")
-    off = np.max(np.abs(dagger(u) @ u - np.eye(dim)), axis=(-2, -1)) > 1e-12
-    if off.any():
-        raise ValidationError(f"gate {gate.name} matrix{at_index(first(off))} is not unitary within 1e-12")
+    error = np.max(np.abs(dagger(u) @ u - np.eye(dim)), axis=(-2, -1))
+    require(error <= 1e-12, lambda k: f"gate {gate.name} matrix{at_index(k)} is not unitary within 1e-12")
 

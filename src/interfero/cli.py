@@ -49,11 +49,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file into an ExperimentConfig."""
-    return ExperimentConfig(**_read_config_values(path))  # type: ignore[arg-type]
+    """Read a flat ``key = value`` config file into an ExperimentConfig; an error names the file."""
+    return _read_config(path)[0]
 
 
-def _read_config_values(path: str | Path) -> dict[str, object]:
+def _read_config(path: str | Path) -> tuple[ExperimentConfig, bool]:
+    """The config in ``path``, and whether the file sets master_seed."""
     text = read_text(Path(path))
     values: dict[str, object] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -71,7 +72,8 @@ def _read_config_values(path: str | Path) -> dict[str, object]:
         values[key] = _convert(key, value, path, ln)
     if "kind" not in values:
         raise ValidationError(f"{path}: missing required config key 'kind'")
-    return values
+    with _naming(path):
+        return ExperimentConfig(**values), "master_seed" in values  # type: ignore[arg-type]
 
 
 def _convert(key: str, value: str, path: str | Path, ln: int) -> object:
@@ -90,7 +92,8 @@ def _convert(key: str, value: str, path: str | Path, ln: int) -> object:
 
 def _resolve_seed(config: ExperimentConfig, flag_seed: int | None, config_had_seed: bool) -> ExperimentConfig:
     if flag_seed is not None:
-        return replace(config, master_seed=flag_seed)
+        with _naming("--seed"):
+            return replace(config, master_seed=flag_seed)
     if not config_had_seed and SEED_ENV in os.environ:
         try:
             seed = int(os.environ[SEED_ENV])
@@ -138,9 +141,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    values = _read_config_values(args.config)
-    config = ExperimentConfig(**values)  # type: ignore[arg-type]
-    config = _resolve_seed(config, args.seed, "master_seed" in values)
+    config, had_seed = _read_config(args.config)
+    config = _resolve_seed(config, args.seed, had_seed)
     if args.threads < 1:
         raise ValidationError(f"threads must be at least 1, got {args.threads}")
     result = run_sweep(config, threads=args.threads)

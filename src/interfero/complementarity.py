@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import check_finite, hermitian_residual, outer
+from .linalg import check_finite, check_stack, outer
 
 # Populations this close to zero are numerical residue of inversion and
 # projection; the square root in the predictability would otherwise blow
@@ -57,7 +56,7 @@ def predictability_l1(rho: np.ndarray) -> float | np.ndarray:
 
 def l1_metrics(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coherence and predictability arrays of a matrix or a stack ``(..., d, d)``."""
-    rho = _light_check(rho)
+    rho = check_stack(rho, "density matrix", 1e-8)  # raw (possibly non-PSD) inputs are allowed
     pops = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).copy()
     kept = pops > POPULATION_FLOOR
     pops[~kept] = 0.0
@@ -111,16 +110,6 @@ def theory_bmzi(alpha: float) -> ComplementarityPoint:
 def theory_pqe(phi: float) -> ComplementarityPoint:
     """Noise-free complementarity point of the quantum eraser at ``phi``."""
     return point_from_density(outer(pqe_state(phi)))
-
-
-def _light_check(rho: np.ndarray) -> np.ndarray:
-    # hermiticity and shape only: raw (possibly non-PSD) inputs are allowed
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValidationError(f"expected a square density matrix or a stack of them, got shape {rho.shape}")
-    if np.any(hermitian_residual(rho) > 1e-8):
-        raise ValidationError("density matrix is not Hermitian within 1e-8")
-    return rho
 
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:

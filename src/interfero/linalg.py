@@ -5,6 +5,9 @@ vectors are 1-D, operators and density matrices 2-D.  The helpers here
 validate the physical invariants (normalisation, hermiticity, unit trace,
 positivity) that the rest of the package relies on.
 
+Each check is a holding condition, ``error <= tol``, that :func:`require`
+raises on at its first False entry, so a NaN fails it.
+
 Tolerances, each with where it applies: 1e-12 for closed-form identities
 (gate unitarity, negative readout-confusion entries, the l1 metrics'
 population floor); 1e-10 for drift from evolution (state-vector norm, the
@@ -19,6 +22,8 @@ the input of ``tomography.project_psd``, a raw finite-shot reconstruction.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .errors import ValidationError
@@ -28,6 +33,13 @@ ATOL_EIG = 1e-8
 
 #: Largest supported Hilbert-space dimension (2 qubits).
 MAX_DIM = 4
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,10 +64,10 @@ def outer(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.ndim < 1:
         raise ValidationError(f"state vector must be 1-D or a stack of them, got shape {v.shape}")
-    norm = np.linalg.norm(v, axis=-1).ravel()
-    off = np.abs(norm - 1.0) > 1e-8
-    if off.any():
-        raise ValidationError(f"state vector is not normalised: |v| = {float(norm[np.argmax(off)])!r}")
+    norm = np.linalg.norm(v, axis=-1)
+    require(
+        np.abs(norm - 1.0) <= 1e-8, lambda k: f"state vector{at_index(k)} is not normalised: |v| = {float(norm[k])!r}"
+    )
     return v[..., :, None] * v.conj()[..., None, :]
 
 
@@ -83,8 +95,7 @@ def check_state_vector(v: np.ndarray, n_qubits: int | None = None) -> np.ndarray
     if n_qubits is not None and dim != 1 << n_qubits:
         raise ValidationError(f"state has dim {dim}, expected {1 << n_qubits} for {n_qubits} qubit(s)")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > ATOL_EVOLUTION:
-        raise ValidationError(f"state vector is not normalised: |v| = {norm!r}")
+    require(abs(norm - 1.0) <= ATOL_EVOLUTION, lambda _: f"state vector is not normalised: |v| = {norm!r}")
     return v
 
 
@@ -94,22 +105,41 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     ``rho`` is a matrix or a stack ``(..., d, d)``; for a stack, a message
     names the index of the first failing matrix.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _require_square(rho)
-    herm = hermitian_residual(rho) > ATOL_EVOLUTION
-    if herm.any():
-        raise ValidationError(f"density matrix{at_index(first(herm))} is not Hermitian within 1e-10")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > ATOL_EVOLUTION
-    if off.any():
-        cell = first(off)
-        raise ValidationError(f"density matrix{at_index(cell)} trace is {complex(tr[cell])!r}, expected 1")
+    rho = check_stack(rho, "density matrix", ATOL_EVOLUTION, trace=ATOL_EVOLUTION)
     lam = np.linalg.eigvalsh(rho)[..., 0]
-    negative = lam < -ATOL_EIG
-    if negative.any():
-        cell = first(negative)
-        raise ValidationError(f"density matrix{at_index(cell)} has negative eigenvalue {float(lam[cell])!r}")
+    require(lam >= -ATOL_EIG, lambda k: f"density matrix{at_index(k)} has negative eigenvalue {float(lam[k])!r}")
     return rho
+
+
+def check_stack(m: np.ndarray, what: str, hermitian: float, trace: float | None = None) -> np.ndarray:
+    """``m`` as a complex matrix or stack ``(..., d, d)``, d <= MAX_DIM, checked finite and Hermitian.
+
+    ``hermitian`` bounds :func:`hermitian_residual` and ``trace``, if given,
+    ``|Tr m - 1|``.  A message calls the matrix ``what`` and names the index
+    of the first failing one in a stack.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] > MAX_DIM:
+        raise ValidationError(f"dimension {m.shape[-1]} exceeds the supported maximum {MAX_DIM}")
+    require(np.isfinite(m).all(axis=(-2, -1)), lambda k: f"{what}{at_index(k)} has a non-finite entry")
+    tol = f"{hermitian:g}".replace("e-0", "e-")  # 1e-6 as written, not 1e-06
+    require(hermitian_residual(m) <= hermitian, lambda k: f"{what}{at_index(k)} is not Hermitian within {tol}")
+    if trace is not None:
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        require(np.abs(tr - 1.0) <= trace, lambda k: f"{what}{at_index(k)} trace is {complex(tr[k])!r}, expected 1")
+    return m
+
+
+def require(ok: bool | np.ndarray, message: Callable[[tuple[int, ...]], str]) -> None:
+    """Raise a ValidationError from ``message(cell)`` at the first False entry ``cell`` of ``ok``.
+
+    ``ok`` is the condition that holds, ``error <= tol``, so a NaN error fails it.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise ValidationError(message(first(~ok)))
 
 
 def check_finite(value: float | np.ndarray, name: str) -> None:
@@ -147,9 +177,3 @@ def at_index(cell: tuple[int, ...]) -> str:
     """How a message names entry ``cell`` of a stack: ``""`` for a single item."""
     return f" at index {', '.join(map(str, cell))}" if cell else ""
 
-
-def _require_square(m: np.ndarray) -> None:
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[-1] > MAX_DIM:
-        raise ValidationError(f"dimension {m.shape[-1]} exceeds the supported maximum {MAX_DIM}")

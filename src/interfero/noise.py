@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-
-_ID2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from .linalg import PAULI, require
 
 KrausChannel = tuple[np.ndarray, ...]
 
@@ -25,12 +21,7 @@ KrausChannel = tuple[np.ndarray, ...]
 def depolarizing(p: float) -> KrausChannel:
     """Channel rho -> (1-p) rho + p I/2.  Fully mixing at p=1."""
     _check_prob(p, "depolarizing")
-    return (
-        np.sqrt(1 - 3 * p / 4) * _ID2,
-        np.sqrt(p / 4) * _X,
-        np.sqrt(p / 4) * _Y,
-        np.sqrt(p / 4) * _Z,
-    )
+    return (np.sqrt(1 - 3 * p / 4) * PAULI["I"], *(np.sqrt(p / 4) * PAULI[letter] for letter in "XYZ"))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -44,7 +35,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 def phase_damping(lmbda: float) -> KrausChannel:
     """Pure dephasing: off-diagonals shrink, populations untouched."""
     _check_prob(lmbda, "phase damping")
-    k0 = np.sqrt(1 - lmbda) * _ID2
+    k0 = np.sqrt(1 - lmbda) * PAULI["I"]
     k1 = np.sqrt(lmbda) * np.array([[1, 0], [0, 0]], dtype=complex)
     k2 = np.sqrt(lmbda) * np.array([[0, 0], [0, 1]], dtype=complex)
     return (k0, k1, k2)
@@ -57,8 +48,7 @@ def check_channel(kraus: KrausChannel) -> KrausChannel:
         raise ValidationError("a Kraus channel needs at least one operator")
     dim = kraus[0].shape[0]
     total = sum(k.conj().T @ k for k in kraus)
-    if float(np.max(np.abs(total - np.eye(dim)))) > 1e-10:
-        raise ValidationError("Kraus channel is not trace preserving")
+    require(np.max(np.abs(total - np.eye(dim))) <= 1e-10, lambda _: "Kraus channel is not trace preserving")
     return kraus
 
 
@@ -83,8 +73,8 @@ class NoiseModel:
         object.__setattr__(self, "channels", tuple(check_channel(c) for c in self.channels))
         if self.readout is not None:
             m = np.asarray(self.readout, dtype=float)
-            if m.shape != (2, 2) or np.any(m < -1e-12) or np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-10:
-                raise ValidationError("readout confusion must be a column-stochastic 2x2 matrix")
+            ok = m.shape == (2, 2) and np.all(m >= -1e-12) and np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-10
+            require(ok, lambda _: "readout confusion must be a column-stochastic 2x2 matrix")
             object.__setattr__(self, "readout", m)
             # the register's confusion matrix, per qubit count of a circuit (1 or 2)
             object.__setattr__(self, "_confusion", {1: m, 2: np.kron(m, m)})

@@ -21,14 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, unitary
 from .errors import ReconstructionError, ValidationError
-from .linalg import dagger, first, hermitian_residual, kron
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from .linalg import PAULI, check_stack, dagger, first, kron, require
 
 # Rotations mapping each Pauli eigenbasis onto the computational basis.
 BASIS_ROTATION = {
@@ -74,23 +67,23 @@ def basis_change(setting: str) -> Circuit:
 
 
 def expectation_from_counts(counts: dict[str, float], setting: str) -> float:
-    """Parity-weighted average of counts taken in the setting's basis."""
+    """Parity-weighted average of counts taken in the setting's basis, signed by :func:`parity_signs`."""
     if not counts:
         raise ValidationError("counts table is empty")
     n = _setting_qubits(setting)
+    signs = parity_signs(n)[measurement_settings(n).index(setting)]
     total = 0.0
     acc = 0.0
     for bits, count in counts.items():
-        if len(bits) != n:
+        if len(bits) != n or not set(bits) <= {"0", "1"}:
             raise ValidationError(f"bitstring {bits!r} does not match {n} qubit(s)")
         if count < 0:
             raise ValidationError(f"negative count for outcome {bits!r}")
-        parity = sum(int(b) for b, letter in zip(bits, setting) if letter != "I") & 1
-        acc += -count if parity else count
+        acc += signs[int(bits, 2)] * count
         total += count
     if total <= 0:
         raise ValidationError("counts table has no shots")
-    return acc / total
+    return float(acc / total)
 
 
 def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: int) -> np.ndarray:
@@ -117,10 +110,10 @@ def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: i
             raise ValidationError(
                 f"expected {len(required)} expectation values per state for {n_qubits} qubit(s), got shape {values.shape}"
             )
-    outside = ~(np.abs(values) <= 1.0 + 1e-9)
-    if np.any(outside):
-        cell = first(outside)
-        raise ValidationError(f"expectation for {required[cell[-1]]!r} is {float(values[cell])!r}, outside [-1, 1]")
+    require(
+        np.abs(values) <= 1.0 + 1e-9,
+        lambda k: f"expectation for {required[k[-1]]!r} is {float(values[k])!r}, outside [-1, 1]",
+    )
     dim = 1 << n_qubits
     return (np.eye(dim) + np.einsum("...s,sij->...ij", values, pauli_basis(n_qubits))) / dim
 
@@ -135,12 +128,10 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     0; only the others are rebuilt from their clipped spectra, and an input
     with none of them comes back as the complex input array itself.  A
     :class:`ReconstructionError` names the first matrix left with no
-    eigenvalue above zero in its ``cell``.
+    eigenvalue above zero in its ``cell``.  Each input matrix must be
+    Hermitian and of trace 1 within 1e-6.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    _check_projectable(m)
+    m = check_stack(m, "matrix to project", 1e-6, trace=1e-6)
     lam, vecs = np.linalg.eigh(m)
     negative = lam[..., 0] < 0.0
     vecs = vecs[negative]  # drops the full stack of vectors: only these cells are rebuilt
@@ -201,16 +192,6 @@ def parity_signs(n_qubits: int) -> np.ndarray:
                 signs[s] *= 1 - 2 * ((outcomes >> (n_qubits - 1 - pos)) & 1)
     signs.flags.writeable = False
     return signs
-
-
-def _check_projectable(m: np.ndarray) -> None:
-    """Require each matrix of the stack ``m`` to be Hermitian and of trace 1, within 1e-6."""
-    if np.any(hermitian_residual(m) > 1e-6):
-        raise ValidationError("matrix to project is not Hermitian within 1e-6")
-    traces = np.trace(m, axis1=-2, axis2=-1)
-    off = np.abs(traces - 1.0) > 1e-6
-    if np.any(off):
-        raise ValidationError(f"matrix to project has trace {complex(traces[first(off)])!r}, expected 1")
 
 
 def _pauli_matrix(setting: str) -> np.ndarray:

@@ -87,7 +87,7 @@ def test_run_rejects_shots_beyond_a_c_long(tmp_path, capsys):
     path.write_text("kind = bmzi\nangle_points = 2\nrepetitions = 1\nshots = 100000000000000000000\n", encoding="utf-8")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: shots") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: shots") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -149,6 +149,20 @@ def test_env_seed_errors_name_the_variable_and_the_fault(tmp_path, capsys, monke
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "env")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "env").exists()
+
+
+def test_config_range_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("kind = bmzi\ndepolarizing = 2.0\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: depolarizing must lie in [0, 1], got 2.0\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_error_names_the_flag(tmp_path, config_path, capsys):
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--seed", "-5"]) == 1
+    assert capsys.readouterr().err == "error: --seed: master_seed must fit in 64 bits, got -5\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_env_seed_ignored_when_config_has_one(tmp_path, config_path, capsys, monkeypatch):
@@ -217,7 +231,7 @@ def test_run_rejects_a_label_with_a_comma(tmp_path, capsys):
     path.write_text("kind = bmzi\nangle_points = 3\nrepetitions = 1\nshots = 20\nlabel = a,b\n", encoding="utf-8")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: label") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: label") and err.count("\n") == 1
     assert not (tmp_path / "o" / "results.csv").exists()
 
 

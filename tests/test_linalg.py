@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from interfero import ValidationError, kron, outer, purity
+from interfero.circuits import Circuit, outcome_probabilities, simulate_density, unitary
+from interfero.complementarity import coherence_l1, l1_metrics, predictability_l1
 from interfero.linalg import check_density_matrix, check_state_vector, dagger, hermitian_residual, random_unitary
+from interfero.noise import NoiseModel, check_channel
+from interfero.tomography import project_psd
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -128,3 +132,38 @@ def test_check_density_matrix_holds_less_than_one_stack():
         tracemalloc.stop()
     # the Hermitian check holds one entry per matrix at a time; eigvalsh gives (cells, d)
     assert peak < stack.nbytes
+
+
+def _nan_stack(d):
+    """Four maximally mixed d x d matrices, with a NaN population in those at index 1 and 2."""
+    stack = np.stack([np.eye(d, dtype=complex) / d] * 4)
+    stack[1:3, 0, 0] = np.nan
+    return stack
+
+
+_NAN_GATE = Circuit(1, (unitary(np.stack([np.eye(2), np.diag([np.nan, 1.0]), np.diag([1.0, np.nan])]), (0,)),))
+
+
+@pytest.mark.parametrize(
+    "check, index",
+    [
+        pytest.param(lambda: check_density_matrix(_nan_stack(2)), 1, id="check_density_matrix"),
+        pytest.param(lambda: project_psd(_nan_stack(4)), 1, id="project_psd"),
+        pytest.param(lambda: l1_metrics(_nan_stack(4)), 1, id="l1_metrics"),
+        pytest.param(lambda: coherence_l1(np.diag([np.nan, 1.0])), None, id="coherence_l1"),
+        pytest.param(lambda: predictability_l1(np.diag([np.nan, 1.0])), None, id="predictability_l1"),
+        pytest.param(lambda: outer(np.array([[1.0, 0.0], [np.nan, 0.0], [np.nan, 0.0]])), 1, id="outer"),
+        pytest.param(lambda: check_state_vector(np.array([np.nan, 0.0])), None, id="check_state_vector"),
+        pytest.param(lambda: outcome_probabilities(_nan_stack(2)), 1, id="outcome_probabilities"),
+        pytest.param(lambda: simulate_density(_NAN_GATE), 1, id="check_unitary"),
+        pytest.param(lambda: check_channel((np.diag([np.nan, 1.0]),)), None, id="check_channel"),
+        pytest.param(lambda: NoiseModel(readout=np.array([[np.nan, 0.0], [0.0, 1.0]])), None, id="readout"),
+    ],
+)
+def test_a_nan_fails_every_check_and_a_stack_names_its_first_nan_matrix(check, index):
+    with pytest.raises(ValidationError) as info:
+        check()
+    message = str(info.value)
+    assert message and "\n" not in message
+    if index is not None:
+        assert f" at index {index} " in message

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,13 @@ def test_expectation_from_counts_guards():
         expectation_from_counts({}, "Z")
     with pytest.raises(ValidationError):
         expectation_from_counts({"00": 10}, "Z")
+
+
+@pytest.mark.parametrize("bits, setting", [("2", "Z"), ("a", "Z"), ("0a", "ZZ"), ("21", "ZI"), ("1 ", "IZ")])
+def test_expectation_from_counts_rejects_keys_that_are_not_bitstrings(bits, setting):
+    n = len(setting)
+    with pytest.raises(ValidationError, match=rf"^bitstring {re.escape(repr(bits))} does not match {n} qubit\(s\)$"):
+        expectation_from_counts({bits: 10}, setting)
 
 
 def test_linear_inversion_examples():
