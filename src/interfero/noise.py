@@ -42,13 +42,15 @@ def phase_damping(lmbda: float) -> KrausChannel:
 
 
 def check_channel(kraus: KrausChannel) -> KrausChannel:
-    """Require trace preservation: sum_k K^dag K = I within 1e-10."""
+    """Require 2x2 operators, as a channel acts on one qubit, and trace preservation: sum_k K^dag K = I within 1e-10."""
     kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
     if not kraus:
         raise ValidationError("a Kraus channel needs at least one operator")
-    dim = kraus[0].shape[0]
+    for j, k in enumerate(kraus):
+        if k.shape != (2, 2):
+            raise ValidationError(f"Kraus operator {j} has shape {k.shape}, expected (2, 2): a channel acts on one qubit")
     total = sum(k.conj().T @ k for k in kraus)
-    require(np.max(np.abs(total - np.eye(dim))) <= 1e-10, lambda _: "Kraus channel is not trace preserving")
+    require(np.max(np.abs(total - np.eye(2))) <= 1e-10, lambda _: "Kraus channel is not trace preserving")
     return kraus
 
 

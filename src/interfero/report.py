@@ -269,6 +269,21 @@ RECORD = np.dtype(
 
 _CONVERT = {**dict.fromkeys(INDEX_FIELDS, int), **dict.fromkeys(FLOAT_FIELDS, float)}
 
+#: One results line as :func:`_load_file` reads it: ``kind`` and ``label`` are
+#: ASCII bytes.  No valid kind fills its field, so a kind truncated to the field
+#: is never valid; a label that fills its field may have been truncated.
+BYTES_RECORD = np.dtype(
+    [
+        (name, {"kind": f"S{max(map(len, KINDS)) + 1}", "label": "S32"}.get(name, RECORD[name]))
+        for name in CSV_FIELDS
+    ]
+)
+
+#: Bytes on which Python and numpy could split or read a file differently:
+#: ``str.splitlines`` breaks lines at all but ``\x00`` and ``\x1f``, numpy's
+#: number parsers take ``\x1f`` for whitespace, and its bytes fields drop trailing NULs.
+_DECLINED_BYTES = (b"\r", b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
 
 class ResultRows(Sequence[ResultRow]):
     """The rows of a results.csv, read-only, over its per-label tables.
@@ -314,12 +329,73 @@ def read_results(csv_path: str | Path) -> ResultRows:
     is named.  A label whose rows miss a cell of its (angle_index,
     repetition) grid is a ValidationError naming ``path``.
 
-    Lines are parsed :data:`CHUNK_LINES` at a time into columns, each chunk
-    by numpy's C reader (:func:`_load_chunk`) or, where that declines it, by
-    Python's ``int`` and ``float`` (:func:`_convert_chunk`), which give the
-    same values; one sort then groups each label's cells into its table.
+    The file is read in one pass of numpy's C reader (:func:`_load_file`) or,
+    where that declines it, :data:`CHUNK_LINES` lines at a time
+    (:func:`_read_chunks`); both give the same columns, and one sort then
+    groups each label's cells into its table.
     """
     path = Path(csv_path)
+    return ResultRows(_group(path, *(_load_file(path) or _read_chunks(path))))
+
+
+def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | None:
+    """The columns of a whole results file from one ``np.loadtxt`` call; None leaves it to :func:`_read_chunks`.
+
+    Taken are only the files that :func:`_read_chunks` would split into the
+    same lines and accept whole, with the same values: ASCII text (numpy's
+    integer parser takes some non-ASCII characters as digits) with none of
+    :data:`_DECLINED_BYTES`, the exact header, and a final ``\\n``.  After
+    parsing it declines when numpy raises, when it skipped a line (it skips
+    empty ones), on an unknown kind, a label that fills its field (it may
+    be truncated) or a non-finite number.  Labels are coded once per run of
+    equal (kind, label) rows.
+    """
+    data = path.read_bytes()
+    newlines = data.count(b"\n")
+    if not (
+        data.isascii()
+        and data.startswith(CSV_HEADER.encode() + b"\n")
+        and data.endswith(b"\n")
+        and newlines > 1
+        and all(data.find(byte) < 0 for byte in _DECLINED_BYTES)
+    ):
+        return None
+    del data  # numpy reads the file itself; holding the bytes only raises the peak
+    try:
+        records = np.loadtxt(
+            path, delimiter=",", comments=None, ndmin=1, dtype=BYTES_RECORD, skiprows=1, encoding="ascii"
+        )
+    except ValueError:
+        return None
+    n = len(records)
+    if n != newlines - 1:
+        return None
+    kind, label = records["kind"], records["label"]
+    head = np.ones(n, dtype=bool)
+    head[1:] = (kind[1:] != kind[:-1]) | (label[1:] != label[:-1])
+    starts = np.flatnonzero(head)
+    kinds = [KIND_CODES.get(k.decode()) for k in kind[starts].tolist()]
+    names = label[starts].tolist()
+    if None in kinds or max(map(len, names)) == label.itemsize:
+        return None
+    labels: dict[str, int] = {}
+    codes = [labels.setdefault(name.decode(), len(labels)) for name in names]
+    runs = np.diff(starts, append=n)
+    ints = np.stack([np.repeat(codes, runs), np.repeat(kinds, runs), records["angle_index"], records["repetition"]])
+    floats = np.stack([records[name] for name in FLOAT_FIELDS])
+    if not np.isfinite(floats).all():
+        return None
+    return ints, floats, list(labels), None
+
+
+def _read_chunks(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None]:
+    """The columns of a results file read :data:`CHUNK_LINES` lines at a time, and its first line fault.
+
+    Each chunk goes through numpy's C reader (:func:`_load_chunk`) or, where
+    that declines it, through Python's ``int`` and ``float``
+    (:func:`_convert_chunk`), which give the same values.  Only the rows
+    before the first line that is faulty on its own are given.
+    """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or unexpected results header")
@@ -335,7 +411,7 @@ def read_results(csv_path: str | Path) -> ResultRows:
             _parse_chunk(chunk[:j], ints, floats, start - 1, labels)
             parsed, fault = start - 1 + j, (start - 1 + j, message)
             break
-    return ResultRows(_group(path, ints[:, :parsed], floats[:, :parsed], list(labels), fault))
+    return ints[:, :parsed], floats[:, :parsed], list(labels), fault
 
 
 def _parse_chunk(chunk: list[str], ints: np.ndarray, floats: np.ndarray, row: int, labels: dict[str, int]) -> bool:

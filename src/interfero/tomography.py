@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -77,8 +78,7 @@ def expectation_from_counts(counts: dict[str, float], setting: str) -> float:
     for bits, count in counts.items():
         if len(bits) != n or not set(bits) <= {"0", "1"}:
             raise ValidationError(f"bitstring {bits!r} does not match {n} qubit(s)")
-        if count < 0:
-            raise ValidationError(f"negative count for outcome {bits!r}")
+        require(0 <= count < math.inf, lambda _: f"count for outcome {bits!r} must be finite and >= 0, got {count!r}")
         acc += signs[int(bits, 2)] * count
         total += count
     if total <= 0:

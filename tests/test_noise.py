@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,26 @@ def test_non_trace_preserving_channel_rejected():
         check_channel((np.array([[1.0, 0.0], [0.0, 0.5]]),))
     with pytest.raises(ValidationError):
         NoiseModel(channels=((np.array([[1.0, 0.0], [0.0, 0.5]]),),))
+
+
+@pytest.mark.parametrize(
+    "channel, bad, shape",
+    [
+        ((np.eye(3),), 0, (3, 3)),
+        ((np.eye(2), np.eye(3)), 1, (3, 3)),
+        ((np.eye(4),), 0, (4, 4)),
+        ((np.ones(2),), 0, (2,)),
+        ((np.eye(2)[None],), 0, (1, 2, 2)),
+        ((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.ones((2, 3))), 1, (2, 3)),
+    ],
+)
+def test_a_kraus_operator_that_is_not_2x2_is_a_one_line_error(channel, bad, shape):
+    message = f"Kraus operator {bad} has shape {shape}, expected (2, 2): a channel acts on one qubit"
+    with pytest.raises(ValidationError) as info:
+        check_channel(channel)
+    assert str(info.value) == message
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        NoiseModel(channels=(depolarizing(0.1), channel))
 
 
 def test_strength_bounds():

@@ -545,6 +545,21 @@ def clean_lines():
     return result_csv(bmzi).splitlines() + result_csv(pqe).splitlines()[1:]
 
 
+def _outcome(path):
+    """The tables ``read_results`` gives for ``path``, or its error message."""
+    try:
+        return read_results(path).tables
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _chunked_outcome(path):
+    """:func:`_outcome` with the whole-file reader declining every file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_load_file", lambda path: None)
+        return _outcome(path)
+
+
 def _records_identical(a, b):
     assert a.dtype == b.dtype and len(a) == len(b)
     for name in a.dtype.names:
@@ -573,7 +588,7 @@ MANGLED = (
     "1_0", "\u0661", "1\u01fe", "\x1f", "1\x1f", "nan", "-inf", "1e400", str(2**63), str(-(2**63)),
     str(-(2**63) - 1), "+1", " 1 ", "\t1", "1.0", "", "-0.0", ".5", "1e-320", "0.10000000000000000555", "1\x00",
 )
-ODD_LABELS = ("\u03bb", "\xe4", "a#b", "#", "  lead", "trail\x00", "x\x1fy", "b")
+ODD_LABELS = ("\u03bb", "\xe4", "a#b", "#", "  lead", "trail\x00", "x\x1fy", "b", "w" * 31, "w" * 32, "w" * 33)
 
 
 @st.composite
@@ -618,17 +633,89 @@ def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_li
             exact = report._convert_chunk([line])
             assert exact is not None, line
             _records_identical(fast, exact)
-    outcomes = []
+    # the reader as it stands, then the chunked reader with and without the C reader
+    outcomes = [_outcome(path)]
     for load_chunk in (report._load_chunk, lambda chunk: None):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(report, "_load_file", lambda path: None)
             mp.setattr(report, "CHUNK_LINES", chunk_lines)
             mp.setattr(report, "_load_chunk", load_chunk)
-            try:
-                outcomes.append(read_results(path).tables)
-            except ValidationError as exc:
-                outcomes.append(str(exc))
-    fast, exact = outcomes
-    if isinstance(exact, str):
-        assert fast == exact
+            outcomes.append(_outcome(path))
+    *fast_outcomes, exact = outcomes
+    for fast in fast_outcomes:
+        if isinstance(exact, str):
+            assert fast == exact
+        else:
+            _tables_equal(fast, exact)
+
+
+LABEL_BYTES = report.BYTES_RECORD["label"].itemsize
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda t: t.replace(",b,", f",{'w' * LABEL_BYTES},"), id="label-fills-its-field"),
+        pytest.param(lambda t: t.replace(",b,", f",{'w' * (LABEL_BYTES + 1)},"), id="label-one-byte-longer"),
+        pytest.param(lambda t: t.replace(",b,", ",b\x00,"), id="nul-in-label"),
+        pytest.param(lambda t: t.replace(",b,", ",x\x1fy,"), id="unit-separator-in-label"),
+        pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(lambda t: t.replace(",b,", ",\u03bb,"), id="non-ascii-label"),
+        pytest.param(lambda t: t.replace("\n", "\n\n", 3), id="empty-line"),
+        pytest.param(lambda t: t.replace("bmzi,", "bmzix,", 1), id="kind-bmzix"),
+        pytest.param(lambda t: t.rstrip("\n"), id="no-final-newline"),
+        pytest.param(lambda t: t.replace("kind,", "kind ,", 1), id="header"),
+        pytest.param(lambda t: re.sub(r"^(pqe,q,1,[^,]*,1,)[^,]*", r"\g<1>inf", t, flags=re.M), id="non-finite-number"),
+        pytest.param(lambda t: t.replace(",b,1,", ",b,1_0,", 1), id="numpy-raises"),
+        pytest.param(lambda t: t.split("\n", 1)[0] + "\n", id="header-only"),
+    ],
+)
+def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_lines, mutate):
+    clean = "\n".join(clean_lines) + "\n"
+    text = mutate(clean)
+    assert text != clean
+    path = tmp_path / "results.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert report._load_file(path) is None
+    outcome, chunked = _outcome(path), _chunked_outcome(path)
+    if isinstance(chunked, str):
+        assert outcome == chunked
     else:
-        _tables_equal(fast, exact)
+        _tables_equal(outcome, chunked)
+
+
+def test_the_whole_file_reader_takes_a_label_one_byte_short_of_its_field(tmp_path, clean_lines):
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(clean_lines).replace(",b,", f",{'w' * (LABEL_BYTES - 1)},") + "\n", encoding="utf-8")
+    assert report._load_file(path) is not None
+    _tables_equal(_outcome(path), _chunked_outcome(path))
+    assert list(_outcome(path)) == ["w" * (LABEL_BYTES - 1), "q"]
+
+
+def test_interleaved_labels_are_coded_run_by_run(tmp_path, clean_lines):
+    rows = clean_lines[1:]
+    b, q = [line for line in rows if ",b," in line], [line for line in rows if ",q," in line]
+    assert len(b) > len(q) > 1
+    # every row starts a new run of (kind, label), and the labels change order twice
+    interleaved = [line for pair in zip(b, q) for line in pair] + b[len(q) :]
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join([CSV_HEADER, *interleaved]) + "\n", encoding="utf-8")
+    ints, floats, labels, fault = report._load_file(path)
+    assert labels == ["b", "q"] and fault is None
+    assert ints[0].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
+    assert ints[1].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
+    _tables_equal(_outcome(path), _chunked_outcome(path))
+
+
+def test_a_file_interfero_run_writes_takes_the_whole_file_reader(tmp_path, monkeypatch):
+    config = tmp_path / "noisy.cfg"
+    config.write_text("kind = pqe\nangle_points = 5\nrepetitions = 3\nshots = 100\ndepolarizing = 0.02\n", encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    def unreached(*args):
+        raise AssertionError("the chunked reader was reached")
+
+    monkeypatch.setattr(report, "_convert_chunk", unreached)
+    monkeypatch.setattr(report, "_read_chunks", unreached)
+    rows = read_results(tmp_path / "out" / "results.csv")
+    assert list(rows.tables) == ["0-1"] and rows.tables["0-1"].coherence.shape == (5, 3)

@@ -93,6 +93,16 @@ def test_expectation_from_counts_guards():
         expectation_from_counts({"00": 10}, "Z")
 
 
+@pytest.mark.parametrize(
+    "counts, bad",
+    [({"0": float("nan")}, "0"), ({"0": 1, "1": float("inf")}, "1"), ({"0": 5, "1": -1}, "1"), ({"1": -np.inf}, "1")],
+)
+def test_expectation_from_counts_rejects_a_count_that_is_negative_or_not_finite(counts, bad):
+    with pytest.raises(ValidationError) as info:
+        expectation_from_counts(counts, "Z")
+    assert str(info.value) == f"count for outcome {bad!r} must be finite and >= 0, got {counts[bad]!r}"
+
+
 @pytest.mark.parametrize("bits, setting", [("2", "Z"), ("a", "Z"), ("0a", "ZZ"), ("21", "ZI"), ("1 ", "IZ")])
 def test_expectation_from_counts_rejects_keys_that_are_not_bitstrings(bits, setting):
     n = len(setting)
