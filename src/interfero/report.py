@@ -250,7 +250,7 @@ def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[
     return path
 
 
-#: Lines :func:`read_results` parses in one step; bounds its transient field lists.
+#: Lines :func:`_read_chunks` converts in one step; bounds its transient field lists.
 CHUNK_LINES = 4096
 
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
@@ -258,8 +258,8 @@ KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 INDEX_FIELDS = ("angle_index", "repetition")
 FLOAT_FIELDS = ("angle", *CSV_FIELDS[5:])
 
-#: One results line as :func:`read_results` converts it; ``kind`` and
-#: ``label`` stay Python strings, so no label is truncated.
+#: One results line as :func:`_convert_chunk` converts it; ``kind`` and
+#: ``label`` stay Python strings.
 RECORD = np.dtype(
     [
         (name, np.int64 if name in INDEX_FIELDS else np.float64 if name in FLOAT_FIELDS else object)
@@ -269,20 +269,16 @@ RECORD = np.dtype(
 
 _CONVERT = {**dict.fromkeys(INDEX_FIELDS, int), **dict.fromkeys(FLOAT_FIELDS, float)}
 
-#: One results line as :func:`_load_file` reads it: ``kind`` and ``label`` are
-#: ASCII bytes.  No valid kind fills its field, so a kind truncated to the field
-#: is never valid; a label that fills its field may have been truncated.
-BYTES_RECORD = np.dtype(
-    [
-        (name, {"kind": f"S{max(map(len, KINDS)) + 1}", "label": "S32"}.get(name, RECORD[name]))
-        for name in CSV_FIELDS
-    ]
-)
+#: Width of ``kind`` as :func:`_load_file` reads it; no valid kind fills it,
+#: so a kind truncated to the field is never valid.
+KIND_BYTES = f"S{max(map(len, KINDS)) + 1}"
 
 #: Bytes on which Python and numpy could split or read a file differently:
-#: ``str.splitlines`` breaks lines at all but ``\x00`` and ``\x1f``, numpy's
-#: number parsers take ``\x1f`` for whitespace, and its bytes fields drop trailing NULs.
-_DECLINED_BYTES = (b"\r", b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: ``str.splitlines`` breaks lines at all but ``\x00`` and ``\x1f`` (and at
+#: three non-ASCII characters, see :func:`_is_utf8_without_unicode_breaks`),
+#: numpy's number parsers take ``\x1f`` for whitespace, and its bytes fields
+#: drop trailing NULs.
+_DECLINED_BYTES = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class ResultRows(Sequence[ResultRow]):
@@ -339,47 +335,57 @@ def read_results(csv_path: str | Path) -> ResultRows:
 
 
 def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | None:
-    """The columns of a whole results file from one ``np.loadtxt`` call; None leaves it to :func:`_read_chunks`.
+    """The columns of a whole results file from one ``np.loadtxt`` call.
 
-    Taken are only the files that :func:`_read_chunks` would split into the
-    same lines and accept whole, with the same values: ASCII text (numpy's
-    integer parser takes some non-ASCII characters as digits) with none of
-    :data:`_DECLINED_BYTES`, the exact header, and a final ``\\n``.  After
-    parsing it declines when numpy raises, when it skipped a line (it skips
-    empty ones), on an unknown kind, a label that fills its field (it may
-    be truncated) or a non-finite number.  Labels are coded once per run of
-    equal (kind, label) rows.
+    None when numpy could split or read the file differently from
+    :func:`_read_chunks`, or when the file has a fault; that reader then
+    gives its columns or names its fault.
     """
+    header = CSV_HEADER.encode()
     data = path.read_bytes()
-    newlines = data.count(b"\n")
     if not (
-        data.isascii()
-        and data.startswith(CSV_HEADER.encode() + b"\n")
-        and data.endswith(b"\n")
-        and newlines > 1
+        data[: len(header) + 1] in (header + b"\n", header + b"\r")
+        and (data.isascii() or _is_utf8_without_unicode_breaks(data))
         and all(data.find(byte) < 0 for byte in _DECLINED_BYTES)
     ):
         return None
-    del data  # numpy reads the file itself; holding the bytes only raises the peak
+    # lines end at \n, \r\n and a lone \r, for numpy's universal newlines as for splitlines
+    lines = data.count(b"\n") + (data[-1:] not in (b"\n", b"\r"))
+    if b"\r" in data:
+        lines += data.count(b"\r") - data.count(b"\r\n")
+    # With nine commas on every line, each label lies between its line's first two, so a field
+    # as wide as the longest label truncates none; with nine per line on average but not on
+    # every line, some line has more, and numpy raises on it.  One label far longer than the
+    # rest would make the field cost more memory than the chunked reader.
+    commas = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(","))
+    if lines < 2 or len(commas) != 9 * lines:
+        return None
+    width = int(np.diff(commas.reshape(lines, 9)[:, :2]).max()) - 1
+    if width * lines > 4 * len(data):
+        return None
+    del data, commas  # holding these while numpy parses only raises the peak
+    dtype = np.dtype([(name, {"kind": KIND_BYTES, "label": f"S{width}"}.get(name, RECORD[name])) for name in CSV_FIELDS])
+    # numpy reads the file again, assuming that nothing writes it meanwhile.  Through latin-1
+    # each byte is one character, so a label keeps its UTF-8 bytes, and a number holding a
+    # non-ASCII character fails: its first byte (0xc2 to 0xf4) reads as a letter, × or ÷
     try:
-        records = np.loadtxt(
-            path, delimiter=",", comments=None, ndmin=1, dtype=BYTES_RECORD, skiprows=1, encoding="ascii"
-        )
+        records = np.loadtxt(path, delimiter=",", comments=None, ndmin=1, dtype=dtype, skiprows=1, encoding="latin-1")
     except ValueError:
         return None
     n = len(records)
-    if n != newlines - 1:
+    if n != lines - 1:  # numpy split the lines differently
         return None
     kind, label = records["kind"], records["label"]
+    # labels are coded once per run of equal (kind, label) rows
     head = np.ones(n, dtype=bool)
     head[1:] = (kind[1:] != kind[:-1]) | (label[1:] != label[:-1])
     starts = np.flatnonzero(head)
-    kinds = [KIND_CODES.get(k.decode()) for k in kind[starts].tolist()]
-    names = label[starts].tolist()
-    if None in kinds or max(map(len, names)) == label.itemsize:
+    # a kind cut short mid-character decodes to U+FFFD, which is no kind
+    kinds = [KIND_CODES.get(k.decode(errors="replace")) for k in kind[starts].tolist()]
+    if None in kinds:
         return None
     labels: dict[str, int] = {}
-    codes = [labels.setdefault(name.decode(), len(labels)) for name in names]
+    codes = [labels.setdefault(name.decode(), len(labels)) for name in label[starts].tolist()]
     runs = np.diff(starts, append=n)
     ints = np.stack([np.repeat(codes, runs), np.repeat(kinds, runs), records["angle_index"], records["repetition"]])
     floats = np.stack([records[name] for name in FLOAT_FIELDS])
@@ -388,13 +394,21 @@ def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | N
     return ints, floats, list(labels), None
 
 
+def _is_utf8_without_unicode_breaks(data: bytes) -> bool:
+    """Whether ``data`` is UTF-8 without U+0085, U+2028 or U+2029, where ``str.splitlines`` breaks lines."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return False
+    return all(text.find(char) < 0 for char in "\x85\u2028\u2029")
+
+
 def _read_chunks(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None]:
     """The columns of a results file read :data:`CHUNK_LINES` lines at a time, and its first line fault.
 
-    Each chunk goes through numpy's C reader (:func:`_load_chunk`) or, where
-    that declines it, through Python's ``int`` and ``float``
-    (:func:`_convert_chunk`), which give the same values.  Only the rows
-    before the first line that is faulty on its own are given.
+    Each chunk goes through Python's ``int`` and ``float``
+    (:func:`_convert_chunk`).  Only the rows before the first line that is
+    faulty on its own are given.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -418,11 +432,9 @@ def _parse_chunk(chunk: list[str], ints: np.ndarray, floats: np.ndarray, row: in
     """Parse ``chunk`` into the columns from ``row`` on; False when one of its lines is faulty on its own."""
     if not chunk:
         return True
-    records = _load_chunk(chunk)
+    records = _convert_chunk(chunk)
     if records is None:
-        records = _convert_chunk(chunk)
-        if records is None:
-            return False
+        return False
     kinds, names = records["kind"], records["label"]
     if not KIND_CODES.keys() >= set(kinds):
         return False
@@ -436,30 +448,6 @@ def _parse_chunk(chunk: list[str], ints: np.ndarray, floats: np.ndarray, row: in
     for k, name in enumerate(FLOAT_FIELDS):
         floats[k, row:end] = records[name]
     return bool(np.isfinite(floats[:, row:end]).all())
-
-
-def _load_chunk(chunk: list[str]) -> np.ndarray | None:
-    """``chunk`` as :data:`RECORD` rows from numpy's C reader; None leaves it to :func:`_convert_chunk`.
-
-    Declined are the chunks where numpy could differ from Python's ``int``
-    and ``float``: one with an empty line (numpy skips those, and warns on a
-    chunk of nothing else), with non-ASCII text (its integer parser takes
-    some non-ASCII characters as digits) or with ``\\x1f`` (both its number
-    parsers take it for whitespace).  On the rest numpy accepts no number
-    that Python rejects and parses every other one to the same value.  A
-    chunk numpy raises on is declined too, so the exact conversion finds
-    the fault.
-    """
-    if "" in chunk:
-        return None
-    text = "\n".join(chunk)
-    if not text.isascii() or "\x1f" in text:
-        return None
-    try:
-        records = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=RECORD)
-    except ValueError:
-        return None
-    return records if len(records) == len(chunk) else None
 
 
 def _convert_chunk(chunk: list[str]) -> np.ndarray | None:

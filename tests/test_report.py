@@ -560,35 +560,51 @@ def _chunked_outcome(path):
         return _outcome(path)
 
 
-def _records_identical(a, b):
-    assert a.dtype == b.dtype and len(a) == len(b)
-    for name in a.dtype.names:
-        if a.dtype[name] == object:
-            assert a[name].tolist() == b[name].tolist()
-        else:
-            assert a[name].tobytes() == b[name].tobytes()
+def _assert_read_like_the_chunked_reader(path):
+    """The reader as it stands gives the tables, or the error, of the chunked reader alone."""
+    outcome, chunked = _outcome(path), _chunked_outcome(path)
+    if isinstance(chunked, str):
+        assert outcome == chunked
+    else:
+        _tables_equal(outcome, chunked)
 
 
-def test_the_c_reader_declines_the_text_it_could_read_differently(clean_lines):
-    data = clean_lines[1:]
-    _records_identical(report._load_chunk(data), report._convert_chunk(data))
-    assert report._load_chunk([CSV_HEADER]) is None
-    assert report._load_chunk(data[:3] + [""] + data[3:]) is None  # numpy would skip the empty line
+def _columns_identical(a, b):
+    """Two (ints, floats, labels, fault) column sets hold the same values, bit for bit."""
+    assert a[2:] == b[2:]
+    for x, y in zip(a[:2], b[:2]):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _write_lines(path, lines):
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return path
+
+
+def test_the_c_reader_declines_the_text_it_could_read_differently(tmp_path, clean_lines):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    _columns_identical(report._load_file(path), report._read_chunks(path))
+    assert report._load_file(_write_lines(path, clean_lines[:1])) is None
+    # numpy would skip the empty line
+    assert report._load_file(_write_lines(path, clean_lines[:3] + [""] + clean_lines[3:])) is None
     for index in ("1\u01fe", "1\x1f"):  # numpy reads these as 472 and 1, Python's int rejects them
-        parts = data[0].split(",")
+        parts = clean_lines[1].split(",")
         parts[2] = index
-        assert report._load_chunk([",".join(parts)]) is None
+        assert report._load_file(_write_lines(path, [CSV_HEADER, ",".join(parts)])) is None
         assert report._convert_chunk([",".join(parts)]) is None
-    relabelled = [line.replace(",b,", ",\u03bb,") for line in data]
-    assert report._load_chunk(relabelled) is None
-    assert report._convert_chunk(relabelled)["label"][0] == "\u03bb"
+    # a non-ASCII label keeps its UTF-8 bytes through numpy's latin-1 reading
+    relabelled = [line.replace(",b,", ",\u03bb,") for line in clean_lines]
+    ints, floats, labels, fault = report._load_file(_write_lines(path, relabelled))
+    assert labels == ["\u03bb", "q"] and fault is None
+    _columns_identical((ints, floats, labels, fault), report._read_chunks(path))
 
 
 MANGLED = (
     "1_0", "\u0661", "1\u01fe", "\x1f", "1\x1f", "nan", "-inf", "1e400", str(2**63), str(-(2**63)),
     str(-(2**63) - 1), "+1", " 1 ", "\t1", "1.0", "", "-0.0", ".5", "1e-320", "0.10000000000000000555", "1\x00",
+    "1\xa0", "\xc5",
 )
-ODD_LABELS = ("\u03bb", "\xe4", "a#b", "#", "  lead", "trail\x00", "x\x1fy", "b", "w" * 31, "w" * 32, "w" * 33)
+ODD_LABELS = ("\u03bb", "\xe4", "a#b", "#", "  lead", "trail\x00", "x\x1fy", "b", "w" * 31, "w" * 32, "w" * 33, "w" * 300)
 
 
 @st.composite
@@ -616,58 +632,48 @@ def mutated_results(draw, lines):
             lines.insert(k, draw(st.sampled_from(("", " ", "\t"))))
             continue
         lines[k] = ",".join(parts)
-    end = draw(st.sampled_from(("\n", "\r\n")))
-    return end.join(lines) + end
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return end.join(lines) + draw(st.sampled_from((end, "")))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), chunk_lines=st.sampled_from((1, 3, CHUNK_LINES)))
 def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_lines, data, chunk_lines):
     text = data.draw(mutated_results(clean_lines))
-    path = tmp_path_factory.mktemp("differential") / "results.csv"
+    directory = tmp_path_factory.mktemp("differential")
+    path = directory / "results.csv"
     path.write_bytes(text.encode("utf-8"))
     # a line the C reader converts, Python converts to the same values
-    for line in text.splitlines():
-        fast = report._load_chunk([line])
+    line_path = directory / "line.csv"
+    for line in text.splitlines()[1:]:
+        _write_lines(line_path, [CSV_HEADER, line])
+        fast = report._load_file(line_path)
         if fast is not None:
-            exact = report._convert_chunk([line])
-            assert exact is not None, line
-            _records_identical(fast, exact)
-    # the reader as it stands, then the chunked reader with and without the C reader
-    outcomes = [_outcome(path)]
-    for load_chunk in (report._load_chunk, lambda chunk: None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(report, "_load_file", lambda path: None)
-            mp.setattr(report, "CHUNK_LINES", chunk_lines)
-            mp.setattr(report, "_load_chunk", load_chunk)
-            outcomes.append(_outcome(path))
-    *fast_outcomes, exact = outcomes
-    for fast in fast_outcomes:
-        if isinstance(exact, str):
-            assert fast == exact
-        else:
-            _tables_equal(fast, exact)
-
-
-LABEL_BYTES = report.BYTES_RECORD["label"].itemsize
+            _columns_identical(fast, report._read_chunks(line_path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "CHUNK_LINES", chunk_lines)
+        _assert_read_like_the_chunked_reader(path)
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        pytest.param(lambda t: t.replace(",b,", f",{'w' * LABEL_BYTES},"), id="label-fills-its-field"),
-        pytest.param(lambda t: t.replace(",b,", f",{'w' * (LABEL_BYTES + 1)},"), id="label-one-byte-longer"),
         pytest.param(lambda t: t.replace(",b,", ",b\x00,"), id="nul-in-label"),
         pytest.param(lambda t: t.replace(",b,", ",x\x1fy,"), id="unit-separator-in-label"),
-        pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
-        pytest.param(lambda t: t.replace(",b,", ",\u03bb,"), id="non-ascii-label"),
+        pytest.param(lambda t: t.replace(",b,", ",x\x0cy,"), id="form-feed-in-label"),
+        pytest.param(lambda t: t.replace(",b,", ",x\x85y,"), id="next-line-in-label"),
+        pytest.param(lambda t: t.replace(",b,", ",x\u2028y,"), id="line-separator-in-label"),
         pytest.param(lambda t: t.replace("\n", "\n\n", 3), id="empty-line"),
+        pytest.param(lambda t: re.sub(r"\n.*", "\n \n\t", t, count=1, flags=re.S), id="only-blank-lines"),
         pytest.param(lambda t: t.replace("bmzi,", "bmzix,", 1), id="kind-bmzix"),
-        pytest.param(lambda t: t.rstrip("\n"), id="no-final-newline"),
+        pytest.param(lambda t: t.replace("bmzi,", "bmzi\xe9,", 1), id="kind-non-ascii"),
         pytest.param(lambda t: t.replace("kind,", "kind ,", 1), id="header"),
         pytest.param(lambda t: re.sub(r"^(pqe,q,1,[^,]*,1,)[^,]*", r"\g<1>inf", t, flags=re.M), id="non-finite-number"),
         pytest.param(lambda t: t.replace(",b,1,", ",b,1_0,", 1), id="numpy-raises"),
+        pytest.param(lambda t: t.replace(",b,1,", ",b,\u0661,", 1), id="non-ascii-digit"),
         pytest.param(lambda t: t.split("\n", 1)[0] + "\n", id="header-only"),
+        pytest.param(lambda t: t.replace(",b,", f",{'w' * 4000},", 1), id="one-line-far-longer-than-the-rest"),
+        pytest.param(lambda t: t.replace(",b,", ",\udce4,"), id="label-not-utf8"),  # written as the byte 0xe4
     ],
 )
 def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_lines, mutate):
@@ -675,21 +681,32 @@ def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_li
     text = mutate(clean)
     assert text != clean
     path = tmp_path / "results.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert report._load_file(path) is None
-    outcome, chunked = _outcome(path), _chunked_outcome(path)
-    if isinstance(chunked, str):
-        assert outcome == chunked
-    else:
-        _tables_equal(outcome, chunked)
+    _assert_read_like_the_chunked_reader(path)
 
 
-def test_the_whole_file_reader_takes_a_label_one_byte_short_of_its_field(tmp_path, clean_lines):
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(lambda t: t.replace("\n", "\r"), id="lone-cr"),
+        pytest.param(lambda t: t.replace("\n", "\r", 4), id="mixed-line-ends"),
+        pytest.param(lambda t: t.rstrip("\n"), id="no-final-newline"),
+        pytest.param(lambda t: t.replace(",b,", ",\u03bb\xe5\U0001f600,"), id="non-ascii-label"),
+        pytest.param(lambda t: t.replace(",b,", f",{'w' * 300},"), id="long-label"),
+        pytest.param(lambda t: t.replace(",b,", ",w w\t ,"), id="label-with-inner-and-trailing-whitespace"),
+    ],
+)
+def test_the_whole_file_reader_takes_what_numpy_reads_as_python_does(tmp_path, clean_lines, mutate):
+    clean = "\n".join(clean_lines) + "\n"
+    text = mutate(clean)
+    assert text != clean
     path = tmp_path / "results.csv"
-    path.write_text("\n".join(clean_lines).replace(",b,", f",{'w' * (LABEL_BYTES - 1)},") + "\n", encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     assert report._load_file(path) is not None
-    _tables_equal(_outcome(path), _chunked_outcome(path))
-    assert list(_outcome(path)) == ["w" * (LABEL_BYTES - 1), "q"]
+    _assert_read_like_the_chunked_reader(path)
+    assert len(_outcome(path)) == 2
 
 
 def test_interleaved_labels_are_coded_run_by_run(tmp_path, clean_lines):
@@ -707,9 +724,11 @@ def test_interleaved_labels_are_coded_run_by_run(tmp_path, clean_lines):
     _tables_equal(_outcome(path), _chunked_outcome(path))
 
 
-def test_a_file_interfero_run_writes_takes_the_whole_file_reader(tmp_path, monkeypatch):
+@pytest.mark.parametrize("label", [None, "\u03c8-\u03b1 " + "w" * 200])
+def test_a_file_interfero_run_writes_takes_the_whole_file_reader(tmp_path, monkeypatch, label):
     config = tmp_path / "noisy.cfg"
-    config.write_text("kind = pqe\nangle_points = 5\nrepetitions = 3\nshots = 100\ndepolarizing = 0.02\n", encoding="utf-8")
+    text = "kind = pqe\nangle_points = 5\nrepetitions = 3\nshots = 100\ndepolarizing = 0.02\n"
+    config.write_text(text + (f"label = {label}\n" if label else ""), encoding="utf-8")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
     def unreached(*args):
@@ -718,4 +737,4 @@ def test_a_file_interfero_run_writes_takes_the_whole_file_reader(tmp_path, monke
     monkeypatch.setattr(report, "_convert_chunk", unreached)
     monkeypatch.setattr(report, "_read_chunks", unreached)
     rows = read_results(tmp_path / "out" / "results.csv")
-    assert list(rows.tables) == ["0-1"] and rows.tables["0-1"].coherence.shape == (5, 3)
+    assert list(rows.tables) == [label or "0-1"] and rows.tables[label or "0-1"].coherence.shape == (5, 3)
