@@ -16,7 +16,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -273,13 +273,6 @@ _CONVERT = {**dict.fromkeys(INDEX_FIELDS, int), **dict.fromkeys(FLOAT_FIELDS, fl
 #: so a kind truncated to the field is never valid.
 KIND_BYTES = f"S{max(map(len, KINDS)) + 1}"
 
-#: Bytes on which Python and numpy could split or read a file differently:
-#: ``str.splitlines`` breaks lines at all but ``\x00`` and ``\x1f`` (and at
-#: three non-ASCII characters, see :func:`_is_utf8_without_unicode_breaks`),
-#: numpy's number parsers take ``\x1f`` for whitespace, and its bytes fields
-#: drop trailing NULs.
-_DECLINED_BYTES = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
 
 class ResultRows(Sequence[ResultRow]):
     """The rows of a results.csv, read-only, over its per-label tables.
@@ -346,24 +339,40 @@ def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | N
     if not (
         data[: len(header) + 1] in (header + b"\n", header + b"\r")
         and (data.isascii() or _is_utf8_without_unicode_breaks(data))
-        and all(data.find(byte) < 0 for byte in _DECLINED_BYTES)
     ):
         return None
+    # The commas, and the control bytes: the line ends and the bytes read differently, which are
+    # sought in the file only when one is there.  (Keeping every separator's position in one
+    # pass cost as much time and more memory.)
+    b = np.frombuffer(data, np.uint8)
+    commas = np.flatnonzero(b == ord(","))
+    control = b[b < ord(" ")]
+    # \x0b, \x0c and \x1c to \x1e break lines for str.splitlines, not for numpy (uint8 differences
+    # wrap, so each range is one test).  numpy's number parsers take \x1f for whitespace and its
+    # bytes fields drop trailing NULs, so \x1f and \x00 may lie in a label only, \x00 not at its end.
+    if ((control - 0x0B < 2) | (control - 0x1C < 3)).any():
+        return None
     # lines end at \n, \r\n and a lone \r, for numpy's universal newlines as for splitlines
-    lines = data.count(b"\n") + (data[-1:] not in (b"\n", b"\r"))
-    if b"\r" in data:
-        lines += data.count(b"\r") - data.count(b"\r\n")
+    lines = int(np.count_nonzero(control == ord("\n"))) + (data[-1:] not in (b"\n", b"\r"))
+    if (control == ord("\r")).any():
+        cr = np.flatnonzero(b == ord("\r"))
+        lines += len(cr) - int(np.count_nonzero(b[cr[cr + 1 < len(b)] + 1] == ord("\n")))
     # With nine commas on every line, each label lies between its line's first two, so a field
     # as wide as the longest label truncates none; with nine per line on average but not on
     # every line, some line has more, and numpy raises on it.  One label far longer than the
     # rest would make the field cost more memory than the chunked reader.
-    commas = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(","))
     if lines < 2 or len(commas) != 9 * lines:
         return None
+    if ((control == 0) | (control == 0x1F)).any():
+        # a byte lies in its line's label when the commas before it number 1 modulo 9
+        odd = np.flatnonzero((b == 0) | (b == 0x1F))
+        field = np.searchsorted(commas, odd)
+        if not ((field % 9 == 1) & ((b[odd] == 0x1F) | (commas.take(field, mode="clip") > odd + 1))).all():
+            return None
     width = int(np.diff(commas.reshape(lines, 9)[:, :2]).max()) - 1
     if width * lines > 4 * len(data):
         return None
-    del data, commas  # holding these while numpy parses only raises the peak
+    del data, b, commas  # holding these while numpy parses only raises the peak
     dtype = np.dtype([(name, {"kind": KIND_BYTES, "label": f"S{width}"}.get(name, RECORD[name])) for name in CSV_FIELDS])
     # numpy reads the file again, assuming that nothing writes it meanwhile.  Through latin-1
     # each byte is one character, so a label keeps its UTF-8 bytes, and a number holding a
@@ -498,65 +507,81 @@ def _group(
     ``fault`` is the first row that is faulty on its own, if any; only the
     rows before it are given.  The lowest row that is faulty on its own or
     against earlier rows is a ValidationError, then the first missing cell.
+    Rows in (label, angle_index, repetition) order, as ``interfero run``
+    writes them, are grouped where they are, so each grid is a view of
+    ``floats``; other rows are first sorted into that order.
     """
+    kind_at, angle_at = ints[1], floats[0]  # by line
+    line = np.arange(ints.shape[1])  # the line of each row as the columns run, counted from 0
+    if not _in_order(ints[0], ints[2], ints[3]):
+        # stable, so the rows of a cell stay in file order
+        line = np.lexsort((ints[3], ints[2], ints[0]))
+        ints, floats = ints.take(line, axis=1), floats.take(line, axis=1)
     code, kind, index, rep = ints
     angle = floats[0]
     n = len(code)
-    # stable, so the rows of a cell stay in file order
-    order = np.lexsort((rep, index, code))
-    c, i, r = code[order], index[order], rep[order]
     new_label = np.ones(n, dtype=bool)
-    new_label[1:] = c[1:] != c[:-1]
+    new_label[1:] = code[1:] != code[:-1]
     new_angle = new_label.copy()
-    new_angle[1:] |= i[1:] != i[:-1]
+    new_angle[1:] |= index[1:] != index[:-1]
     new_cell = new_angle.copy()
-    new_cell[1:] |= r[1:] != r[:-1]
+    new_cell[1:] |= rep[1:] != rep[:-1]
 
-    def first_rows(new: np.ndarray) -> np.ndarray:
-        """For each row, the lowest row of its group."""
-        out = np.empty(n, dtype=np.int64)
-        out[order] = np.minimum.reduceat(order, np.flatnonzero(new))[np.cumsum(new) - 1]
-        return out
+    def first_lines(new: np.ndarray) -> np.ndarray:
+        """For each row, the lowest line of its group."""
+        return np.minimum.reduceat(line, np.flatnonzero(new))[np.cumsum(new) - 1]
 
-    label_first, angle_first, cell_first = first_rows(new_label), first_rows(new_angle), first_rows(new_cell)
-    bad = (kind != kind[label_first]) | (angle != angle[angle_first]) | (cell_first != np.arange(n))
+    label_first, angle_first = first_lines(new_label), first_lines(new_angle)
+    # a later row of a cell is a duplicate, as the sort keeps a cell's rows in file order
+    bad = (kind != kind_at[label_first]) | (angle != angle_at[angle_first]) | ~new_cell
     if bad.any():
-        k = int(np.argmax(bad))
+        k = int(np.flatnonzero(bad)[np.argmin(line[bad])])
         label, i0 = labels[code[k]], int(index[k])
-        if kind[k] != kind[label_first[k]]:
-            message = f"label {label!r} has kind {KINDS[kind[k]]!r}, but {KINDS[kind[label_first[k]]]!r} on earlier rows"
-        elif angle[k] != angle[angle_first[k]]:
+        if kind[k] != kind_at[label_first[k]]:
+            message = f"label {label!r} has kind {KINDS[kind[k]]!r}, but {KINDS[kind_at[label_first[k]]]!r} on earlier rows"
+        elif angle[k] != angle_at[angle_first[k]]:
             message = (
                 f"label {label!r}, angle index {i0} has angle {float(angle[k])!r}, "
-                f"but {float(angle[angle_first[k]])!r} on earlier rows"
+                f"but {float(angle_at[angle_first[k]])!r} on earlier rows"
             )
         else:
             message = (
                 f"duplicate row for label {label!r}, angle index {i0}, repetition {int(rep[k])} "
-                f"(first at line {cell_first[k] + 2})"
+                f"(first at line {first_lines(new_cell)[k] + 2})"
             )
-        fault = (k, message)
+        fault = (int(line[k]), message)
     if fault is not None:
         raise ValidationError(f"{path}:{fault[0] + 2}: {fault[1]}")
     if n == 0:
         raise ValidationError(f"{path}: no data rows")
-    # each label's rows are one block of the sorted columns, angle-major
-    columns = floats.take(order, axis=1)  # C-contiguous, so every (n, m) grid is too
+    # each label's rows are one block of the columns, angle-major
     bounds = np.append(np.flatnonzero(new_label), n)
     tables = {}
     for label, a, b in zip(labels, bounds[:-1], bounds[1:]):
-        angle_indices, reps = i[a:b][new_angle[a:b]], np.unique(r[a:b])
-        # with no duplicates, a label holds its full grid exactly when the counts agree
-        if b - a != len(angle_indices) * len(reps):
+        angle_indices = index[a:b][new_angle[a:b]]
+        # Each angle's repetitions rise, so they repeat the first angle's in every block of its
+        # length exactly when each angle has those repetitions: the label's full grid.
+        grid = rep[a:b].reshape(len(angle_indices), -1) if (b - a) % len(angle_indices) == 0 else None
+        if grid is None or (grid != grid[0]).any():
+            reps = np.unique(rep[a:b])
             held = np.zeros((len(angle_indices), len(reps)), dtype=bool)
-            held[np.searchsorted(angle_indices, i[a:b]), np.searchsorted(reps, r[a:b])] = True
+            held[np.searchsorted(angle_indices, index[a:b]), np.searchsorted(reps, rep[a:b])] = True
             q, s = divmod(int(np.argmin(held)), len(reps))
             raise ValidationError(
                 f"{path}: label {label!r}: missing row for angle index {angle_indices[q]}, repetition {reps[s]}"
             )
-        angles, *metrics = columns[:, a:b].reshape(len(columns), len(angle_indices), len(reps))
-        tables[label] = SweepTable(KINDS[kind[order[a]]], label, angles[:, 0], *metrics)
+        # floats is C-contiguous, so every (n, m) grid is too
+        angles, *metrics = floats[:, a:b].reshape(len(floats), *grid.shape)
+        tables[label] = SweepTable(KINDS[kind[a]], label, angles[:, 0], *metrics)
     return tables
+
+
+def _in_order(code: np.ndarray, index: np.ndarray, rep: np.ndarray) -> bool:
+    """Whether no row's (code, index, rep) key is below the row before it, so a stable sort moves no row."""
+    rising = rep[1:] >= rep[:-1]
+    for key in (index, code):
+        rising = (key[1:] > key[:-1]) | (key[1:] == key[:-1]) & rising
+    return bool(rising.all())
 
 
 def reports_from_rows(rows: ResultRows) -> dict[str, MseReport]:
@@ -626,14 +651,17 @@ def render_curves(curve: CurveData) -> str:
     )
     y_min, y_max = -0.05, y_top_data
 
-    def sx(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+    # points are mapped as arrays, each by the operations a single float takes, and each x is formatted once
+    x_text = [f"{x:.2f}" for x in (left + (curve.angles - x_lo) / (x_hi - x_lo) * plot_w).tolist()]
 
-    def sy(y: float) -> float:
+    def sy(y):
         return top + (y_max - y) / (y_max - y_min) * plot_h
 
-    def polyline(xs, ys, color: str, stroke_width: float, opacity: float = 1.0) -> str:
-        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
+    def y_text(ys: np.ndarray) -> list[str]:
+        return [f"{y:.2f}" for y in sy(ys).tolist()]
+
+    def polyline(ys: np.ndarray, color: str, stroke_width: float, opacity: float = 1.0) -> str:
+        pts = " ".join(map("{},{}".format, x_text, y_text(ys)))
         return (
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke_width}" opacity="{opacity:.2f}"/>'
@@ -659,9 +687,9 @@ def render_curves(curve: CurveData) -> str:
             f'<line x1="{left - 4}" y1="{sy(y_val):.2f}" x2="{left}" y2="{sy(y_val):.2f}" stroke="black"/>'
         )
     # thin theory lines in the background
-    parts.append(polyline(curve.angles, curve.theory_c + curve.theory_p, "#999999", 0.8))
-    parts.append(polyline(curve.angles, curve.theory_c, "#d9b38c", 0.8))
-    parts.append(polyline(curve.angles, curve.theory_p, "#9cb8d9", 0.8))
+    parts.append(polyline(curve.theory_c + curve.theory_p, "#999999", 0.8))
+    parts.append(polyline(curve.theory_c, "#d9b38c", 0.8))
+    parts.append(polyline(curve.theory_p, "#9cb8d9", 0.8))
     # error bars then mean curves
     for mean, std, key in (
         (curve.mean_sum, curve.std_sum, "sum"),
@@ -669,14 +697,12 @@ def render_curves(curve: CurveData) -> str:
         (curve.mean_p, curve.std_p, "predictability"),
     ):
         color = CURVE_COLORS[key]
-        for x, m, s in zip(curve.angles, mean, std):
-            if s > 0:
-                parts.append(
-                    f'<line x1="{sx(float(x)):.2f}" y1="{sy(float(m - s)):.2f}" '
-                    f'x2="{sx(float(x)):.2f}" y2="{sy(float(m + s)):.2f}" '
-                    f'stroke="{color}" stroke-width="0.7" opacity="0.6"/>'
-                )
-        parts.append(polyline(curve.angles, mean, color, 1.6))
+        bar = std > 0
+        parts.extend(
+            f'<line x1="{x}" y1="{y1}" x2="{x}" y2="{y2}" stroke="{color}" stroke-width="0.7" opacity="0.6"/>'
+            for x, y1, y2 in zip(compress(x_text, bar.tolist()), y_text((mean - std)[bar]), y_text((mean + std)[bar]))
+        )
+        parts.append(polyline(mean, color, 1.6))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -81,6 +81,7 @@ def expectation_from_counts(counts: dict[str, float], setting: str) -> float:
         require(0 <= count < math.inf, lambda _: f"count for outcome {bits!r} must be finite and >= 0, got {count!r}")
         acc += signs[int(bits, 2)] * count
         total += count
+    require(total < math.inf, lambda _: "counts table total overflows a float")
     if total <= 0:
         raise ValidationError("counts table has no shots")
     return float(acc / total)

@@ -25,7 +25,7 @@ from interfero import (
 )
 from interfero import report
 from interfero.cli import main, parse_config
-from interfero.experiments import BLOCK_CELLS, SweepTable
+from interfero.experiments import BLOCK_CELLS, METRICS, SweepTable
 from interfero.report import (
     CHUNK_LINES,
     CSV_HEADER,
@@ -457,10 +457,16 @@ def test_crlf_line_ends_are_accepted(tmp_path, noisy_result):
 
 
 def test_read_tables_are_c_contiguous_grids(tmp_path, noisy_result):
-    table = read_results(write_results(noisy_result, tmp_path)["results"]).tables[noisy_result.config.run_label]
-    assert table.coherence.shape == (6, 3)
-    assert all(getattr(table, name).flags.c_contiguous for name in ("coherence", "predictability", "total"))
-    assert np.array_equal(table.angles, np.round(noisy_result.angles, 12))
+    path = write_results(noisy_result, tmp_path)["results"]
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    reversed_path = tmp_path / "reversed.csv"
+    reversed_path.write_text("\n".join([header, *body[::-1]]) + "\n", encoding="utf-8")
+    # rows in file order are grouped where they are, reversed ones after a sort
+    for p in (path, reversed_path):
+        table = read_results(p).tables[noisy_result.config.run_label]
+        assert table.coherence.shape == (6, 3)
+        assert all(getattr(table, name).flags.c_contiguous for name in METRICS)
+        assert np.array_equal(table.angles, np.round(noisy_result.angles, 12))
 
 
 @pytest.fixture(scope="module")
@@ -604,7 +610,10 @@ MANGLED = (
     str(-(2**63) - 1), "+1", " 1 ", "\t1", "1.0", "", "-0.0", ".5", "1e-320", "0.10000000000000000555", "1\x00",
     "1\xa0", "\xc5",
 )
-ODD_LABELS = ("\u03bb", "\xe4", "a#b", "#", "  lead", "trail\x00", "x\x1fy", "b", "w" * 31, "w" * 32, "w" * 33, "w" * 300)
+ODD_LABELS = (
+    "\u03bb", "\xe4", "a#b", "#", "  lead", "trail\x00", "x\x1fy", "b", "w" * 31, "w" * 32, "w" * 33, "w" * 300,
+    "s\x1f1", "\x1fs", "s1\x1f", "\x1f", "s\x001", "\x00s", "\x00", "s\x00\x00",
+)
 
 
 @st.composite
@@ -659,7 +668,8 @@ def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_li
     "mutate",
     [
         pytest.param(lambda t: t.replace(",b,", ",b\x00,"), id="nul-in-label"),
-        pytest.param(lambda t: t.replace(",b,", ",x\x1fy,"), id="unit-separator-in-label"),
+        pytest.param(lambda t: t.replace(",b,1,", ",b,1\x1f,", 1), id="unit-separator-in-a-number"),
+        pytest.param(lambda t: t.replace(",b,1,", ",b,\x001,", 1), id="nul-in-a-number"),
         pytest.param(lambda t: t.replace(",b,", ",x\x0cy,"), id="form-feed-in-label"),
         pytest.param(lambda t: t.replace(",b,", ",x\x85y,"), id="next-line-in-label"),
         pytest.param(lambda t: t.replace(",b,", ",x\u2028y,"), id="line-separator-in-label"),
@@ -696,6 +706,9 @@ def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_li
         pytest.param(lambda t: t.replace(",b,", ",\u03bb\xe5\U0001f600,"), id="non-ascii-label"),
         pytest.param(lambda t: t.replace(",b,", f",{'w' * 300},"), id="long-label"),
         pytest.param(lambda t: t.replace(",b,", ",w w\t ,"), id="label-with-inner-and-trailing-whitespace"),
+        pytest.param(lambda t: t.replace(",b,", ",x\x1fy,"), id="unit-separator-in-label"),
+        pytest.param(lambda t: t.replace(",b,", ",\x1fb\x1f,"), id="unit-separators-ending-a-label"),
+        pytest.param(lambda t: t.replace(",b,", ",\x00b\x00b,"), id="nul-inside-a-label"),
     ],
 )
 def test_the_whole_file_reader_takes_what_numpy_reads_as_python_does(tmp_path, clean_lines, mutate):
@@ -722,6 +735,78 @@ def test_interleaved_labels_are_coded_run_by_run(tmp_path, clean_lines):
     assert ints[0].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
     assert ints[1].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
     _tables_equal(_outcome(path), _chunked_outcome(path))
+
+
+def _sorted_outcome(path):
+    """:func:`_outcome` with the rows sorted before they are grouped, in order or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_in_order", lambda *keys: False)
+        return _outcome(path)
+
+
+def _set_field(line, k, value):
+    parts = line.split(",")
+    parts[k] = value
+    return ",".join(parts)
+
+
+def _angle(line):
+    return float(line.split(",")[3])
+
+
+# Each case changes the data rows of ``clean_lines``: label b's 3 angles x 2 repetitions (lines
+# 2-7), then label q's 2 x 2 (lines 8-11).  Expected: whether the rows stay in order, then the
+# error of the file and of its reversed copy, or None where both give the clean tables.
+GROUPING_CASES = {
+    "labels-interleaved": (lambda rows: rows[:2] + rows[6:] + rows[2:6], False, None, None),
+    "repetitions-reversed": (lambda rows: rows[:2] + rows[3:1:-1] + rows[4:], False, None, None),
+    "adjacent-duplicate": (
+        lambda rows: rows[:3] + rows[2:],
+        True,
+        ":5: duplicate row for label 'b', angle index 1, repetition 0 (first at line 4)",
+        ":10: duplicate row for label 'b', angle index 1, repetition 0 (first at line 9)",
+    ),
+    "missing-cell": (
+        lambda rows: rows[:3] + rows[4:],
+        True,
+        ": label 'b': missing row for angle index 1, repetition 1",
+        ": label 'b': missing row for angle index 1, repetition 1",
+    ),
+    "later-angle-differs": (
+        lambda rows: rows[:3] + [_set_field(rows[3], 3, "9.000000000000")] + rows[4:],
+        True,
+        ":5: label 'b', angle index 1 has angle 9.0, but {a} on earlier rows",
+        ":9: label 'b', angle index 1 has angle {a}, but 9.0 on earlier rows",
+    ),
+    "kind-changes-within-a-label": (
+        lambda rows: rows[:4] + [_set_field(rows[4], 0, "pqe")] + rows[5:],
+        True,
+        ":6: label 'b' has kind 'pqe', but 'bmzi' on earlier rows",
+        ":7: label 'b' has kind 'pqe', but 'bmzi' on earlier rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GROUPING_CASES)
+def test_rows_in_order_and_sorted_rows_group_alike(tmp_path, clean_lines, case):
+    mutate, in_order, error, reversed_error = GROUPING_CASES[case]
+    header, *rows = clean_lines
+    assert [line.split(",")[1] for line in rows] == ["b"] * 6 + ["q"] * 4
+    clean = _outcome(_write_lines(tmp_path / "clean.csv", clean_lines))
+    changed = mutate(rows)
+    angle = _angle(rows[2])
+    for path, rows_in_order, expected in (
+        (_write_lines(tmp_path / "results.csv", [header, *changed]), in_order, error),
+        (_write_lines(tmp_path / "reversed.csv", [header, *changed[::-1]]), False, reversed_error),
+    ):
+        ints = report._load_file(path)[0]
+        assert report._in_order(ints[0], ints[2], ints[3]) == rows_in_order
+        outcome = _outcome(path)
+        if expected is None:
+            _tables_equal(clean, {label: outcome[label] for label in clean})
+            _tables_equal(outcome, _sorted_outcome(path))
+        else:
+            assert outcome == f"{path}{expected.format(a=angle)}" == _sorted_outcome(path)
 
 
 @pytest.mark.parametrize("label", [None, "\u03c8-\u03b1 " + "w" * 200])

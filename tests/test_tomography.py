@@ -103,6 +103,12 @@ def test_expectation_from_counts_rejects_a_count_that_is_negative_or_not_finite(
     assert str(info.value) == f"count for outcome {bad!r} must be finite and >= 0, got {counts[bad]!r}"
 
 
+@pytest.mark.parametrize("counts", [{"0": 1.5e308, "1": 1e308}, {"00": 1e308, "01": 1e308, "10": 0.0}])
+def test_expectation_from_counts_rejects_a_total_that_overflows(counts):
+    with pytest.raises(ValidationError, match=r"^counts table total overflows a float$"):
+        expectation_from_counts(counts, "Z" * len(next(iter(counts))))
+
+
 @pytest.mark.parametrize("bits, setting", [("2", "Z"), ("a", "Z"), ("0a", "ZZ"), ("21", "ZI"), ("1 ", "IZ")])
 def test_expectation_from_counts_rejects_keys_that_are_not_bitstrings(bits, setting):
     n = len(setting)
