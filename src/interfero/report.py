@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+from array import array
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import compress, repeat
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -250,24 +251,10 @@ def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[
     return path
 
 
-#: Lines :func:`_read_chunks` converts in one step; bounds its transient field lists.
-CHUNK_LINES = 4096
-
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 INDEX_FIELDS = ("angle_index", "repetition")
 FLOAT_FIELDS = ("angle", *CSV_FIELDS[5:])
-
-#: One results line as :func:`_convert_chunk` converts it; ``kind`` and
-#: ``label`` stay Python strings.
-RECORD = np.dtype(
-    [
-        (name, np.int64 if name in INDEX_FIELDS else np.float64 if name in FLOAT_FIELDS else object)
-        for name in CSV_FIELDS
-    ]
-)
-
-_CONVERT = {**dict.fromkeys(INDEX_FIELDS, int), **dict.fromkeys(FLOAT_FIELDS, float)}
 
 #: Width of ``kind`` as :func:`_load_file` reads it; no valid kind fills it,
 #: so a kind truncated to the field is never valid.
@@ -319,19 +306,19 @@ def read_results(csv_path: str | Path) -> ResultRows:
     repetition) grid is a ValidationError naming ``path``.
 
     The file is read in one pass of numpy's C reader (:func:`_load_file`) or,
-    where that declines it, :data:`CHUNK_LINES` lines at a time
-    (:func:`_read_chunks`); both give the same columns, and one sort then
-    groups each label's cells into its table.
+    where that declines it, line by line with Python's ``int`` and ``float``
+    (:func:`_read_lines`); both give the same columns, which :func:`_group`
+    then groups into each label's table.
     """
     path = Path(csv_path)
-    return ResultRows(_group(path, *(_load_file(path) or _read_chunks(path))))
+    return ResultRows(_group(path, *(_load_file(path) or _read_lines(path))))
 
 
 def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | None:
     """The columns of a whole results file from one ``np.loadtxt`` call.
 
     None when numpy could split or read the file differently from
-    :func:`_read_chunks`, or when the file has a fault; that reader then
+    :func:`_read_lines`, or when the file has a fault; that reader then
     gives its columns or names its fault.
     """
     header = CSV_HEADER.encode()
@@ -360,7 +347,7 @@ def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | N
     # With nine commas on every line, each label lies between its line's first two, so a field
     # as wide as the longest label truncates none; with nine per line on average but not on
     # every line, some line has more, and numpy raises on it.  One label far longer than the
-    # rest would make the field cost more memory than the chunked reader.
+    # rest would make the field cost more memory than the line-by-line reader.
     if lines < 2 or len(commas) != 9 * lines:
         return None
     if ((control == 0) | (control == 0x1F)).any():
@@ -373,7 +360,8 @@ def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | N
     if width * lines > 4 * len(data):
         return None
     del data, b, commas  # holding these while numpy parses only raises the peak
-    dtype = np.dtype([(name, {"kind": KIND_BYTES, "label": f"S{width}"}.get(name, RECORD[name])) for name in CSV_FIELDS])
+    numbers = [(name, np.int64 if name in INDEX_FIELDS else np.float64) for name in CSV_FIELDS[2:]]
+    dtype = np.dtype([("kind", KIND_BYTES), ("label", f"S{width}"), *numbers])
     # numpy reads the file again, assuming that nothing writes it meanwhile.  Through latin-1
     # each byte is one character, so a label keeps its UTF-8 bytes, and a number holding a
     # non-ASCII character fails: its first byte (0xc2 to 0xf4) reads as a letter, × or ÷
@@ -412,80 +400,44 @@ def _is_utf8_without_unicode_breaks(data: bytes) -> bool:
     return all(text.find(char) < 0 for char in "\x85\u2028\u2029")
 
 
-def _read_chunks(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None]:
-    """The columns of a results file read :data:`CHUNK_LINES` lines at a time, and its first line fault.
+def _read_lines(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None]:
+    """The columns of a results file, each line converted by Python's ``int`` and ``float``, and its first line fault.
 
-    Each chunk goes through Python's ``int`` and ``float``
-    (:func:`_convert_chunk`).  Only the rows before the first line that is
-    faulty on its own are given.
+    Only the rows before the first line that is faulty on its own are given.
+    The text's lines are the peak of memory, about 2.5 times the file's bytes.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or unexpected results header")
-    # per row: label code, kind code, angle_index, repetition; and angle, then the metrics
-    ints = np.empty((4, len(lines) - 1), dtype=np.int64)
-    floats = np.empty((1 + len(METRICS), len(lines) - 1))
+    # per row: label code; kind code, angle_index, repetition; angle, then the metrics
+    codes, ints, floats = array("q"), array("q"), array("d")
     labels: dict[str, int] = {}
-    parsed, fault = len(lines) - 1, None
-    for start in range(1, len(lines), CHUNK_LINES):
-        chunk = lines[start : start + CHUNK_LINES]
-        if not _parse_chunk(chunk, ints, floats, start - 1, labels):
-            j, message = next((j, m) for j, m in enumerate(map(_line_fault, chunk)) if m)
-            _parse_chunk(chunk[:j], ints, floats, start - 1, labels)
-            parsed, fault = start - 1 + j, (start - 1 + j, message)
+    for line in islice(lines, 1, None):
+        try:  # a wrong field count fails the unpacking
+            kind, label, index, angle, repetition, coherence, predictability, total, raw, violation = line.split(",")
+            ints.extend((KIND_CODES[kind], int(index), int(repetition)))  # OverflowError beyond 64 bits
+            floats.extend(map(float, (angle, coherence, predictability, total, raw, violation)))
+        except (KeyError, ValueError, OverflowError):
             break
-    return ints[:, :parsed], floats[:, :parsed], list(labels), fault
-
-
-def _parse_chunk(chunk: list[str], ints: np.ndarray, floats: np.ndarray, row: int, labels: dict[str, int]) -> bool:
-    """Parse ``chunk`` into the columns from ``row`` on; False when one of its lines is faulty on its own."""
-    if not chunk:
-        return True
-    records = _convert_chunk(chunk)
-    if records is None:
-        return False
-    kinds, names = records["kind"], records["label"]
-    if not KIND_CODES.keys() >= set(kinds):
-        return False
-    for name in dict.fromkeys(names):
-        labels.setdefault(name, len(labels))
-    end = row + len(chunk)
-    ints[0, row:end] = list(map(labels.__getitem__, names))
-    ints[1, row:end] = list(map(KIND_CODES.__getitem__, kinds))
-    ints[2, row:end] = records["angle_index"]
-    ints[3, row:end] = records["repetition"]
-    for k, name in enumerate(FLOAT_FIELDS):
-        floats[k, row:end] = records[name]
-    return bool(np.isfinite(floats[:, row:end]).all())
-
-
-def _convert_chunk(chunk: list[str]) -> np.ndarray | None:
-    """``chunk`` as :data:`RECORD` rows through Python's ``int`` and ``float``; None when a line does not convert."""
-    if list(map(str.count, chunk, repeat(","))).count(9) != len(chunk):
-        return None
-    fields = ",".join(chunk).split(",")
-    records = np.empty(len(chunk), dtype=RECORD)
-    try:
-        for k, name in enumerate(CSV_FIELDS):
-            records[name] = list(map(_CONVERT.get(name, str), fields[k::10]))
-    except (ValueError, OverflowError):
-        return None
-    return records
+        codes.append(labels.setdefault(label, len(labels)))  # only once the row has converted
+    del ints[3 * len(codes) :], floats[6 * len(codes) :]  # what a failed row appended before it failed
+    values = np.frombuffer(floats).reshape(-1, 6)
+    # the rows are kept up to the first that failed or that holds a value that is not finite
+    kept = int(np.argmin(np.append(np.isfinite(values).all(axis=1), False)))
+    fault = None if kept == len(lines) - 1 else (kept, _line_fault(lines[kept + 1]))
+    del lines  # freed before the columns are copied, so the text's lines stay the peak
+    keys = np.vstack((np.frombuffer(codes, np.int64), np.frombuffer(ints, np.int64).reshape(-1, 3).T))
+    return keys[:, :kept], values.T[:, :kept].copy(), list(labels), fault
 
 
 def _line_fault(line: str) -> str | None:
-    """What is wrong with one results line on its own, or None."""
+    """What is wrong with one results line on its own, or None: the first of a wrong field count, an
+    unknown kind, and a numeric field that does not parse, is not finite or is an index beyond 64 bits."""
     parts = line.split(",")
     if len(parts) != 10:
         return f"expected 10 fields, got {len(parts)}"
     if parts[0] not in KINDS:
         return f"kind must be one of {KINDS}, got {parts[0]!r}"
-    return _field_error(parts)
-
-
-def _field_error(parts: list[str]) -> str | None:
-    """Describe the first numeric field of a results row that does not parse, is not finite
-    or is an index beyond 64 bits; None when there is none."""
     for name, text in zip(CSV_FIELDS[2:], parts[2:]):
         integer = name in INDEX_FIELDS
         try:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -27,7 +28,6 @@ from interfero import report
 from interfero.cli import main, parse_config
 from interfero.experiments import BLOCK_CELLS, METRICS, SweepTable
 from interfero.report import (
-    CHUNK_LINES,
     CSV_HEADER,
     FIXED12_LIMIT,
     config_lines,
@@ -469,19 +469,23 @@ def test_read_tables_are_c_contiguous_grids(tmp_path, noisy_result):
         assert np.array_equal(table.angles, np.round(noisy_result.angles, 12))
 
 
+#: A row far into :func:`long_lines`, past the first few thousand rows.
+FAR_ROW = 4096
+
+
 @pytest.fixture(scope="module")
-def two_chunk_lines():
-    """The results.csv lines of a sweep that spans two parse chunks."""
-    config = ExperimentConfig(kind="bmzi", angle_points=CHUNK_LINES // 64 + 8, repetitions=64, analytic=True)
+def long_lines():
+    """The results.csv lines of a sweep of 72 x 64 = 4,608 rows."""
+    config = ExperimentConfig(kind="bmzi", angle_points=72, repetitions=64, analytic=True)
     lines = result_csv(run_sweep(config)).splitlines()
-    assert len(lines) - 1 > CHUNK_LINES + 100
+    assert len(lines) - 1 == 4608 > FAR_ROW + 100
     return lines
 
 
 @pytest.mark.parametrize("offset", [0, 1, 57])
-def test_a_fault_in_the_second_chunk_names_its_own_line(tmp_path, two_chunk_lines, offset):
-    lines = list(two_chunk_lines)
-    ln = CHUNK_LINES + 1 + offset + 1  # line numbers count the header as line 1
+def test_a_fault_in_the_second_chunk_names_its_own_line(tmp_path, long_lines, offset):
+    lines = list(long_lines)
+    ln = FAR_ROW + 1 + offset + 1  # line numbers count the header as line 1
     parts = lines[ln - 1].split(",")
     parts[6] = "x"
     lines[ln - 1] = ",".join(parts)
@@ -492,25 +496,25 @@ def test_a_fault_in_the_second_chunk_names_its_own_line(tmp_path, two_chunk_line
     assert str(info.value) == f"{path}:{ln}: predictability must be a number, got 'x'"
 
 
-def test_a_duplicate_in_the_second_chunk_names_its_own_line(tmp_path, two_chunk_lines):
-    lines = list(two_chunk_lines)
-    ln = CHUNK_LINES + 40
+def test_a_duplicate_in_the_second_chunk_names_its_own_line(tmp_path, long_lines):
+    lines = list(long_lines)
+    ln = FAR_ROW + 40
     lines[ln - 1] = lines[ln - 3]
     lines[ln + 9] = lines[9]
     path = tmp_path / "results.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=rf":{ln}: duplicate row .* \(first at line {ln - 2}\)$"):
         read_results(path)
-    # a cell first seen in the first chunk
-    lines[ln - 1] = two_chunk_lines[ln - 1]
+    # a cell first seen thousands of rows earlier
+    lines[ln - 1] = long_lines[ln - 1]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=rf":{ln + 10}: duplicate row .* \(first at line 10\)$"):
         read_results(path)
 
 
-def test_a_line_fault_in_a_later_chunk_loses_to_a_grid_fault_in_an_earlier_one(tmp_path, two_chunk_lines):
-    lines = list(two_chunk_lines)
-    lines[CHUNK_LINES + 20] = lines[CHUNK_LINES + 20].replace("bmzi", "mzi", 1)
+def test_a_line_fault_in_a_later_chunk_loses_to_a_grid_fault_in_an_earlier_one(tmp_path, long_lines):
+    lines = list(long_lines)
+    lines[FAR_ROW + 20] = lines[FAR_ROW + 20].replace("bmzi", "mzi", 1)
     lines[9] = lines[9].replace("bmzi", "pqe", 1)
     path = tmp_path / "results.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -559,20 +563,20 @@ def _outcome(path):
         return str(exc)
 
 
-def _chunked_outcome(path):
+def _line_outcome(path):
     """:func:`_outcome` with the whole-file reader declining every file."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_load_file", lambda path: None)
         return _outcome(path)
 
 
-def _assert_read_like_the_chunked_reader(path):
-    """The reader as it stands gives the tables, or the error, of the chunked reader alone."""
-    outcome, chunked = _outcome(path), _chunked_outcome(path)
-    if isinstance(chunked, str):
-        assert outcome == chunked
+def _assert_read_like_the_line_reader(path):
+    """The reader as it stands gives the tables, or the error, of the line-by-line reader alone."""
+    outcome, by_line = _outcome(path), _line_outcome(path)
+    if isinstance(by_line, str):
+        assert outcome == by_line
     else:
-        _tables_equal(outcome, chunked)
+        _tables_equal(outcome, by_line)
 
 
 def _columns_identical(a, b):
@@ -589,7 +593,7 @@ def _write_lines(path, lines):
 
 def test_the_c_reader_declines_the_text_it_could_read_differently(tmp_path, clean_lines):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
-    _columns_identical(report._load_file(path), report._read_chunks(path))
+    _columns_identical(report._load_file(path), report._read_lines(path))
     assert report._load_file(_write_lines(path, clean_lines[:1])) is None
     # numpy would skip the empty line
     assert report._load_file(_write_lines(path, clean_lines[:3] + [""] + clean_lines[3:])) is None
@@ -597,12 +601,29 @@ def test_the_c_reader_declines_the_text_it_could_read_differently(tmp_path, clea
         parts = clean_lines[1].split(",")
         parts[2] = index
         assert report._load_file(_write_lines(path, [CSV_HEADER, ",".join(parts)])) is None
-        assert report._convert_chunk([",".join(parts)]) is None
+        assert report._read_lines(path)[3] == (0, f"angle_index must be an integer, got {index!r}")
     # a non-ASCII label keeps its UTF-8 bytes through numpy's latin-1 reading
     relabelled = [line.replace(",b,", ",\u03bb,") for line in clean_lines]
     ints, floats, labels, fault = report._load_file(_write_lines(path, relabelled))
     assert labels == ["\u03bb", "q"] and fault is None
-    _columns_identical((ints, floats, labels, fault), report._read_chunks(path))
+    _columns_identical((ints, floats, labels, fault), report._read_lines(path))
+
+
+def test_the_line_reader_holds_less_than_three_times_the_file(tmp_path, long_lines):
+    lines = list(long_lines)
+    assert lines[65].split(",")[2] == "1"
+    lines[65] = _set_field(lines[65], 2, "0_1")  # Python's int reads 1, numpy's rejects it
+    path = _write_lines(tmp_path / "results.csv", lines)
+    assert report._load_file(path) is None
+    tracemalloc.start()
+    try:
+        ints, floats, labels, fault = report._read_lines(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fault is None and ints.shape == (4, 4608) and floats.shape == (6, 4608)
+    # the text's lines are the peak; a list of every field's string would hold several times the file
+    assert peak < 3 * path.stat().st_size
 
 
 MANGLED = (
@@ -646,8 +667,8 @@ def mutated_results(draw, lines):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data(), chunk_lines=st.sampled_from((1, 3, CHUNK_LINES)))
-def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_lines, data, chunk_lines):
+@given(data=st.data())
+def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_lines, data):
     text = data.draw(mutated_results(clean_lines))
     directory = tmp_path_factory.mktemp("differential")
     path = directory / "results.csv"
@@ -658,10 +679,8 @@ def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_li
         _write_lines(line_path, [CSV_HEADER, line])
         fast = report._load_file(line_path)
         if fast is not None:
-            _columns_identical(fast, report._read_chunks(line_path))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "CHUNK_LINES", chunk_lines)
-        _assert_read_like_the_chunked_reader(path)
+            _columns_identical(fast, report._read_lines(line_path))
+    _assert_read_like_the_line_reader(path)
 
 
 @pytest.mark.parametrize(
@@ -693,7 +712,7 @@ def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_li
     path = tmp_path / "results.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert report._load_file(path) is None
-    _assert_read_like_the_chunked_reader(path)
+    _assert_read_like_the_line_reader(path)
 
 
 @pytest.mark.parametrize(
@@ -718,7 +737,7 @@ def test_the_whole_file_reader_takes_what_numpy_reads_as_python_does(tmp_path, c
     path = tmp_path / "results.csv"
     path.write_bytes(text.encode("utf-8"))
     assert report._load_file(path) is not None
-    _assert_read_like_the_chunked_reader(path)
+    _assert_read_like_the_line_reader(path)
     assert len(_outcome(path)) == 2
 
 
@@ -734,7 +753,7 @@ def test_interleaved_labels_are_coded_run_by_run(tmp_path, clean_lines):
     assert labels == ["b", "q"] and fault is None
     assert ints[0].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
     assert ints[1].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
-    _tables_equal(_outcome(path), _chunked_outcome(path))
+    _tables_equal(_outcome(path), _line_outcome(path))
 
 
 def _sorted_outcome(path):
@@ -817,9 +836,8 @@ def test_a_file_interfero_run_writes_takes_the_whole_file_reader(tmp_path, monke
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
     def unreached(*args):
-        raise AssertionError("the chunked reader was reached")
+        raise AssertionError("the line-by-line reader was reached")
 
-    monkeypatch.setattr(report, "_convert_chunk", unreached)
-    monkeypatch.setattr(report, "_read_chunks", unreached)
+    monkeypatch.setattr(report, "_read_lines", unreached)
     rows = read_results(tmp_path / "out" / "results.csv")
     assert list(rows.tables) == [label or "0-1"] and rows.tables[label or "0-1"].coherence.shape == (5, 3)
