@@ -496,7 +496,7 @@ def test_a_fault_in_the_second_chunk_names_its_own_line(tmp_path, long_lines, of
     assert str(info.value) == f"{path}:{ln}: predictability must be a number, got 'x'"
 
 
-def test_a_duplicate_in_the_second_chunk_names_its_own_line(tmp_path, long_lines):
+def test_a_duplicate_far_into_the_file_names_its_own_line(tmp_path, long_lines):
     lines = list(long_lines)
     ln = FAR_ROW + 40
     lines[ln - 1] = lines[ln - 3]
@@ -512,7 +512,7 @@ def test_a_duplicate_in_the_second_chunk_names_its_own_line(tmp_path, long_lines
         read_results(path)
 
 
-def test_a_line_fault_in_a_later_chunk_loses_to_a_grid_fault_in_an_earlier_one(tmp_path, long_lines):
+def test_a_line_fault_far_into_the_file_loses_to_a_grid_fault_on_an_earlier_line(tmp_path, long_lines):
     lines = list(long_lines)
     lines[FAR_ROW + 20] = lines[FAR_ROW + 20].replace("bmzi", "mzi", 1)
     lines[9] = lines[9].replace("bmzi", "pqe", 1)
@@ -687,6 +687,9 @@ def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_li
     "mutate",
     [
         pytest.param(lambda t: t.replace(",b,", ",b\x00,"), id="nul-in-label"),
+        pytest.param(lambda t: t.replace(",b,", ",x\x1fy,"), id="unit-separator-in-label"),
+        pytest.param(lambda t: t.replace(",b,", ",\x1fb\x1f,"), id="unit-separators-ending-a-label"),
+        pytest.param(lambda t: t.replace(",b,", ",\x00b\x00b,"), id="nul-inside-a-label"),
         pytest.param(lambda t: t.replace(",b,1,", ",b,1\x1f,", 1), id="unit-separator-in-a-number"),
         pytest.param(lambda t: t.replace(",b,1,", ",b,\x001,", 1), id="nul-in-a-number"),
         pytest.param(lambda t: t.replace(",b,", ",x\x0cy,"), id="form-feed-in-label"),
@@ -725,9 +728,6 @@ def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_li
         pytest.param(lambda t: t.replace(",b,", ",\u03bb\xe5\U0001f600,"), id="non-ascii-label"),
         pytest.param(lambda t: t.replace(",b,", f",{'w' * 300},"), id="long-label"),
         pytest.param(lambda t: t.replace(",b,", ",w w\t ,"), id="label-with-inner-and-trailing-whitespace"),
-        pytest.param(lambda t: t.replace(",b,", ",x\x1fy,"), id="unit-separator-in-label"),
-        pytest.param(lambda t: t.replace(",b,", ",\x1fb\x1f,"), id="unit-separators-ending-a-label"),
-        pytest.param(lambda t: t.replace(",b,", ",\x00b\x00b,"), id="nul-inside-a-label"),
     ],
 )
 def test_the_whole_file_reader_takes_what_numpy_reads_as_python_does(tmp_path, clean_lines, mutate):
