@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 #: The public names, under the module that defines each.
 _PUBLIC = {
-    "errors": ("ReconstructionError", "ValidationError"),
+    "errors": ("ValidationError",),
     "linalg": ("kron", "outer", "purity"),
     "noise": ("NoiseModel", "amplitude_damping", "depolarizing", "phase_damping", "readout_confusion"),
     "circuits": ("Circuit", "Gate", "sample_counts", "simulate_density", "simulate_statevector"),

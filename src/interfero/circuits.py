@@ -220,8 +220,11 @@ def counts_from_probabilities(
     shots: int | None,
     rng: np.random.Generator | None = None,
 ) -> dict[str, float]:
-    """Sampling core of :func:`sample_counts` for an outcome distribution."""
+    """Sampling core of :func:`sample_counts` for an outcome distribution over 1 or 2 qubits."""
     probs = np.asarray(probs, dtype=float)
+    require(probs.shape in ((2,), (4,)), lambda _: f"expected 2 or 4 outcome probabilities, got shape {probs.shape}")
+    require((probs >= 0) & (probs < np.inf), lambda k: f"outcome probability {float(probs[k])!r} is not in [0, inf)")
+    require(abs(probs.sum() - 1.0) <= 1e-9, lambda _: f"outcome probabilities sum to {float(probs.sum())!r}, not 1")
     n_bits = int(probs.shape[0]).bit_length() - 1
     if shots is None:
         return {_bits(i, n_bits): float(p) for i, p in enumerate(probs) if p > 0.0}

@@ -45,7 +45,7 @@ from .circuits import (
     _evolve_density,
 )
 from .complementarity import bmzi_state, l1_metrics, pqe_state
-from .errors import ReconstructionError, ValidationError
+from .errors import ValidationError
 from .linalg import check_finite, outer
 from .mse import MseReport, decompose_rows
 from .noise import NoiseModel
@@ -329,11 +329,7 @@ def _sweep_block(config: ExperimentConfig, start: int, angles: np.ndarray) -> li
     # cell k of the block's stack is repetition k % reps of angle start + k // reps
     reps = len(expectations) // len(probs)
     rho_raw = linear_inversion(expectations, config.n_qubits)
-    try:
-        rho, violation = project_psd(rho_raw)
-    except ReconstructionError as exc:
-        b, r = divmod(exc.cell[0], reps)
-        raise ReconstructionError(f"angle index {start + b}, repetition {r}: {exc}") from exc
+    rho, violation = project_psd(rho_raw)
     c, p = l1_metrics(rho)
     c_raw, p_raw = l1_metrics(rho_raw)
     columns = (c, p, c + p, c_raw + p_raw, violation)

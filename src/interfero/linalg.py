@@ -16,8 +16,9 @@ preservation, readout column sums); 1e-9 for outcome-probability sums and
 the expectation range [-1, 1] of linear inversion; 1e-8 for
 eigendecomposition residuals (the smallest eigenvalue in
 :func:`check_density_matrix`), the norm in :func:`outer` and the
-hermiticity of the l1 metrics' input; 1e-6 for the hermiticity and trace of
-the input of ``tomography.project_psd``, a raw finite-shot reconstruction.
+hermiticity of the inputs of the l1 metrics and ``tomography.trace_distance``;
+1e-6 for the hermiticity and trace of the input of ``tomography.project_psd``,
+a raw finite-shot reconstruction.
 """
 
 from __future__ import annotations

@@ -157,7 +157,11 @@ def histogram_bins(values) -> np.ndarray:
     """The bin of each value under :func:`histogram_counts`'s rule.
 
     That is ``floor(v * 60)`` clamped to the bins: values below 0 fall in the
-    first bin, values of 1 and above (inf included) in the last.
+    first bin, values of 1 and above (inf included) in the last.  A NaN is a
+    :class:`ValidationError`.
     """
-    scaled = np.floor(np.clip(np.asarray(values, dtype=float), 0.0, 1.0) * HIST_BINS)
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValidationError("an MSE value is NaN")
+    scaled = np.floor(np.clip(values, 0.0, 1.0) * HIST_BINS)
     return np.minimum(scaled, HIST_BINS - 1).astype(np.intp)

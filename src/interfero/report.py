@@ -666,20 +666,17 @@ def render_sparkline_table(rows: list[tuple[str, MseReport]]) -> tuple[str, str]
 
 
 def _sparkline_text(rows: list[tuple[str, MseReport]]) -> str:
-    header = f"{'label':>8}  {'mean':>7} {'std':>7} {'corr':>8} {'min':>7}  {'MSE histogram':<{HIST_BINS}}  {'max':>6}"
-    lines = [header]
+    width = max(8, *(len(label) for label, _ in rows))
+    header = f"{'label':>{width}}  {'mean':>7} {'std':>7} {'corr':>8} {'min':>7}  "
+    lines = [f"{header}{'MSE histogram':<{HIST_BINS}}  {'max':>6}"]
     for label, report in rows:
-        spark = _spark_glyphs(report.histogram)
         corr_text = f"{report.corr:.3f}" + ("*" if report.corr < 0 else "")
-        lines.append(
-            f"{label:>8}  {report.mean:7.3f} {report.std:7.3f} {corr_text:>8} {report.min:7.3f}"
-            f"  {spark}  {report.max:6.2f}"
-        )
+        left = f"{label:>{width}}  {report.mean:7.3f} {report.std:7.3f} {corr_text:>8} {report.min:7.3f}  "
+        lines.append(f"{left}{_spark_glyphs(report.histogram)}  {report.max:6.2f}")
         marker = [" "] * HIST_BINS
         for b in histogram_bins([report.min, report.mean, report.max]):
             marker[b] = "^"
-        prefix = " " * (len(header) - HIST_BINS - 8)
-        lines.append(prefix + "".join(marker))
+        lines.append(" " * len(left) + "".join(marker))
     return "\n".join(lines) + "\n"
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, unitary
-from .errors import ReconstructionError, ValidationError
-from .linalg import PAULI, check_stack, dagger, first, kron, require
+from .errors import ValidationError
+from .linalg import PAULI, check_stack, dagger, kron, require
 
 # Rotations mapping each Pauli eigenbasis onto the computational basis.
 BASIS_ROTATION = {
@@ -127,10 +127,9 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     array of masses over its leading axes; one matrix gives a float.  A
     matrix whose smallest eigenvalue is >= 0 comes back unchanged with mass
     0; only the others are rebuilt from their clipped spectra, and an input
-    with none of them comes back as the complex input array itself.  A
-    :class:`ReconstructionError` names the first matrix left with no
-    eigenvalue above zero in its ``cell``.  Each input matrix must be
-    Hermitian and of trace 1 within 1e-6.
+    with none of them comes back as the complex input array itself.  Each
+    input matrix must be Hermitian and of trace 1 within 1e-6, and so has a
+    positive largest eigenvalue: the clipped spectrum never sums to zero.
     """
     m = check_stack(m, "matrix to project", 1e-6, trace=1e-6)
     lam, vecs = np.linalg.eigh(m)
@@ -139,9 +138,6 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     violation = np.where(negative, -np.sum(np.minimum(lam, 0.0), axis=-1), 0.0)
     clipped = np.clip(lam, 0.0, None)
     total = clipped.sum(axis=-1)
-    dead = negative & (total <= 0.0)
-    if np.any(dead):
-        raise ReconstructionError("all eigenvalues clipped to zero; no physical state remains", first(dead))
     violation = float(violation) if violation.ndim == 0 else violation
     if not negative.any():
         return m, violation
@@ -164,7 +160,10 @@ def reconstruct(expectations: dict[str, float], n_qubits: int) -> TomographyResu
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of a - b."""
+    """Half the trace norm of a - b: two matrices of one shape, each Hermitian within 1e-8."""
+    a, b = (check_stack(m, f"matrix {name}", 1e-8) for name, m in (("a", a), ("b", b)))
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValidationError(f"trace distance needs two matrices of one shape, got shapes {a.shape} and {b.shape}")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 

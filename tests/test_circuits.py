@@ -14,6 +14,7 @@ from interfero import (
     simulate_statevector,
 )
 from interfero.circuits import (
+    counts_from_probabilities,
     ctrl_h_open,
     ctrl_ix,
     cx,
@@ -173,6 +174,31 @@ def test_sample_counts_analytic_mode():
 def test_sample_counts_rejects_zero_shots():
     with pytest.raises(ValidationError):
         sample_counts(np.array([1.0, 0.0], dtype=complex), 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shots", [None, 100])
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([0.7, 0.7], r"^outcome probabilities sum to 1\.4, not 1$"),
+        ([1.0 + 1e-8, 0.0], r"^outcome probabilities sum to 1\.00000001, not 1$"),
+        ([np.nan, 1.0], r"^outcome probability nan is not in \[0, inf\)$"),
+        ([0.25, 0.25, -0.5, 1.0], r"^outcome probability -0\.5 is not in \[0, inf\)$"),
+        ([np.inf, 0.0], r"^outcome probability inf is not in \[0, inf\)$"),
+        ([0.2, 0.3, 0.5], r"^expected 2 or 4 outcome probabilities, got shape \(3,\)$"),
+        ([[0.5, 0.5]], r"^expected 2 or 4 outcome probabilities, got shape \(1, 2\)$"),
+        (1.0, r"^expected 2 or 4 outcome probabilities, got shape \(\)$"),
+    ],
+    ids=["sum-1.4", "sum-1+1e-8", "nan", "negative", "inf", "three-outcomes", "2-d", "scalar"],
+)
+def test_counts_from_probabilities_rejects_what_is_not_a_distribution(probs, message, shots):
+    with pytest.raises(ValidationError, match=message):
+        counts_from_probabilities(probs, shots, np.random.default_rng(0))
+
+
+def test_counts_from_probabilities_takes_a_distribution_within_1e_9():
+    assert counts_from_probabilities([0.5, 0.5 + 1e-10], None) == {"0": 0.5, "1": 0.5 + 1e-10}
+    assert counts_from_probabilities([0.0, 0.0, 0.0, 1.0], 100, np.random.default_rng(0)) == {"11": 100}
 
 
 def test_sample_counts_reproducible_for_fixed_seed():

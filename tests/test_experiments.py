@@ -193,20 +193,6 @@ def test_depolarizing_noise_lowers_the_sum_monotonically():
     assert mse_means[0] < mse_means[1] < mse_means[2]
 
 
-def test_reconstruction_failure_carries_cell_context(monkeypatch):
-    import interfero.experiments as exp
-    from interfero import ReconstructionError
-
-    def boom(stack):
-        # the projection of one angle's stack reports its failing repetition
-        raise ReconstructionError("no physical state remains", cell=(0,))
-
-    monkeypatch.setattr(exp, "project_psd", boom)
-    config = ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, analytic=True)
-    with pytest.raises(ReconstructionError, match=r"angle index 0, repetition 0"):
-        run_sweep(config)
-
-
 def test_sampled_sweep_respects_the_bound_after_projection():
     config = ExperimentConfig(kind="bmzi", angle_points=4, repetitions=4, shots=200, master_seed=31)
     result = run_sweep(config)

@@ -135,6 +135,20 @@ def test_histogram_clamps_and_counts_overflow():
     assert sum(counts) == 7
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: summarize([0.1, np.nan]),
+        lambda: histogram_counts([np.nan]),
+        lambda: decompose(series_from_deviations([0.1, np.nan], [0.0, 0.2])),
+    ],
+    ids=["summarize", "histogram_counts", "decompose"],
+)
+def test_a_nan_mse_value_is_a_one_line_validation_error(call):
+    with pytest.raises(ValidationError, match=r"^an MSE value is NaN$"):
+        call()
+
+
 def test_series_length_validation():
     with pytest.raises(ValidationError):
         MetricSeries(

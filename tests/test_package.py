@@ -15,7 +15,6 @@ SRC = str(Path(interfero.__file__).resolve().parent.parent)
 PUBLIC = {
     "__version__",
     "ValidationError",
-    "ReconstructionError",
     "kron",
     "outer",
     "purity",
@@ -99,7 +98,7 @@ def test_every_public_name_is_the_object_its_module_defines():
         "print(json.dumps([interfero.__all__, sorted(set(star) - {'__builtins__'}), dir(interfero), owners, same]))\n"
     )
     all_, star, listed, owners, same = surface
-    assert len(all_) == len(set(all_)) == 53 and set(all_) == PUBLIC
+    assert len(all_) == len(set(all_)) == 52 and set(all_) == PUBLIC
     assert set(star) == set(listed) == PUBLIC
     assert all(owner.startswith("interfero.") for owner in owners.values())
     assert same == all_[1:]

@@ -355,6 +355,16 @@ def test_sparkline_normalisation_peak_is_full_height():
     assert spark[0] == " "  # empty bins stay blank
 
 
+@pytest.mark.parametrize("label", ["q", "a-label-of-15ch"])
+def test_sparkline_markers_sit_under_the_min_mean_and_max_bins(label):
+    shown = summarize([0.05, 0.2, 0.5])
+    lines = render_sparkline_table([("s0", shown), (label, shown)])[0].splitlines()
+    start = lines[0].index("MSE histogram")
+    for row, marker in zip(lines[1::2], lines[2::2]):
+        assert len(row) == len(lines[0]) and row[start : start + 60] == report._spark_glyphs(shown.histogram)
+        assert [k - start for k, ch in enumerate(marker) if ch == "^"] == [3, 15, 30]  # min 0.05, mean 0.25, max 0.5
+
+
 def test_sparkline_rejects_empty():
     with pytest.raises(ValidationError):
         render_sparkline_table([])

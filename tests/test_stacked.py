@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import interfero.circuits as circuits
 import interfero.experiments as exp
-from interfero import Circuit, ExperimentConfig, NoiseModel, ReconstructionError, ValidationError, run_sweep
+from interfero import Circuit, ExperimentConfig, NoiseModel, ValidationError, run_sweep
 from interfero.circuits import ctrl_ix, cx, ix, phase, rx_neg, simulate_density, unitary
 from interfero.linalg import check_density_matrix, random_unitary
 from interfero.report import result_csv
@@ -105,25 +105,6 @@ def test_bytes_do_not_depend_on_threads_or_block_size(kind, angle_points, repeti
     reference = _sweep_bytes(config)
     for threads in (1, 2, 3):
         assert _sweep_bytes(config, threads=threads, block=block) == reference
-
-
-def test_a_reconstruction_failure_names_its_angle_across_blocks(monkeypatch):
-    real = exp.project_psd
-    seen = []
-
-    def fail_in_the_third_block(stack):
-        seen.append(len(stack))
-        if len(seen) == 3:
-            # the block holds angles 4 and 5 with 3 repetitions each: cell 4 is angle 5, repetition 1
-            raise ReconstructionError("no physical state remains", cell=(4,))
-        return real(stack)
-
-    monkeypatch.setattr(exp, "BLOCK_CELLS", 7)  # two angles of 3 repetitions per block
-    monkeypatch.setattr(exp, "project_psd", fail_in_the_third_block)
-    config = ExperimentConfig(kind="bmzi", angle_points=7, repetitions=3, shots=50)
-    with pytest.raises(ReconstructionError, match=r"^angle index 5, repetition 1: no physical state remains$"):
-        run_sweep(config)
-    assert seen == [6, 6, 6]
 
 
 def test_a_sweep_simulates_once_per_block_and_qubit_rotation(monkeypatch):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from interfero import (
-    ReconstructionError,
     ValidationError,
     basis_change,
     build_bmzi,
@@ -21,7 +20,7 @@ from interfero import (
     trace_distance,
 )
 from interfero.tomography import PAULI
-from interfero.linalg import kron
+from interfero.linalg import check_stack, kron
 
 
 def exact_expectations(state, n_qubits):
@@ -198,6 +197,32 @@ def test_project_psd_input_guards():
         project_psd(np.array([[0.5, 0.3], [0.1, 0.5]]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_every_matrix_that_passes_the_check_projects_to_a_trace_one_state(d):
+    # an exactly Hermitian H with Tr H >= 1 - 1e-6 keeps an eigenvalue of at least max(Tr H / d, |H| / 3)
+    rng = np.random.default_rng(2012 + d)
+    n = 3000
+    diag = rng.uniform(-1.0, 1.0, (n, d))
+    diag += (1.0 + rng.uniform(-1.5e-6, 1.5e-6, (n, 1)) - diag.sum(axis=1, keepdims=True)) / d
+    off = 10.0 ** rng.uniform(-20.0, 300.0, (n, 1, 1)) * rng.uniform(0.0, 1.0, (n, d, d))
+    upper = np.triu(off * np.exp(2j * np.pi * rng.uniform(size=(n, d, d))), 1)
+    stack = upper + np.conj(np.swapaxes(upper, -1, -2)) + diag[:, :, None] * np.eye(d)
+    passing = []
+    for m in stack:
+        try:
+            passing.append(check_stack(m, "matrix", 1e-6, trace=1e-6))
+        except ValidationError:
+            pass
+    assert len(passing) > n // 2
+    out, violation = project_psd(np.array(passing))
+    rebuilt = violation > 0
+    trace = np.trace(out, axis1=-2, axis2=-1)
+    assert np.isfinite(out).all() and np.isfinite(violation).all()
+    assert np.all(np.abs(trace - 1.0) <= 1e-6) and np.all(np.abs(trace[rebuilt] - 1.0) <= 1e-12)
+    assert np.all(np.linalg.eigvalsh(out)[:, 0] >= -1e-12)
+    assert rebuilt.any() or d == 1
+
+
 def test_roundtrip_exact_expectations_random_pure_states():
     rng = np.random.default_rng(29)
     for n_qubits in (1, 2):
@@ -224,8 +249,17 @@ def test_statistical_consistency_many_shots():
     assert good >= 95
 
 
-def test_reconstruction_error_type_exists():
-    assert issubclass(ReconstructionError, RuntimeError)
+def test_trace_distance_is_half_the_trace_norm_of_two_hermitian_matrices():
+    assert trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0, abs=1e-15)
+    assert trace_distance(np.eye(4) / 4, np.eye(4) / 4) == 0.0
+    with pytest.raises(ValidationError, match=r"^matrix a is not Hermitian within 1e-8$"):
+        trace_distance([[1, 1], [0, 0]], np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match=r"^matrix b has a non-finite entry$"):
+        trace_distance(np.eye(2) / 2, np.diag([np.nan, 1.0]))
+    with pytest.raises(ValidationError, match=r"^trace distance needs two matrices of one shape, got shapes \(2, 2\)"):
+        trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+    with pytest.raises(ValidationError, match=r"got shapes \(3, 2, 2\) and \(3, 2, 2\)$"):
+        trace_distance(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
 
 
 def test_linear_inversion_of_a_stack_matches_each_state():
