@@ -136,6 +136,13 @@ def _conjugate(op: np.ndarray, qubits: tuple[int, ...], n_qubits: int, rho: np.n
     return _apply(op, qubits, n_qubits, dagger(_apply(op, qubits, n_qubits, rho)))
 
 
+def _apply_channel(superoperator: np.ndarray, q: int, n_qubits: int, rho: np.ndarray) -> np.ndarray:
+    """One-qubit superoperator ``S[a, b, a', b']`` on qubit ``q`` of ``rho``, bitwise the same for any stack size."""
+    p, r = 1 << (n_qubits - 1 - q), 1 << q
+    out = np.einsum("abcd,...icjkdl->...iajkbl", superoperator, rho.reshape(*rho.shape[:-2], p, 2, r, p, 2, r))
+    return out.reshape(rho.shape)
+
+
 def simulate_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Apply the circuit's gates in order to ``initial`` (default |0...0>); one circuit, no angle stack."""
     if initial is None:
@@ -157,9 +164,9 @@ def simulate_density(
 ) -> np.ndarray:
     """Evolve a density matrix through the circuit with per-gate noise.
 
-    After every gate, each configured Kraus channel acts on each qubit the
-    gate touched.  With an empty noise model the result equals the outer
-    product of the statevector simulation.  ``initial`` may be a stack
+    After every gate, the model's composed Kraus superoperator acts on each
+    qubit the gate touched.  With an empty noise model the result equals the
+    outer product of the statevector simulation.  ``initial`` may be a stack
     ``(A, d, d)``; it and the circuit's stacked gates evolve entry-wise.
     """
     if initial is None:
@@ -179,9 +186,9 @@ def _evolve_density(circuit: Circuit, noise: NoiseModel | None, rho: np.ndarray)
     for g in circuit.gates:
         _check_unitary(g)
         rho = _conjugate(g.matrix, g.qubits, n, rho)
-        for channel in noise.channels:
+        if noise.superoperator is not None:
             for q in g.qubits:
-                rho = sum(_conjugate(k, (q,), n, rho) for k in channel)
+                rho = _apply_channel(noise.superoperator, q, n, rho)
     return check_density_matrix(rho)
 
 

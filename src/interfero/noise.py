@@ -1,9 +1,9 @@
 """Kraus noise channels and readout confusion.
 
 A :class:`NoiseModel` bundles single-qubit Kraus channels that fire after
-every gate (on each qubit the gate touched) and an optional per-qubit
-readout confusion matrix applied to the outcome distribution before shots
-are drawn.
+every gate on each qubit the gate touched, composed in order into one
+superoperator, and an optional per-qubit readout confusion matrix applied
+to the outcome distribution before shots are drawn.
 """
 
 from __future__ import annotations
@@ -64,15 +64,20 @@ def readout_confusion(flip0: float, flip1: float) -> np.ndarray:
     return np.array([[1 - flip0, flip1], [flip0, 1 - flip1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Per-gate Kraus channels plus an optional readout confusion matrix."""
+    """Per-gate Kraus channels, composed into ``superoperator``, plus an optional readout confusion matrix."""
 
     channels: tuple[KrausChannel, ...] = field(default_factory=tuple)
     readout: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(check_channel(c) for c in self.channels))
+        # rho'[a, b] = sum S[a, b, a', b'] rho[a', b']; S = S_last @ ... @ S_first, S_j = sum_k K (x) conj(K)
+        s = np.eye(4)
+        for channel in self.channels:
+            s = sum(np.kron(k, k.conj()) for k in channel) @ s
+        object.__setattr__(self, "superoperator", s.reshape(2, 2, 2, 2) if self.channels else None)
         if self.readout is not None:
             m = np.asarray(self.readout, dtype=float)
             ok = m.shape == (2, 2) and np.all(m >= -1e-12) and np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-10
@@ -105,6 +110,9 @@ class NoiseModel:
 
     def apply_readout(self, probs: np.ndarray, n_qubits: int) -> np.ndarray:
         """Confuse an outcome distribution or a stack ``(..., d)`` of them; identity when no readout noise."""
+        require(n_qubits in (1, 2), lambda _: f"readout acts on 1 or 2 qubits, got {n_qubits}")
+        d, shape = 1 << n_qubits, np.shape(probs)
+        require(shape[-1:] == (d,), lambda _: f"expected {d} outcome probabilities on the last axis, got shape {shape}")
         if self.readout is None:
             return probs
         return (self._confusion[n_qubits] @ probs[..., None])[..., 0]

@@ -682,7 +682,9 @@ def _sparkline_text(rows: list[tuple[str, MseReport]]) -> str:
 
 def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
     row_h, spark_w, spark_h = 30, 240, 20
-    left_cols = 320
+    # the label column holds 8 characters; each one more shifts the columns right of it by 7 px
+    shift = 7 * (max(8, *(len(label) for label, _ in rows)) - 8)
+    mean_x, std_x, corr_x, min_x, left_cols = (x + shift for x in (68, 128, 188, 248, 320))
     width = left_cols + spark_w + 70
     height = 26 + row_h * len(rows)
     parts = [
@@ -690,10 +692,10 @@ def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         '<text x="8" y="16" font-size="11" font-weight="bold">label</text>',
-        '<text x="68" y="16" font-size="11" font-weight="bold">mean</text>',
-        '<text x="128" y="16" font-size="11" font-weight="bold">std</text>',
-        '<text x="188" y="16" font-size="11" font-weight="bold">corr</text>',
-        '<text x="248" y="16" font-size="11" font-weight="bold">min</text>',
+        f'<text x="{mean_x}" y="16" font-size="11" font-weight="bold">mean</text>',
+        f'<text x="{std_x}" y="16" font-size="11" font-weight="bold">std</text>',
+        f'<text x="{corr_x}" y="16" font-size="11" font-weight="bold">corr</text>',
+        f'<text x="{min_x}" y="16" font-size="11" font-weight="bold">min</text>',
         f'<text x="{left_cols}" y="16" font-size="11" font-weight="bold">MSE histogram</text>',
         f'<text x="{left_cols + spark_w + 12}" y="16" font-size="11" font-weight="bold">max</text>',
     ]
@@ -702,19 +704,17 @@ def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
         base = y0 + spark_h + 4
         corr_color = "#cc0000" if report.corr < 0 else "#000000"
         parts.append(f'<text x="8" y="{base - 6}" font-size="11">{_esc(label)}</text>')
-        parts.append(f'<text x="68" y="{base - 6}" font-size="11">{report.mean:.3f}</text>')
-        parts.append(f'<text x="128" y="{base - 6}" font-size="11">{report.std:.3f}</text>')
-        parts.append(f'<text x="188" y="{base - 6}" font-size="11" fill="{corr_color}">{report.corr:.3f}</text>')
-        parts.append(f'<text x="248" y="{base - 6}" font-size="11">{report.min:.3f}</text>')
+        parts.append(f'<text x="{mean_x}" y="{base - 6}" font-size="11">{report.mean:.3f}</text>')
+        parts.append(f'<text x="{std_x}" y="{base - 6}" font-size="11">{report.std:.3f}</text>')
+        parts.append(f'<text x="{corr_x}" y="{base - 6}" font-size="11" fill="{corr_color}">{report.corr:.3f}</text>')
+        parts.append(f'<text x="{min_x}" y="{base - 6}" font-size="11">{report.min:.3f}</text>')
         peak = max(max(report.histogram), 1)
         pts = []
         for b in range(HIST_BINS):
             x = left_cols + (b + 0.5) / HIST_BINS * spark_w
             y = base - report.histogram[b] / peak * spark_h
             pts.append(f"{x:.2f},{y:.2f}")
-        parts.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" stroke-width="1"/>'
-        )
+        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" stroke-width="1"/>')
         for b, on_curve in zip(histogram_bins([report.min, report.max, report.mean]), (False, False, True)):
             x = left_cols + (b + 0.5) / HIST_BINS * spark_w
             y = base - (report.histogram[b] / peak * spark_h if on_curve else 0.0)

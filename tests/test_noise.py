@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from interfero import NoiseModel, ValidationError, amplitude_damping, depolarizing, phase_damping, readout_confusion
+from interfero.circuits import _apply_channel
 from interfero.noise import check_channel
 
 
@@ -90,3 +91,75 @@ def test_noiseless_model_flag():
 def test_bad_readout_matrix_rejected():
     with pytest.raises(ValidationError):
         NoiseModel(readout=np.array([[0.5, 0.0], [0.0, 0.5]]))
+
+
+def _random_states(rng, shape, d):
+    g = rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d))
+    rho = g @ np.conj(np.swapaxes(g, -1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+def _kraus_in_sequence(channels, q, n_qubits, rho):
+    """Each channel in turn as sum_k K rho K^dag, with K placed on qubit q by a Kronecker product."""
+    for channel in channels:
+        placed = [k if n_qubits == 1 else (np.kron(k, np.eye(2)) if q == 1 else np.kron(np.eye(2), k)) for k in channel]
+        rho = sum(k @ rho @ k.conj().T for k in placed)
+    return rho
+
+
+BIT_FLIP = (np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.array([[0, 1], [1, 0]]))
+CHANNELS = {
+    "depolarizing": (depolarizing(0.3),),
+    "amplitude-damping": (amplitude_damping(0.2),),
+    "phase-damping": (phase_damping(0.6),),
+    "all-three": (depolarizing(0.05), amplitude_damping(0.4), phase_damping(0.25)),
+    "one-operator": ((np.array([[1, 1j], [1j, 1]]) / np.sqrt(2),),),
+    "damping-then-flip": (amplitude_damping(0.5), BIT_FLIP),
+    "flip-then-damping": (BIT_FLIP, amplitude_damping(0.5)),
+}
+
+
+@pytest.mark.parametrize("name", CHANNELS)
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_the_composed_channel_equals_its_kraus_operators_in_sequence(name, n_qubits):
+    model = NoiseModel(channels=CHANNELS[name])
+    rng = np.random.default_rng(len(name) + n_qubits)
+    rho = _random_states(rng, (3, 5), 1 << n_qubits)
+    for q in range(n_qubits):
+        composed = _apply_channel(model.superoperator, q, n_qubits, rho)
+        assert np.max(np.abs(composed - _kraus_in_sequence(CHANNELS[name], q, n_qubits, rho))) <= 1e-15
+        # each matrix's result does not depend on the stack it sits in
+        single = [_apply_channel(model.superoperator, q, n_qubits, rho[i, j]) for i in range(3) for j in range(5)]
+        assert np.array_equal(composed.reshape(-1, *rho.shape[-2:]), np.stack(single))
+
+
+def test_the_composition_keeps_the_channels_order():
+    rho = _random_states(np.random.default_rng(5), (4,), 2)
+    first, second = (
+        NoiseModel(channels=CHANNELS[name]).superoperator for name in ("damping-then-flip", "flip-then-damping")
+    )
+    assert np.max(np.abs(_apply_channel(first, 0, 1, rho) - _apply_channel(second, 0, 1, rho))) > 0.1
+    assert NoiseModel().superoperator is None
+
+
+def test_noise_models_compare_and_hash_by_identity():
+    model = NoiseModel.build(depolarizing_p=0.1, readout_flip0=0.02)
+    assert model == model and model != NoiseModel.build(depolarizing_p=0.1, readout_flip0=0.02)
+    assert {model: 1}[model] == 1 and len({model, NoiseModel.build(depolarizing_p=0.1)}) == 2
+
+
+@pytest.mark.parametrize("model", [NoiseModel(), NoiseModel.build(readout_flip0=0.1)], ids=["noiseless", "readout"])
+@pytest.mark.parametrize(
+    "shape, n_qubits, message",
+    [
+        ((4,), 3, "readout acts on 1 or 2 qubits, got 3"),
+        ((1,), 0, "readout acts on 1 or 2 qubits, got 0"),
+        ((3,), 1, "expected 2 outcome probabilities on the last axis, got shape (3,)"),
+        ((5, 2), 2, "expected 4 outcome probabilities on the last axis, got shape (5, 2)"),
+        ((4, 1), 2, "expected 4 outcome probabilities on the last axis, got shape (4, 1)"),
+        ((), 1, "expected 2 outcome probabilities on the last axis, got shape ()"),
+    ],
+)
+def test_apply_readout_rejects_a_bad_qubit_count_or_last_axis(model, shape, n_qubits, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        model.apply_readout(np.full(shape, 0.25), n_qubits)

@@ -365,6 +365,19 @@ def test_sparkline_markers_sit_under_the_min_mean_and_max_bins(label):
         assert [k - start for k, ch in enumerate(marker) if ch == "^"] == [3, 15, 30]  # min 0.05, mean 0.25, max 0.5
 
 
+@pytest.mark.parametrize("label, shift", [("q", 0), ("8-chars!", 0), ("a-label-of-15ch", 49)])
+def test_sparkline_svg_columns_start_past_the_longest_label(label, shift):
+    svg = ET.fromstring(render_sparkline_table([("s0", summarize([0.1, 0.2])), (label, summarize([0.3]))])[1])
+    texts = svg.findall("{http://www.w3.org/2000/svg}text")
+    columns = [x + shift for x in (68, 128, 188, 248, 320, 572)]  # mean, std, corr, min, histogram, max
+    assert [float(t.get("x")) for t in texts[:7]] == [8, *columns]
+    assert float(svg.get("width")) == 630 + shift
+    shown = [t for t in texts if t.text == label]
+    assert len(shown) == 1 and float(shown[0].get("x")) == 8
+    # about 6 px per character at font-size 11: the label ends before the mean column starts
+    assert 8 + 6 * len(label) < 68 + shift
+
+
 def test_sparkline_rejects_empty():
     with pytest.raises(ValidationError):
         render_sparkline_table([])

@@ -134,6 +134,21 @@ def test_a_sweep_simulates_once_per_block_and_qubit_rotation(monkeypatch):
     assert calls == (["simulate_density"] + ["_evolve_density"] * 2 + ["outcome_probabilities"]) * 3
 
 
+@pytest.mark.parametrize("noise", [NOISE, {}], ids=["noisy", "noiseless"])
+def test_setting_probabilities_contract_the_channel_once_per_gate_qubit(monkeypatch, noise):
+    conjugations = mock.Mock(wraps=circuits._conjugate)
+    contractions = mock.Mock(wraps=circuits._apply_channel)
+    monkeypatch.setattr(circuits, "_conjugate", conjugations)
+    monkeypatch.setattr(circuits, "_apply_channel", contractions)
+    config = ExperimentConfig(kind="pqe", angle_points=12, **noise)
+    exp.setting_probabilities(config, config.angles())
+    gates = exp.build_pqe(config.angles()).gates
+    # the interferometer's gates, then X and Y basis changes on each qubit, each one 1-qubit gate
+    assert conjugations.call_count == len(gates) + 4
+    touched = [q for g in gates for q in g.qubits] + [1, 1, 0, 0]
+    assert [call.args[1] for call in contractions.call_args_list] == (touched if noise else [])
+
+
 def test_a_block_holds_at_least_one_angle(monkeypatch):
     config = ExperimentConfig(kind="bmzi", angle_points=5, repetitions=40, shots=30, master_seed=9)
     reference = result_csv(run_sweep(config))
