@@ -14,11 +14,16 @@ rotations evolve every partial state so far in one stacked call, so the
 complex numbers) come from 2 or 4 evolutions and hold every setting's
 state.  Each angle then draws the counts of all its (repetition, setting)
 cells in one multinomial call from a counter-based stream derived from
-(master_seed, angle index).  Expectations, inversion, PSD projection and
-metrics run once on the block's ``(angles, repetitions)`` stack of states;
-an analytic sweep reconstructs one repetition per angle and repeats it.
-Because every angle owns its stream, results do not depend on the block
-size.
+(master_seed, angle index).  The block's expectations come from one pass;
+inversion, PSD projection and metrics run on chunks of at most
+:data:`BLOCK_CELLS` of its cells, so an angle with more repetitions is
+reconstructed in pieces.  An analytic sweep reconstructs one repetition per
+angle and repeats it.  The projection decomposes only the states that a
+stacked LDL^H factorisation cannot prove to have every eigenvalue above
+``tomography.PSD_MARGIN`` (1e-9), a margin far above ``eigh``'s error; the
+others come back unchanged, and a chunk with none rebuilt reuses its raw
+metrics.  Every step works on each cell on its own and every angle owns its
+stream, so results do not depend on the block or chunk size.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
 #: (angle, repetition) cells that :func:`run_sweep` simulates and reconstructs as
 #: one stack: a block holds max(1, BLOCK_CELLS // repetitions) angles, so the
-#: working memory is O(max(BLOCK_CELLS, repetitions) * settings * d).
+#: draws take O(max(BLOCK_CELLS, repetitions) * settings * d) working memory.
 BLOCK_CELLS = 2048
 
 #: Largest angle_points * repetitions of one sweep: results.csv is built in
@@ -312,8 +317,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     The grid runs in blocks of angles sized by :data:`BLOCK_CELLS` (see the
     module docstring), on the calling thread; ``threads`` is accepted and
     changes nothing.  Working memory is one block's ``(angles, repetitions,
-    settings, d)`` frequencies and ``(angles, repetitions, d, d)`` matrices;
-    nothing of a block but its metric columns outlives it.
+    settings, d)`` frequencies and one chunk's ``(BLOCK_CELLS, d, d)``
+    matrices; nothing of a block but its metric columns outlives it.
     """
     angles = config.angles()
     block = max(1, BLOCK_CELLS // config.m)
@@ -328,12 +333,19 @@ def _sweep_block(config: ExperimentConfig, start: int, angles: np.ndarray) -> li
     expectations = _block_expectations(config, start, probs)
     # cell k of the block's stack is repetition k % reps of angle start + k // reps
     reps = len(expectations) // len(probs)
-    rho_raw = linear_inversion(expectations, config.n_qubits)
+    chunks = (expectations[k : k + BLOCK_CELLS] for k in range(0, len(expectations), BLOCK_CELLS))
+    columns = zip(*(_cell_metrics(chunk, config.n_qubits) for chunk in chunks))
+    return [np.broadcast_to(np.concatenate(column).reshape(-1, reps), (len(probs), config.m)) for column in columns]
+
+
+def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:
+    """The :data:`METRICS` columns, each ``(cells,)``, of a ``(cells, S)`` stack of expectations."""
+    rho_raw = linear_inversion(expectations, n_qubits)
     rho, violation = project_psd(rho_raw)
-    c, p = l1_metrics(rho)
     c_raw, p_raw = l1_metrics(rho_raw)
-    columns = (c, p, c + p, c_raw + p_raw, violation)
-    return [np.broadcast_to(column.reshape(-1, reps), (len(probs), config.m)) for column in columns]
+    # a projection that rebuilt no cell returns its input, whose metrics are the raw ones
+    c, p = (c_raw, p_raw) if rho is rho_raw else l1_metrics(rho)
+    return c, p, c + p, c_raw + p_raw, violation
 
 
 def _block_expectations(config: ExperimentConfig, start: int, probs: np.ndarray) -> np.ndarray:

@@ -30,6 +30,10 @@ BASIS_ROTATION = {
     "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
 }
 
+#: Margin by which :func:`project_psd` must prove a matrix positive to skip ``eigh``:
+#: far above the ~1e-15 rounding of a factorisation at d <= 4 and trace 1.
+PSD_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class TomographyResult:
@@ -123,33 +127,67 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Clip negative eigenvalues and renormalise the trace to 1.
 
     Returns the projected state together with the clipped negative mass.  A
-    stack ``(..., d, d)`` is projected with one stacked ``eigh`` and gives an
-    array of masses over its leading axes; one matrix gives a float.  A
-    matrix whose smallest eigenvalue is >= 0 comes back unchanged with mass
-    0; only the others are rebuilt from their clipped spectra, and an input
-    with none of them comes back as the complex input array itself.  Each
-    input matrix must be Hermitian and of trace 1 within 1e-6, and so has a
-    positive largest eigenvalue: the clipped spectrum never sums to zero.
+    stack ``(..., d, d)`` gives an array of masses over its leading axes; one
+    matrix gives a float.  A matrix whose smallest eigenvalue is >= 0 comes
+    back unchanged with mass 0; only the others are rebuilt from their
+    clipped spectra, and an input with none of them comes back as the
+    complex input array itself.  Each input matrix must be Hermitian and of
+    trace 1 within 1e-6, and so has a positive largest eigenvalue: the
+    clipped spectrum never sums to zero.
+
+    Only the matrices whose LDL^H factorisation of ``m - PSD_MARGIN * I``
+    meets a pivot that is not positive go to one stacked ``eigh``, which
+    works on each matrix on its own.  A factorisation that completes is
+    backward stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10), so the matrix's smallest eigenvalue is at
+    least ``PSD_MARGIN - O(d**2 eps)``, its diagonal being at most about its
+    trace, 1; ``eigh``, accurate to ``O(eps)``, would find none negative.
     """
     m = check_stack(m, "matrix to project", 1e-6, trace=1e-6)
-    lam, vecs = np.linalg.eigh(m)
-    negative = lam[..., 0] < 0.0
-    vecs = vecs[negative]  # drops the full stack of vectors: only these cells are rebuilt
-    violation = np.where(negative, -np.sum(np.minimum(lam, 0.0), axis=-1), 0.0)
-    clipped = np.clip(lam, 0.0, None)
-    total = clipped.sum(axis=-1)
+    violation = np.zeros(m.shape[:-2])
+    rebuilt = _uncertified(m)
+    if rebuilt.any():
+        lam, vecs = np.linalg.eigh(m[rebuilt])
+        negative = lam[:, 0] < 0.0
+        rebuilt[rebuilt] = negative  # narrowed to the decomposed matrices with a negative eigenvalue
+        lam, vecs = lam[negative], vecs[negative]  # drops the other vectors: only these cells are rebuilt
+        violation[rebuilt] = -np.sum(np.minimum(lam, 0.0), axis=-1)
     violation = float(violation) if violation.ndim == 0 else violation
-    if not negative.any():
+    if not rebuilt.any():
         return m, violation
     # scaled in place, and both factors freed before m is copied, so at most
     # three stacks of rebuilt cells are held at once
+    clipped = np.clip(lam, 0.0, None)
     adjoint = dagger(vecs)
-    vecs *= (clipped[negative] / total[negative][..., None])[..., None, :]
+    vecs *= (clipped / clipped.sum(axis=-1)[:, None])[:, None, :]
     projected = vecs @ adjoint
     del vecs, adjoint
     out = m.copy()
-    out[negative] = projected
+    out[rebuilt] = projected
     return out, violation
+
+
+def _uncertified(m: np.ndarray) -> np.ndarray:
+    """Mask of the matrices whose LDL^H factorisation of ``m - PSD_MARGIN * I`` meets a pivot not > 0.
+
+    It reads what ``eigh`` reads, the real diagonal and the lower triangle,
+    held as ``d(d+1)/2`` arrays over the leading axes; an overflow or a NaN
+    fails ``> 0``.
+    """
+    d = m.shape[-1]
+    # the Schur complement's lower triangle, eliminated one column at a time
+    diag = [m[..., i, i].real - PSD_MARGIN for i in range(d)]
+    lower = {(i, j): m[..., i, j] for i in range(d) for j in range(i)}
+    flagged = np.zeros(m.shape[:-2], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(d):
+            flagged |= ~(diag[j] > 0.0)
+            for i in range(j + 1, d):
+                ratio = lower[i, j] / diag[j]
+                diag[i] = diag[i] - (ratio.real * lower[i, j].real + ratio.imag * lower[i, j].imag)
+                for k in range(j + 1, i):
+                    lower[i, k] = lower[i, k] - ratio * np.conj(lower[k, j])
+    return flagged
 
 
 def reconstruct(expectations: dict[str, float], n_qubits: int) -> TomographyResult:

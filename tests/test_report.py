@@ -88,6 +88,11 @@ PINNED_CSV = {
         ),
         "3b74dbaf97f6986796e10e9b0b86b57b6b24c249b283c834ddf28d76a669702b",
     ),
+    # noiseless pqe: every one of its 480 d=4 finite-shot states is clipped
+    "pqe-clipped": (
+        ExperimentConfig(kind="pqe", master_seed=3, repetitions=8),
+        "c480644e06d5d8a007ae8f1eb75ae9abe2563b8226477b6c38402495c58046d9",
+    ),
 }
 
 

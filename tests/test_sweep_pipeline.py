@@ -157,3 +157,30 @@ def test_sampling_memory_does_not_grow_with_shots():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks(monkeypatch):
+    # noiseless pqe: every finite-shot state is clipped, the projection's largest case
+    config = ExperimentConfig(kind="pqe", angle_points=2, repetitions=5000, master_seed=3)
+    angle = config.angles()[:1]
+    exp._sweep_block(config, 0, angle)  # first-call caches are not per-cell memory
+    drawn = {}
+    real = exp._block_expectations
+
+    def draws(*args):
+        expectations = real(*args)
+        drawn["live"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return expectations
+
+    monkeypatch.setattr(exp, "_block_expectations", draws)
+    tracemalloc.start()
+    try:
+        columns = exp._sweep_block(config, 0, angle)
+        peak = tracemalloc.get_traced_memory()[1] - drawn["live"]
+    finally:
+        tracemalloc.stop()
+    assert columns[-1].all()
+    # one chunk's raw stack and at most three stacks of its clipped cells, plus the 40 bytes of
+    # columns per cell (0.4 stack here); reconstructing the angle whole held 10.5 stacks
+    assert peak < 5 * exp.BLOCK_CELLS * 16 * 16

@@ -19,8 +19,10 @@ from interfero import (
     simulate_statevector,
     trace_distance,
 )
-from interfero.tomography import PAULI
-from interfero.linalg import check_stack, kron
+import interfero.tomography as tomography
+from interfero.experiments import ExperimentConfig, run_sweep
+from interfero.tomography import PAULI, PSD_MARGIN
+from interfero.linalg import check_stack, kron, random_unitary
 
 
 def exact_expectations(state, n_qubits):
@@ -327,6 +329,70 @@ def test_projecting_only_the_negative_matrices_is_bitwise_the_whole_stack_formul
     assert rho.tobytes() == reference.tobytes()
     assert rho[~negative].tobytes() == stack[~negative].tobytes()
     assert np.all((violation > 0) == negative)
+
+
+def eigh_every_cell(m):
+    """Oracle: the projection of a stack with one ``eigh`` over every matrix, the rebuilt ones put back in place."""
+    lam, vecs = np.linalg.eigh(m)
+    negative = lam[..., 0] < 0.0
+    violation = np.where(negative, -np.sum(np.minimum(lam, 0.0), axis=-1), 0.0)
+    clipped = np.clip(lam, 0.0, None)[negative]
+    vecs = vecs[negative]
+    weights = clipped / clipped.sum(axis=-1)[..., None]
+    out = m.copy()
+    out[negative] = (vecs * weights[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return out, violation
+
+
+#: Smallest eigenvalues placed around 0 and around the certificate's margin.
+LOWEST = [0.0] + [s * x for x in (1e-17, 1e-15, 1e-12, 1e-10, 1e-8, 1e-6) for s in (1, -1)]
+LOWEST += [PSD_MARGIN * (1 + x) for x in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)]
+
+
+def _placed_spectrum(rng, d, lowest):
+    """A unit-trace Hermitian d x d matrix whose exact spectrum has smallest eigenvalue ``lowest``."""
+    rest = rng.uniform(0.05, 1.0, d - 1)
+    lam = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()]) if d > 1 else np.ones(1)
+    u = random_unitary(d, rng)
+    return (u * lam) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_the_certified_projection_is_bitwise_the_eigh_every_cell_formula(d):
+    rng = np.random.default_rng(2012 + d)
+    stack = np.array([_placed_spectrum(rng, d, lowest) for lowest in LOWEST * 12]).reshape(3, -1, d, d)
+    # a copy whose entries are off Hermitian and off trace 1 by up to 1e-7, which the input check allows
+    noisy = stack + 1e-7 * (rng.uniform(-1, 1, stack.shape) + 1j * rng.uniform(-1, 1, stack.shape))
+    noisy -= (np.trace(noisy, axis1=-2, axis2=-1) - 1)[..., None, None] * np.eye(d) / d
+    for m in (stack, noisy):
+        rho, violation = project_psd(m)
+        reference, mass = eigh_every_cell(m)
+        assert rho.tobytes() == reference.tobytes() and violation.tobytes() == mass.tobytes()
+        for index in np.ndindex(m.shape[:-2]):
+            single, one = project_psd(m[index])
+            assert single.tobytes() == reference[index].tobytes() and one == mass[index]
+            assert isinstance(one, float)
+    if d > 1:  # both sides of 0 are hit
+        assert (violation > 0).any() and (violation == 0).any()
+
+
+def test_eigh_sees_only_the_cells_the_certificate_cannot_pass(monkeypatch):
+    cells = []
+    eigh = np.linalg.eigh
+
+    def counting(m):
+        cells.append(len(m))
+        return eigh(m)
+
+    monkeypatch.setattr(tomography.np.linalg, "eigh", counting)
+    noise = dict(depolarizing=0.02, amplitude_damping=0.01, phase_damping=0.01, readout_flip0=0.02, readout_flip1=0.03)
+    # no finite-shot state of the default noisy eraser needs clipping, so none needs eigh
+    assert not run_sweep(ExperimentConfig(kind="pqe", **noise)).table.psd_violation.any()
+    assert cells == []
+    # bmzi's four blocks (2048, 2048, 2048 and 1536 cells): each eigh sees only part of its block
+    table = run_sweep(ExperimentConfig(kind="bmzi")).table
+    assert len(cells) == 4 and all(0 < n < block for n, block in zip(cells, (2048, 2048, 2048, 1536)))
+    assert sum(cells) >= np.count_nonzero(table.psd_violation)
 
 
 def test_a_physical_stack_comes_back_as_the_input_without_a_rebuilt_copy():
