@@ -26,9 +26,10 @@ _PUBLIC = {
     ),
     "mse": ("MetricSeries", "MseReport", "decompose", "histogram_counts", "mse", "summarize"),
     "experiments": ("ExperimentConfig", "ExperimentResult", "build_bmzi", "build_pqe", "run_sweep", "theory_series"),
+    "output": ("result_csv", "write_results"),
     "report": (
         "ResultRows", "aggregate_curves", "read_results", "render_curves", "render_sparkline_table",
-        "reports_from_rows", "result_csv", "summary_row", "write_results",
+        "reports_from_rows", "summary_row",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

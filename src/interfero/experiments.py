@@ -11,26 +11,25 @@ The block's interferometers are simulated once as one angle stack.  The
 basis changes then walk the qubits, highest first: each qubit's X and Y
 rotations evolve every partial state so far in one stacked call, so the
 ``3**n`` partial states (3 for bmzi, 9 for pqe; ``3**n * angles * d**2``
-complex numbers) come from 2 or 4 evolutions and hold every setting's
-state.  Each angle then draws the counts of all its (repetition, setting)
-cells in one multinomial call from a counter-based stream derived from
-(master_seed, angle index).  The block's expectations come from one pass;
-inversion, PSD projection and metrics run on chunks of at most
-:data:`BLOCK_CELLS` of its cells, so an angle with more repetitions is
-reconstructed in pieces.  An analytic sweep reconstructs one repetition per
-angle and repeats it.  The projection decomposes only the states that a
-stacked LDL^H factorisation cannot prove to have every eigenvalue above
-``tomography.PSD_MARGIN`` (1e-9), a margin far above ``eigh``'s error; the
-others come back unchanged, and a chunk with none rebuilt reuses its raw
-metrics.  Every step works on each cell on its own and every angle owns its
-stream, so results do not depend on the block or chunk size.
+complex numbers) come from 2 or 4 evolutions and hold every setting's state.
+Each angle then draws the counts of its (repetition, setting) cells from a
+counter-based stream derived from (master_seed, angle index), and contracts
+them to expectations; inversion, PSD projection and metrics run on the
+block's cells.  The draws and the reconstruction take at most
+:data:`BLOCK_CELLS` cells at a time, so an angle with more repetitions is
+drawn and reconstructed in pieces.  An analytic sweep reconstructs one
+repetition per angle and repeats it.  The projection decomposes only the
+states that a stacked LDL^H factorisation cannot prove to have every
+eigenvalue above ``tomography.PSD_MARGIN`` (1e-9), a margin far above
+``eigh``'s error; the others come back unchanged, and a chunk with none
+rebuilt reuses its raw metrics.  Every step works on each cell on its own
+and every angle owns its stream, so results do not depend on the block or
+chunk size.
 """
 
 from __future__ import annotations
 
 import re
-# not used here: the benchmark's tracer patches this attribute (perfbench/tracing.py)
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,14 +59,17 @@ KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
 DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
-#: (angle, repetition) cells that :func:`run_sweep` simulates and reconstructs as
-#: one stack: a block holds max(1, BLOCK_CELLS // repetitions) angles, so the
-#: draws take O(max(BLOCK_CELLS, repetitions) * settings * d) working memory.
+#: (angle, repetition) cells that :func:`run_sweep` simulates, draws and reconstructs as
+#: one stack: a block holds max(1, BLOCK_CELLS // repetitions) angles, and an angle with
+#: more repetitions is drawn and reconstructed this many at a time.
 BLOCK_CELLS = 2048
 
 #: Largest angle_points * repetitions of one sweep: results.csv is built in
 #: memory at ~104 bytes per cell, so ~26 MB at the cap.
 MAX_CELLS = 250_000
+
+# not used here: the benchmark's tracer patches this attribute (perfbench/tracing.py)
+ThreadPoolExecutor = None
 
 #: Where a config-file comment starts: '#' at the start of a line or after whitespace.
 CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
@@ -316,9 +318,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
     The grid runs in blocks of angles sized by :data:`BLOCK_CELLS` (see the
     module docstring), on the calling thread; ``threads`` is accepted and
-    changes nothing.  Working memory is one block's ``(angles, repetitions,
-    settings, d)`` frequencies and one chunk's ``(BLOCK_CELLS, d, d)``
-    matrices; nothing of a block but its metric columns outlives it.
+    changes nothing.  Working memory is one block's ``(cells, settings)``
+    expectations, one draw's ``(BLOCK_CELLS, settings, d)`` counts and one
+    chunk's ``(BLOCK_CELLS, d, d)`` matrices; nothing of a block but its
+    metric columns outlives it.
     """
     angles = config.angles()
     block = max(1, BLOCK_CELLS // config.m)
@@ -351,19 +354,28 @@ def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, 
 def _block_expectations(config: ExperimentConfig, start: int, probs: np.ndarray) -> np.ndarray:
     """Setting expectations ``(cells, S)`` of a block's ``(A, S, d)`` outcome distributions.
 
-    Each angle draws its ``m`` repetitions from its own :func:`angle_rng`.  In
-    analytic mode every repetition sees the same exact frequencies, so the
-    block has one cell per angle and the caller repeats its row.
+    Each angle draws its ``m`` repetitions from its own :func:`angle_rng`,
+    :data:`BLOCK_CELLS` at a time, which gives the counts of one whole draw.
+    In analytic mode every repetition sees the same exact frequencies, so
+    the block has one cell per angle and the caller repeats its row.
     """
+    signs = parity_signs(config.n_qubits)
     if config.analytic:
-        freqs = probs[:, None]
-    else:
-        freqs = np.empty((len(probs), config.m, *probs.shape[1:]))
-        for b, dist in enumerate(probs):
-            rng = angle_rng(config.master_seed, start + b)
-            freqs[b] = rng.multinomial(config.shots, dist, size=(config.m, len(dist)))
-        freqs /= config.shots
-    return np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), parity_signs(config.n_qubits))
+        return np.einsum("ask,sk->as", probs, signs)
+    m, settings = config.m, probs.shape[1]
+    streams = [angle_rng(config.master_seed, start + b) for b in range(len(probs))]
+    # several angles share a block only when each has at most BLOCK_CELLS repetitions, so one
+    # pass draws the whole block, or one slice of a larger angle: at most BLOCK_CELLS cells
+    freqs = np.empty((len(probs), min(m, BLOCK_CELLS), *probs.shape[1:]))
+    expectations = np.empty((len(probs), m, settings))
+    for r in range(0, m, BLOCK_CELLS):
+        drawn = freqs[:, : m - r]
+        for stream, dist, rows in zip(streams, probs, drawn):
+            rows[...] = stream.multinomial(config.shots, dist, size=rows.shape[:2])
+        drawn /= config.shots
+        contracted = np.einsum("rsk,sk->rs", drawn.reshape(-1, *probs.shape[1:]), signs)
+        expectations[:, r : r + BLOCK_CELLS] = contracted.reshape(len(probs), -1, settings)
+    return expectations.reshape(-1, settings)
 
 
 def _label_reads_back(label: str) -> bool:

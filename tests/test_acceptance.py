@@ -24,7 +24,8 @@ from interfero import (
     summary_row,
     trace_distance,
 )
-from interfero.report import aggregate_curves, read_results, write_results
+from interfero.output import write_results
+from interfero.report import aggregate_curves, read_results
 from interfero.tomography import PAULI, basis_change, expectation_from_counts, measurement_settings
 from interfero.circuits import sample_counts
 from interfero.linalg import kron

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from interfero import ExperimentConfig, ValidationError
 from interfero.cli import main, parse_config
-from interfero.report import CSV_HEADER, config_lines
+from interfero.output import CSV_HEADER, config_lines
 
 
 BASE_CONFIG = """\

@@ -13,7 +13,7 @@ from interfero import (
     theory_series,
 )
 from interfero.experiments import cell_rng
-from interfero.report import result_csv
+from interfero.output import result_csv
 
 
 def test_bmzi_circuit_structure():

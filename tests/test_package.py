@@ -124,3 +124,21 @@ def test_an_unknown_name_is_an_attribute_error():
         "    print(json.dumps(str(exc)))\n"
     )
     assert raised == "module 'interfero' has no attribute 'no_such_name'"
+
+
+def test_run_imports_no_reader_and_analyze_imports_it(tmp_path):
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    config.write_text("kind = bmzi\nangle_points = 4\nrepetitions = 2\nshots = 10\n", encoding="utf-8")
+    stages = _fresh(
+        "import contextlib, io, json, sys\n"
+        "unused = ('interfero.report', 'concurrent.futures', 'logging')\n"
+        "import interfero.cli\n"
+        "seen, codes = [[m for m in unused if m in sys.modules]], []\n"
+        f"runs = (['run', '--config', {str(config)!r}, '--out', {str(out)!r}], ['analyze', '--out', {str(out)!r}])\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(interfero.cli.main(argv))\n"
+        "    seen.append([m for m in unused if m in sys.modules])\n"
+        "print(json.dumps([codes, seen]))\n"
+    )
+    assert stages == [[0, 0], [[], [], ["interfero.report"]]]

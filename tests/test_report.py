@@ -24,10 +24,10 @@ from interfero import (
     summary_row,
     write_results,
 )
-from interfero import report
+from interfero import output, report
 from interfero.cli import main, parse_config
 from interfero.experiments import BLOCK_CELLS, METRICS, SweepTable
-from interfero.report import (
+from interfero.output import (
     CSV_HEADER,
     FIXED12_LIMIT,
     config_lines,
@@ -184,7 +184,7 @@ def kernel_only(monkeypatch):
     def fail(*args):
         raise AssertionError("block was written row by row")
 
-    monkeypatch.setattr(report, "_rows_text", fail)
+    monkeypatch.setattr(output, "_rows_text", fail)
 
 
 def test_csv_kernel_writes_what_fmt12_writes(noisy_result, monkeypatch):
@@ -218,13 +218,13 @@ def test_csv_kernel_writes_what_fmt12_writes(noisy_result, monkeypatch):
     ],
 )
 def test_csv_values_out_of_kernel_range_are_written_by_fmt12(noisy_result, monkeypatch, value, in_range):
-    calls, fallback = [], report._rows_text
+    calls, fallback = [], output._rows_text
 
     def spy(*args):
         calls.append(args)
         return fallback(*args)
 
-    monkeypatch.setattr(report, "_rows_text", spy)
+    monkeypatch.setattr(output, "_rows_text", spy)
     table = table_of([[0.5, value, -value, 0.25, value, 0.0]] * 3, m=3)
     assert result_csv(replace(noisy_result, table=table)) == oracle_csv(table.rows())
     assert (not calls) == in_range

@@ -13,7 +13,7 @@ import interfero.experiments as exp
 from interfero import Circuit, ExperimentConfig, NoiseModel, ValidationError, run_sweep
 from interfero.circuits import ctrl_ix, cx, ix, phase, rx_neg, simulate_density, unitary
 from interfero.linalg import check_density_matrix, random_unitary
-from interfero.report import result_csv
+from interfero.output import result_csv
 
 NOISE = dict(depolarizing=0.02, amplitude_damping=0.01, phase_damping=0.01, readout_flip0=0.02, readout_flip1=0.03)
 

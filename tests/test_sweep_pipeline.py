@@ -3,6 +3,7 @@
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from interfero import (
     simulate_density,
 )
 from interfero.circuits import outcome_probabilities
+from interfero.output import result_csv
+from interfero.tomography import parity_signs
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -184,3 +187,41 @@ def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks(mon
     # one chunk's raw stack and at most three stacks of its clipped cells, plus the 40 bytes of
     # columns per cell (0.4 stack here); reconstructing the angle whole held 10.5 stacks
     assert peak < 5 * exp.BLOCK_CELLS * 16 * 16
+
+
+def whole_draw_expectations(config, start, probs):
+    """Each angle's repetitions drawn in one multinomial call, into one frequency array of the block."""
+    freqs = np.empty((len(probs), config.m, *probs.shape[1:]))
+    for b, dist in enumerate(probs):
+        rng = exp.angle_rng(config.master_seed, start + b)
+        freqs[b] = rng.multinomial(config.shots, dist, size=(config.m, len(dist)))
+    freqs /= config.shots
+    return np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), parity_signs(config.n_qubits))
+
+
+@pytest.mark.parametrize("kind", ["bmzi", "pqe"])
+def test_an_angle_drawn_in_slices_writes_the_bytes_of_one_whole_draw(monkeypatch, kind):
+    config = ExperimentConfig(kind=kind, angle_points=2, repetitions=5000, master_seed=3, **NOISE)
+    assert config.m > 2 * exp.BLOCK_CELLS and config.m % exp.BLOCK_CELLS  # two full slices and a short one
+    sliced = result_csv(run_sweep(config)).encode()
+    monkeypatch.setattr(exp, "_block_expectations", whole_draw_expectations)
+    whole = result_csv(run_sweep(config)).encode()
+    # by digest, as pytest would take minutes to diff two differing texts of a megabyte
+    assert sha256(sliced).hexdigest() == sha256(whole).hexdigest()
+
+
+def test_a_sweep_at_the_cell_cap_peaks_far_below_its_whole_draws():
+    config = ExperimentConfig(kind="pqe", angle_points=2, repetitions=exp.MAX_CELLS // 2)
+    run_sweep(replace(config, repetitions=3 * exp.BLOCK_CELLS))  # first-call caches are not per-cell memory
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expectations = config.m * 15 * 8  # one angle's (repetitions, settings) stack, 15 MB
+    table = exp.MAX_CELLS * len(exp.METRICS) * 8  # the metric columns, 10 MB
+    chunk = 5 * exp.BLOCK_CELLS * 16 * 16  # one chunk's reconstruction, bounded as in the chunk test above
+    # the table, and one block's columns both as its chunks' and joined (half the table each); drawing
+    # each angle whole held 122 MB inside the draw alone
+    assert peak < expectations + 2 * table + chunk
