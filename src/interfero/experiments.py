@@ -7,7 +7,9 @@ metrics.
 
 The unit of work is a block of consecutive angles holding at most
 :data:`BLOCK_CELLS` (angle, repetition) cells, or one angle if it has more.
-The block's interferometers are simulated once as one angle stack.  The
+The interferometers are simulated once per simulation chunk: whole blocks
+holding at most :data:`BLOCK_CELLS` angles (the whole default grid), as one
+angle stack whose outcome distributions each block takes a slice of.  The
 basis changes then walk the qubits, highest first: each qubit's X and Y
 rotations evolve every partial state so far in one stacked call, so the
 ``3**n`` partial states (3 for bmzi, 9 for pqe; ``3**n * angles * d**2``
@@ -21,10 +23,10 @@ drawn and reconstructed in pieces.  An analytic sweep reconstructs one
 repetition per angle and repeats it.  The projection decomposes only the
 states that a stacked LDL^H factorisation cannot prove to have every
 eigenvalue above ``tomography.PSD_MARGIN`` (1e-9), a margin far above
-``eigh``'s error; the others come back unchanged, and a chunk with none
-rebuilt reuses its raw metrics.  Every step works on each cell on its own
-and every angle owns its stream, so results do not depend on the block or
-chunk size.
+``eigh``'s error; the others come back unchanged and keep their raw
+metrics, so only the rebuilt states are scored again.  Every step works on
+each angle or cell on its own and every angle owns its stream, so results
+do not depend on the chunk or block sizes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +62,9 @@ KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
 DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
-#: (angle, repetition) cells that :func:`run_sweep` simulates, draws and reconstructs as
-#: one stack: a block holds max(1, BLOCK_CELLS // repetitions) angles, and an angle with
+#: (angle, repetition) cells that :func:`run_sweep` draws and reconstructs as one stack, and
+#: angles it simulates as one: a block holds max(1, BLOCK_CELLS // repetitions) angles, a
+#: simulation chunk as many whole blocks as fit in BLOCK_CELLS angles, and an angle with
 #: more repetitions is drawn and reconstructed this many at a time.
 BLOCK_CELLS = 2048
 
@@ -154,8 +158,7 @@ class ExperimentConfig:
         return 2 * np.pi * np.arange(self.angle_points) / self.angle_points
 
 
-@dataclass(slots=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One (angle, repetition) cell as a results.csv row."""
 
     kind: str
@@ -316,23 +319,28 @@ def setting_probabilities(config: ExperimentConfig, angles: float | np.ndarray) 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
-    The grid runs in blocks of angles sized by :data:`BLOCK_CELLS` (see the
-    module docstring), on the calling thread; ``threads`` is accepted and
-    changes nothing.  Working memory is one block's ``(cells, settings)``
-    expectations, one draw's ``(BLOCK_CELLS, settings, d)`` counts and one
-    chunk's ``(BLOCK_CELLS, d, d)`` matrices; nothing of a block but its
-    metric columns outlives it.
+    The grid runs in blocks of angles sized by :data:`BLOCK_CELLS`, simulated
+    a chunk of whole blocks at a time (see the module docstring), on the
+    calling thread; ``threads`` is accepted and changes nothing.  Working
+    memory is one chunk's ``3**n`` partial states (``3**n * angles * d**2``
+    complex numbers, at most :data:`BLOCK_CELLS` angles), one block's
+    ``(cells, settings)`` expectations, one draw's ``(BLOCK_CELLS, settings,
+    d)`` counts and one reconstruction's ``(BLOCK_CELLS, d, d)`` matrices;
+    nothing of a block but its metric columns outlives it.
     """
     angles = config.angles()
     block = max(1, BLOCK_CELLS // config.m)
-    blocks = [_sweep_block(config, start, angles[start : start + block]) for start in range(0, len(angles), block)]
+    chunk = block * (BLOCK_CELLS // block)  # whole blocks, at most BLOCK_CELLS angles
+    blocks = []
+    for first in range(0, len(angles), chunk):
+        probs = setting_probabilities(config, angles[first : first + chunk])
+        blocks += [_sweep_block(config, first + k, probs[k : k + block]) for k in range(0, len(probs), block)]
     table = SweepTable(config.kind, config.run_label, angles, *(np.concatenate(column) for column in zip(*blocks)))
     return ExperimentResult(config, table, analyze(table))
 
 
-def _sweep_block(config: ExperimentConfig, start: int, angles: np.ndarray) -> list[np.ndarray]:
-    """The :data:`METRICS` columns, each ``(angles, m)``, of the block whose first angle index is ``start``."""
-    probs = setting_probabilities(config, angles)
+def _sweep_block(config: ExperimentConfig, start: int, probs: np.ndarray) -> list[np.ndarray]:
+    """The :data:`METRICS` columns, each ``(A, m)``, of a block's ``(A, S, d)`` distributions from angle ``start``."""
     expectations = _block_expectations(config, start, probs)
     # cell k of the block's stack is repetition k % reps of angle start + k // reps
     reps = len(expectations) // len(probs)
@@ -345,10 +353,15 @@ def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, 
     """The :data:`METRICS` columns, each ``(cells,)``, of a ``(cells, S)`` stack of expectations."""
     rho_raw = linear_inversion(expectations, n_qubits)
     rho, violation = project_psd(rho_raw)
-    c_raw, p_raw = l1_metrics(rho_raw)
-    # a projection that rebuilt no cell returns its input, whose metrics are the raw ones
-    c, p = (c_raw, p_raw) if rho is rho_raw else l1_metrics(rho)
-    return c, p, c + p, c_raw + p_raw, violation
+    c, p = l1_metrics(rho_raw)
+    total_raw = c + p
+    # the projection returns each cell it did not rebuild (mass 0) unchanged, with its raw metrics
+    rebuilt = violation > 0
+    if rebuilt.all():
+        c, p = l1_metrics(rho)
+    elif rebuilt.any():
+        c[rebuilt], p[rebuilt] = l1_metrics(rho[rebuilt])
+    return c, p, c + p, total_raw, violation
 
 
 def _block_expectations(config: ExperimentConfig, start: int, probs: np.ndarray) -> np.ndarray:

@@ -86,7 +86,16 @@ def _sweep_bytes(config, threads=1, block=None):
     ids=["bmzi", "noisy-pqe", "analytic-pqe"],
 )
 def test_block_boundaries_do_not_change_bytes(config):
-    assert _sweep_bytes(config, block=7) == _sweep_bytes(config)
+    whole = _sweep_bytes(config)
+    assert _sweep_bytes(config, block=7) == whole
+    # 12 cells: blocks of 12 // m angles, simulated 12 angles at a time, so a chunk ends mid-grid after
+    # several blocks and the next one starts there
+    simulated = mock.Mock(wraps=exp.setting_probabilities)
+    blocks = mock.Mock(wraps=exp._sweep_block)
+    with mock.patch.multiple(exp, BLOCK_CELLS=12, setting_probabilities=simulated, _sweep_block=blocks):
+        assert result_csv(run_sweep(config)) == whole
+    assert [len(call.args[1]) for call in simulated.call_args_list] == [12, 8]
+    assert blocks.call_count > 2 and all(len(call.args[2]) == 12 // config.m for call in blocks.call_args_list[:2])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -107,7 +116,7 @@ def test_bytes_do_not_depend_on_threads_or_block_size(kind, angle_points, repeti
         assert _sweep_bytes(config, threads=threads, block=block) == reference
 
 
-def test_a_sweep_simulates_once_per_block_and_qubit_rotation(monkeypatch):
+def test_a_sweep_simulates_once_per_chunk_and_qubit_rotation(monkeypatch):
     calls = []
 
     def counting(name):
@@ -119,7 +128,7 @@ def test_a_sweep_simulates_once_per_block_and_qubit_rotation(monkeypatch):
 
         return call
 
-    # the interferometer once per block, then each qubit's X and Y rotation once over all partial states
+    # the interferometer once per chunk, then each qubit's X and Y rotation once over all partial states
     monkeypatch.setattr(exp, "simulate_density", counting("simulate_density"))
     monkeypatch.setattr(exp, "_evolve_density", counting("_evolve_density"))
     monkeypatch.setattr(exp, "outcome_probabilities", counting("outcome_probabilities"))
@@ -128,10 +137,14 @@ def test_a_sweep_simulates_once_per_block_and_qubit_rotation(monkeypatch):
     run_sweep(ExperimentConfig(kind="pqe", angle_points=60, repetitions=2, shots=10, **NOISE))
     assert calls == ["simulate_density"] + ["_evolve_density"] * 4 + ["outcome_probabilities"]
     assert checks.call_count == 5  # each output once; no step re-checks its input
-    monkeypatch.setattr(exp, "BLOCK_CELLS", 50)  # 25 angles of 2 repetitions per block
+    # 25 angles of 2 repetitions per block and chunks of 2 blocks: 2 simulations, of 50 and 10 angles, for 3 blocks
+    monkeypatch.setattr(exp, "BLOCK_CELLS", 50)
+    blocks = mock.Mock(wraps=exp._sweep_block)
+    monkeypatch.setattr(exp, "_sweep_block", blocks)
     calls.clear()
     run_sweep(ExperimentConfig(kind="bmzi", angle_points=60, repetitions=2, shots=10))
-    assert calls == (["simulate_density"] + ["_evolve_density"] * 2 + ["outcome_probabilities"]) * 3
+    assert calls == (["simulate_density"] + ["_evolve_density"] * 2 + ["outcome_probabilities"]) * 2
+    assert [(call.args[1], len(call.args[2])) for call in blocks.call_args_list] == [(0, 25), (25, 25), (50, 10)]
 
 
 @pytest.mark.parametrize("noise", [NOISE, {}], ids=["noisy", "noiseless"])
@@ -190,3 +203,46 @@ def test_analytic_repetitions_repeat_the_one_repetition_row(kind):
     many = run_sweep(replace(config, repetitions=6)).table
     for name in exp.METRICS:
         assert getattr(many, name).tobytes() == np.repeat(getattr(one, name), 6, axis=1).tobytes()
+
+
+def _chunk_expectations(config):
+    """The first reconstruction chunk's ``(cells, S)`` expectations of the sweep's first block."""
+    block = max(1, exp.BLOCK_CELLS // config.m)
+    probs = exp.setting_probabilities(config, config.angles()[:block])
+    return exp._block_expectations(config, 0, probs)[: exp.BLOCK_CELLS]
+
+
+@pytest.mark.parametrize(
+    "config, rebuilt",
+    [
+        (ExperimentConfig(kind="pqe", **NOISE), "none"),
+        (ExperimentConfig(kind="bmzi"), "some"),
+        (ExperimentConfig(kind="pqe"), "all"),  # noiseless pqe: every finite-shot state is clipped
+    ],
+    ids=["noisy-pqe", "bmzi", "pqe"],
+)
+def test_rebuilt_only_metrics_are_bitwise_the_whole_stack_metrics(config, rebuilt):
+    expectations = _chunk_expectations(config)
+    rho_raw = exp.linear_inversion(expectations, config.n_qubits)
+    rho, violation = exp.project_psd(rho_raw)
+    count = np.count_nonzero(violation > 0)
+    assert {"none": count == 0, "some": 0 < count < len(rho), "all": count == len(rho)}[rebuilt]
+    c, p = exp.l1_metrics(rho)
+    c_raw, p_raw = exp.l1_metrics(rho_raw)
+    got = exp._cell_metrics(expectations, config.n_qubits)
+    for column, expected in zip(got, (c, p, c + p, c_raw + p_raw, violation)):
+        assert column.tobytes() == expected.tobytes()
+
+
+def test_the_projected_metrics_score_only_the_rebuilt_cells(monkeypatch):
+    expectations = _chunk_expectations(ExperimentConfig(kind="bmzi"))
+    rho, violation = exp.project_psd(exp.linear_inversion(expectations, 1))
+    rebuilt = violation > 0
+    assert 0 < np.count_nonzero(rebuilt) < len(rho)
+    metrics = mock.Mock(wraps=exp.l1_metrics)
+    monkeypatch.setattr(exp, "l1_metrics", metrics)
+    exp._cell_metrics(expectations, 1)
+    # the raw stack whole, then only the cells the projection rebuilt
+    raw, projected = (call.args[0] for call in metrics.call_args_list)
+    assert raw.shape == rho.shape
+    assert projected.tobytes() == rho[rebuilt].tobytes()

@@ -165,8 +165,8 @@ def test_sampling_memory_does_not_grow_with_shots():
 def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks(monkeypatch):
     # noiseless pqe: every finite-shot state is clipped, the projection's largest case
     config = ExperimentConfig(kind="pqe", angle_points=2, repetitions=5000, master_seed=3)
-    angle = config.angles()[:1]
-    exp._sweep_block(config, 0, angle)  # first-call caches are not per-cell memory
+    probs = exp.setting_probabilities(config, config.angles()[:1])
+    exp._sweep_block(config, 0, probs)  # first-call caches are not per-cell memory
     drawn = {}
     real = exp._block_expectations
 
@@ -179,7 +179,7 @@ def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks(mon
     monkeypatch.setattr(exp, "_block_expectations", draws)
     tracemalloc.start()
     try:
-        columns = exp._sweep_block(config, 0, angle)
+        columns = exp._sweep_block(config, 0, probs)
         peak = tracemalloc.get_traced_memory()[1] - drawn["live"]
     finally:
         tracemalloc.stop()
