@@ -5,28 +5,26 @@ every tomography setting with ``shots`` samples (or exact frequencies in
 analytic mode), reconstructs the state and evaluates the complementarity
 metrics.
 
-The unit of work is a block of consecutive angles holding at most
-:data:`BLOCK_CELLS` (angle, repetition) cells, or one angle if it has more.
-The interferometers are simulated once per simulation chunk: whole blocks
-holding at most :data:`BLOCK_CELLS` angles (the whole default grid), as one
-angle stack whose outcome distributions each block takes a slice of.  The
-basis changes then walk the qubits, highest first: each qubit's X and Y
-rotations evolve every partial state so far in one stacked call, so the
-``3**n`` partial states (3 for bmzi, 9 for pqe; ``3**n * angles * d**2``
+The sweep tiles its angle-major (angle, repetition) cells twice, each tiling
+bounded by :data:`BLOCK_CELLS`.  Simulation chunks of at most that many
+angles (the whole default grid) are simulated once each, as one angle
+stack.  The basis changes then walk the qubits, highest first: each qubit's
+X and Y rotations evolve every partial state so far in one stacked call, so
+the ``3**n`` partial states (3 for bmzi, 9 for pqe; ``3**n * angles * d**2``
 complex numbers) come from 2 or 4 evolutions and hold every setting's state.
-Each angle then draws the counts of its (repetition, setting) cells from a
-counter-based stream derived from (master_seed, angle index), and contracts
-them to expectations; inversion, PSD projection and metrics run on the
-block's cells.  The draws and the reconstruction take at most
-:data:`BLOCK_CELLS` cells at a time, so an angle with more repetitions is
-drawn and reconstructed in pieces.  An analytic sweep reconstructs one
-repetition per angle and repeats it.  The projection decomposes only the
-states that a stacked LDL^H factorisation cannot prove to have every
-eigenvalue above ``tomography.PSD_MARGIN`` (1e-9), a margin far above
-``eigh``'s error; the others come back unchanged and keep their raw
-metrics, so only the rebuilt states are scored again.  Every step works on
-each angle or cell on its own and every angle owns its stream, so results
-do not depend on the chunk or block sizes.
+A chunk holds whole pieces of at most :data:`BLOCK_CELLS` cells, either
+several whole angles or one slice of one angle's repetitions, and each
+piece in turn is drawn, contracted to expectations, inverted, projected and
+scored.  Each angle draws its counts from a counter-based stream derived
+from (master_seed, angle index), one piece after the other, which gives the
+counts of one whole draw.  An analytic angle is one cell at its exact
+frequencies, which stands for each of its repetitions.  The projection
+decomposes only the states that a stacked LDL^H factorisation cannot prove
+to have every eigenvalue above ``tomography.PSD_MARGIN`` (1e-9), a margin
+far above ``eigh``'s error; the others come back unchanged and keep their
+raw metrics, so only the rebuilt states are scored again.  Every step works
+on each angle or cell on its own and every angle owns its stream, so
+results do not depend on the chunk or piece sizes.
 """
 
 from __future__ import annotations
@@ -62,10 +60,9 @@ KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
 DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
 
-#: (angle, repetition) cells that :func:`run_sweep` draws and reconstructs as one stack, and
-#: angles it simulates as one: a block holds max(1, BLOCK_CELLS // repetitions) angles, a
-#: simulation chunk as many whole blocks as fit in BLOCK_CELLS angles, and an angle with
-#: more repetitions is drawn and reconstructed this many at a time.
+#: The bound of both tilings of :func:`run_sweep`: it simulates at most this many angles as one
+#: stack, and draws and reconstructs at most this many (angle, repetition) cells as one piece,
+#: max(1, BLOCK_CELLS // cells per angle) whole angles or this many repetitions of one angle.
 BLOCK_CELLS = 2048
 
 #: Largest angle_points * repetitions of one sweep: results.csv is built in
@@ -319,34 +316,56 @@ def setting_probabilities(config: ExperimentConfig, angles: float | np.ndarray) 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
-    The grid runs in blocks of angles sized by :data:`BLOCK_CELLS`, simulated
-    a chunk of whole blocks at a time (see the module docstring), on the
-    calling thread; ``threads`` is accepted and changes nothing.  Working
-    memory is one chunk's ``3**n`` partial states (``3**n * angles * d**2``
-    complex numbers, at most :data:`BLOCK_CELLS` angles), one block's
-    ``(cells, settings)`` expectations, one draw's ``(BLOCK_CELLS, settings,
-    d)`` counts and one reconstruction's ``(BLOCK_CELLS, d, d)`` matrices;
-    nothing of a block but its metric columns outlives it.
+    The grid is simulated in chunks of at most :data:`BLOCK_CELLS` angles
+    and drawn and reconstructed in pieces of at most :data:`BLOCK_CELLS`
+    cells (see the module docstring), on the calling thread; ``threads`` is
+    accepted and changes nothing.  Working memory is one chunk's ``3**n``
+    partial states (``3**n * angles * d**2`` complex numbers), one piece's
+    ``(cells, settings, d)`` frequencies, then its ``(cells, settings)``
+    expectations and ``(cells, d, d)`` states, and the metric columns of the
+    pieces so far, which are joined once into the table and then released.
     """
     angles = config.angles()
-    block = max(1, BLOCK_CELLS // config.m)
+    cells = 1 if config.analytic else config.m  # an analytic angle is one cell, at its exact frequencies
+    block = max(1, BLOCK_CELLS // cells)
     chunk = block * (BLOCK_CELLS // block)  # whole blocks, at most BLOCK_CELLS angles
-    blocks = []
+    pieces = []
     for first in range(0, len(angles), chunk):
         probs = setting_probabilities(config, angles[first : first + chunk])
-        blocks += [_sweep_block(config, first + k, probs[k : k + block]) for k in range(0, len(probs), block)]
-    table = SweepTable(config.kind, config.run_label, angles, *(np.concatenate(column) for column in zip(*blocks)))
+        for k in range(0, len(probs), block):
+            pieces += _sweep_block(config, first + k, probs[k : k + block], cells)
+    columns = [np.concatenate(column).reshape(len(angles), cells) for column in zip(*pieces)]
+    pieces.clear()
+    if cells < config.m:  # an analytic cell stands for each of its angle's repetitions
+        columns = [column.repeat(config.m, axis=1) for column in columns]
+    table = SweepTable(config.kind, config.run_label, angles, *columns)
     return ExperimentResult(config, table, analyze(table))
 
 
-def _sweep_block(config: ExperimentConfig, start: int, probs: np.ndarray) -> list[np.ndarray]:
-    """The :data:`METRICS` columns, each ``(A, m)``, of a block's ``(A, S, d)`` distributions from angle ``start``."""
-    expectations = _block_expectations(config, start, probs)
-    # cell k of the block's stack is repetition k % reps of angle start + k // reps
-    reps = len(expectations) // len(probs)
-    chunks = (expectations[k : k + BLOCK_CELLS] for k in range(0, len(expectations), BLOCK_CELLS))
-    columns = zip(*(_cell_metrics(chunk, config.n_qubits) for chunk in chunks))
-    return [np.broadcast_to(np.concatenate(column).reshape(-1, reps), (len(probs), config.m)) for column in columns]
+def _sweep_block(config: ExperimentConfig, start: int, probs: np.ndarray, cells: int) -> list[tuple[np.ndarray, ...]]:
+    """The :data:`METRICS` columns of each piece of a block: ``cells`` per angle of ``probs`` from angle ``start``."""
+    streams = [] if config.analytic else [angle_rng(config.master_seed, start + b) for b in range(len(probs))]
+    return [
+        _cell_metrics(_piece_expectations(config, streams, probs, min(BLOCK_CELLS, cells - r)), config.n_qubits)
+        for r in range(0, cells, BLOCK_CELLS)
+    ]
+
+
+def _piece_expectations(config: ExperimentConfig, streams: list, probs: np.ndarray, reps: int) -> np.ndarray:
+    """Setting expectations ``(A * reps, S)`` of ``reps`` repetitions of each of ``probs``' ``(A, S, d)`` distributions.
+
+    Each angle draws from its stream, on from where its last piece stopped;
+    analytic frequencies are the distributions themselves.  Only the
+    expectations outlive the call, so a piece's draws are freed before it
+    is reconstructed.
+    """
+    freqs = probs
+    if not config.analytic:
+        freqs = np.empty((len(probs), reps, *probs.shape[1:]))
+        for stream, dist, rows in zip(streams, probs, freqs):
+            rows[...] = stream.multinomial(config.shots, dist, size=rows.shape[:2])
+        freqs /= config.shots
+    return np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), parity_signs(config.n_qubits))
 
 
 def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:
@@ -357,38 +376,9 @@ def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, 
     total_raw = c + p
     # the projection returns each cell it did not rebuild (mass 0) unchanged, with its raw metrics
     rebuilt = violation > 0
-    if rebuilt.all():
-        c, p = l1_metrics(rho)
-    elif rebuilt.any():
+    if rebuilt.any():
         c[rebuilt], p[rebuilt] = l1_metrics(rho[rebuilt])
     return c, p, c + p, total_raw, violation
-
-
-def _block_expectations(config: ExperimentConfig, start: int, probs: np.ndarray) -> np.ndarray:
-    """Setting expectations ``(cells, S)`` of a block's ``(A, S, d)`` outcome distributions.
-
-    Each angle draws its ``m`` repetitions from its own :func:`angle_rng`,
-    :data:`BLOCK_CELLS` at a time, which gives the counts of one whole draw.
-    In analytic mode every repetition sees the same exact frequencies, so
-    the block has one cell per angle and the caller repeats its row.
-    """
-    signs = parity_signs(config.n_qubits)
-    if config.analytic:
-        return np.einsum("ask,sk->as", probs, signs)
-    m, settings = config.m, probs.shape[1]
-    streams = [angle_rng(config.master_seed, start + b) for b in range(len(probs))]
-    # several angles share a block only when each has at most BLOCK_CELLS repetitions, so one
-    # pass draws the whole block, or one slice of a larger angle: at most BLOCK_CELLS cells
-    freqs = np.empty((len(probs), min(m, BLOCK_CELLS), *probs.shape[1:]))
-    expectations = np.empty((len(probs), m, settings))
-    for r in range(0, m, BLOCK_CELLS):
-        drawn = freqs[:, : m - r]
-        for stream, dist, rows in zip(streams, probs, drawn):
-            rows[...] = stream.multinomial(config.shots, dist, size=rows.shape[:2])
-        drawn /= config.shots
-        contracted = np.einsum("rsk,sk->rs", drawn.reshape(-1, *probs.shape[1:]), signs)
-        expectations[:, r : r + BLOCK_CELLS] = contracted.reshape(len(probs), -1, settings)
-    return expectations.reshape(-1, settings)
 
 
 def _label_reads_back(label: str) -> bool:

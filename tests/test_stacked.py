@@ -88,14 +88,20 @@ def _sweep_bytes(config, threads=1, block=None):
 def test_block_boundaries_do_not_change_bytes(config):
     whole = _sweep_bytes(config)
     assert _sweep_bytes(config, block=7) == whole
-    # 12 cells: blocks of 12 // m angles, simulated 12 angles at a time, so a chunk ends mid-grid after
-    # several blocks and the next one starts there
+    # 12 cells: blocks of 12 // cells angles (an analytic angle is one cell), simulated 12 angles at a time,
+    # so a sampled chunk ends mid-grid after several blocks and the next one starts there
     simulated = mock.Mock(wraps=exp.setting_probabilities)
     blocks = mock.Mock(wraps=exp._sweep_block)
-    with mock.patch.multiple(exp, BLOCK_CELLS=12, setting_probabilities=simulated, _sweep_block=blocks):
+    inversion = mock.Mock(wraps=exp.linear_inversion)
+    patches = dict(setting_probabilities=simulated, _sweep_block=blocks, linear_inversion=inversion)
+    with mock.patch.multiple(exp, BLOCK_CELLS=12, **patches):
         assert result_csv(run_sweep(config)) == whole
     assert [len(call.args[1]) for call in simulated.call_args_list] == [12, 8]
-    assert blocks.call_count > 2 and all(len(call.args[2]) == 12 // config.m for call in blocks.call_args_list[:2])
+    cells = 1 if config.analytic else config.m
+    sizes = [len(call.args[2]) for call in blocks.call_args_list]
+    assert sizes == {5: [2] * 10, 3: [4] * 5, 1: [12, 8]}[cells]
+    # each block is one piece of its angles' cells
+    assert [call.args[0].shape[0] for call in inversion.call_args_list] == [size * cells for size in sizes]
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -162,11 +168,41 @@ def test_setting_probabilities_contract_the_channel_once_per_gate_qubit(monkeypa
     assert [call.args[1] for call in contractions.call_args_list] == (touched if noise else [])
 
 
-def test_a_block_holds_at_least_one_angle(monkeypatch):
-    config = ExperimentConfig(kind="bmzi", angle_points=5, repetitions=40, shots=30, master_seed=9)
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(kind="bmzi", angle_points=5, repetitions=40, shots=30, master_seed=9),
+        ExperimentConfig(kind="pqe", angle_points=5, repetitions=40, analytic=True, **NOISE),
+    ],
+    ids=["bmzi", "analytic-pqe"],
+)
+def test_a_block_holds_at_least_one_angle(monkeypatch, config):
     reference = result_csv(run_sweep(config))
     monkeypatch.setattr(exp, "BLOCK_CELLS", 3)  # fewer cells than one angle's repetitions
     assert result_csv(run_sweep(config)) == reference
+
+
+@pytest.mark.parametrize(
+    "config, cells",
+    [
+        (ExperimentConfig(kind="bmzi", angle_points=7, repetitions=5, shots=30), 5),
+        (ExperimentConfig(kind="bmzi", angle_points=3, repetitions=30, shots=30), 30),
+        (ExperimentConfig(kind="pqe", angle_points=3, repetitions=30, shots=30, **NOISE), 30),
+        (ExperimentConfig(kind="pqe", angle_points=20, repetitions=30, analytic=True, **NOISE), 1),
+    ],
+    ids=["bmzi-below", "bmzi-above", "noisy-pqe-above", "analytic-pqe"],
+)
+def test_no_reconstruction_takes_more_than_a_piece(monkeypatch, config, cells):
+    inversion = mock.Mock(wraps=exp.linear_inversion)
+    monkeypatch.setattr(exp, "linear_inversion", inversion)
+    monkeypatch.setattr(exp, "BLOCK_CELLS", 12)
+    run_sweep(config)
+    rows = [call.args[0].shape[0] for call in inversion.call_args_list]
+    # each angle's cells reconstructed once, in pieces of at most BLOCK_CELLS; a sampled angle of 30
+    # repetitions is cut into pieces of 12, 12 and 6
+    assert max(rows) <= 12 and sum(rows) == config.angle_points * cells
+    if cells > 12:
+        assert rows == [12, 12, 6] * config.angle_points
 
 
 def test_cells_above_the_cap_are_rejected_before_any_allocation():
@@ -190,7 +226,7 @@ def test_mismatched_angle_axes_are_rejected():
 def test_an_analytic_sweep_reconstructs_each_angle_once(monkeypatch):
     inversion = mock.Mock(wraps=exp.linear_inversion)
     monkeypatch.setattr(exp, "linear_inversion", inversion)
-    monkeypatch.setattr(exp, "BLOCK_CELLS", 40)  # 8 angles of 5 repetitions per block
+    monkeypatch.setattr(exp, "BLOCK_CELLS", 8)  # 8 angles of one exact-frequency cell per piece
     result = run_sweep(ExperimentConfig(kind="pqe", angle_points=20, repetitions=5, analytic=True, **NOISE))
     assert [call.args[0].shape for call in inversion.call_args_list] == [(8, 15), (8, 15), (4, 15)]
     assert result.table.coherence.shape == (20, 5)
@@ -206,10 +242,11 @@ def test_analytic_repetitions_repeat_the_one_repetition_row(kind):
 
 
 def _chunk_expectations(config):
-    """The first reconstruction chunk's ``(cells, S)`` expectations of the sweep's first block."""
+    """The ``(cells, S)`` expectations of the sweep's first piece."""
     block = max(1, exp.BLOCK_CELLS // config.m)
     probs = exp.setting_probabilities(config, config.angles()[:block])
-    return exp._block_expectations(config, 0, probs)[: exp.BLOCK_CELLS]
+    streams = [exp.angle_rng(config.master_seed, b) for b in range(len(probs))]
+    return exp._piece_expectations(config, streams, probs, min(config.m, exp.BLOCK_CELLS))
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from interfero import (
 )
 from interfero.circuits import outcome_probabilities
 from interfero.output import result_csv
-from interfero.tomography import parity_signs
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -166,37 +165,33 @@ def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks(mon
     # noiseless pqe: every finite-shot state is clipped, the projection's largest case
     config = ExperimentConfig(kind="pqe", angle_points=2, repetitions=5000, master_seed=3)
     probs = exp.setting_probabilities(config, config.angles()[:1])
-    exp._sweep_block(config, 0, probs)  # first-call caches are not per-cell memory
-    drawn = {}
-    real = exp._block_expectations
+    exp._sweep_block(config, 0, probs, config.m)  # first-call caches are not per-cell memory
+    held = []  # per piece: the bytes live as its reconstruction starts, and its reconstruction's peak above them
+    real = exp._cell_metrics
 
-    def draws(*args):
-        expectations = real(*args)
-        drawn["live"] = tracemalloc.get_traced_memory()[0]
+    def metrics(*args):
+        live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        return expectations
+        columns = real(*args)
+        held.append((live, tracemalloc.get_traced_memory()[1] - live))
+        return columns
 
-    monkeypatch.setattr(exp, "_block_expectations", draws)
+    monkeypatch.setattr(exp, "_cell_metrics", metrics)
     tracemalloc.start()
     try:
-        columns = exp._sweep_block(config, 0, probs)
-        peak = tracemalloc.get_traced_memory()[1] - drawn["live"]
+        pieces = exp._sweep_block(config, 0, probs, config.m)
     finally:
         tracemalloc.stop()
-    assert columns[-1].all()
-    # one chunk's raw stack and at most three stacks of its clipped cells, plus the 40 bytes of
-    # columns per cell (0.4 stack here); reconstructing the angle whole held 10.5 stacks
-    assert peak < 5 * exp.BLOCK_CELLS * 16 * 16
-
-
-def whole_draw_expectations(config, start, probs):
-    """Each angle's repetitions drawn in one multinomial call, into one frequency array of the block."""
-    freqs = np.empty((len(probs), config.m, *probs.shape[1:]))
-    for b, dist in enumerate(probs):
-        rng = exp.angle_rng(config.master_seed, start + b)
-        freqs[b] = rng.multinomial(config.shots, dist, size=(config.m, len(dist)))
-    freqs /= config.shots
-    return np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), parity_signs(config.n_qubits))
+    assert [len(piece[0]) for piece in pieces] == [2048, 2048, 904]
+    assert all(piece[-1].all() for piece in pieces)
+    stack = exp.BLOCK_CELLS * 16 * 16
+    for live, peak in held:
+        # the piece's expectations and the columns of the pieces before it (at most 0.8 stack); its
+        # draws, 1.9 stacks, are freed before it is reconstructed
+        assert live < stack
+        # its raw stack, its projected copy and the projection's transients, then its rebuilt cells
+        # gathered to be scored; reconstructing the angle whole held 10.5 stacks
+        assert peak < 5 * stack
 
 
 @pytest.mark.parametrize("kind", ["bmzi", "pqe"])
@@ -204,7 +199,7 @@ def test_an_angle_drawn_in_slices_writes_the_bytes_of_one_whole_draw(monkeypatch
     config = ExperimentConfig(kind=kind, angle_points=2, repetitions=5000, master_seed=3, **NOISE)
     assert config.m > 2 * exp.BLOCK_CELLS and config.m % exp.BLOCK_CELLS  # two full slices and a short one
     sliced = result_csv(run_sweep(config)).encode()
-    monkeypatch.setattr(exp, "_block_expectations", whole_draw_expectations)
+    monkeypatch.setattr(exp, "BLOCK_CELLS", config.m)  # each angle one piece, drawn in one multinomial call
     whole = result_csv(run_sweep(config)).encode()
     # by digest, as pytest would take minutes to diff two differing texts of a megabyte
     assert sha256(sliced).hexdigest() == sha256(whole).hexdigest()
@@ -219,9 +214,9 @@ def test_a_sweep_at_the_cell_cap_peaks_far_below_its_whole_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expectations = config.m * 15 * 8  # one angle's (repetitions, settings) stack, 15 MB
     table = exp.MAX_CELLS * len(exp.METRICS) * 8  # the metric columns, 10 MB
-    chunk = 5 * exp.BLOCK_CELLS * 16 * 16  # one chunk's reconstruction, bounded as in the chunk test above
-    # the table, and one block's columns both as its chunks' and joined (half the table each); drawing
-    # each angle whole held 122 MB inside the draw alone
-    assert peak < expectations + 2 * table + chunk
+    # measured 23.0 MB: the table and, while analyze runs, its (repetitions, angles) deviations and
+    # per-repetition values, 13 MB at 2 angles; the pieces' columns joined into the table peak at 20.1 MB.
+    # Holding an angle's (repetitions, settings) expectations whole and the blocks' columns through
+    # analyze peaked at 33 MB, and drawing each angle whole held 122 MB inside the draw alone
+    assert peak < 2.5 * table
