@@ -20,7 +20,7 @@ from (master_seed, angle index), one piece after the other, which gives the
 counts of one whole draw.  An analytic angle is one cell at its exact
 frequencies, which stands for each of its repetitions.  The projection
 decomposes only the states that a stacked LDL^H factorisation cannot prove
-to have every eigenvalue above ``tomography.PSD_MARGIN`` (1e-9), a margin
+to have every eigenvalue above ``linalg.PSD_MARGIN`` (1e-9), a margin
 far above ``eigh``'s error; the others come back unchanged and keep their
 raw metrics, so only the rebuilt states are scored again.  Every step works
 on each angle or cell on its own and every angle owns its stream, so

@@ -22,17 +22,13 @@ import numpy as np
 
 from .circuits import Circuit, unitary
 from .errors import ValidationError
-from .linalg import PAULI, check_stack, dagger, kron, require
+from .linalg import PAULI, PSD_MARGIN, check_stack, dagger, kron, require, uncertified
 
 # Rotations mapping each Pauli eigenbasis onto the computational basis.
 BASIS_ROTATION = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
 }
-
-#: Margin by which :func:`project_psd` must prove a matrix positive to skip ``eigh``:
-#: far above the ~1e-15 rounding of a factorisation at d <= 4 and trace 1.
-PSD_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -135,17 +131,13 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     trace 1 within 1e-6, and so has a positive largest eigenvalue: the
     clipped spectrum never sums to zero.
 
-    Only the matrices whose LDL^H factorisation of ``m - PSD_MARGIN * I``
-    meets a pivot that is not positive go to one stacked ``eigh``, which
-    works on each matrix on its own.  A factorisation that completes is
-    backward stable (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 10), so the matrix's smallest eigenvalue is at
-    least ``PSD_MARGIN - O(d**2 eps)``, its diagonal being at most about its
-    trace, 1; ``eigh``, accurate to ``O(eps)``, would find none negative.
+    Only the matrices that ``linalg.uncertified`` cannot prove to have every eigenvalue above ``PSD_MARGIN``
+    (1e-9) go to one stacked ``eigh``, which works on each matrix on its own; ``eigh``, accurate to ``O(eps)``,
+    would find no eigenvalue of the others negative.
     """
     m = check_stack(m, "matrix to project", 1e-6, trace=1e-6)
     violation = np.zeros(m.shape[:-2])
-    rebuilt = _uncertified(m)
+    rebuilt = uncertified(m, PSD_MARGIN)
     if rebuilt.any():
         lam, vecs = np.linalg.eigh(m[rebuilt])
         negative = lam[:, 0] < 0.0
@@ -165,29 +157,6 @@ def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     out = m.copy()
     out[rebuilt] = projected
     return out, violation
-
-
-def _uncertified(m: np.ndarray) -> np.ndarray:
-    """Mask of the matrices whose LDL^H factorisation of ``m - PSD_MARGIN * I`` meets a pivot not > 0.
-
-    It reads what ``eigh`` reads, the real diagonal and the lower triangle,
-    held as ``d(d+1)/2`` arrays over the leading axes; an overflow or a NaN
-    fails ``> 0``.
-    """
-    d = m.shape[-1]
-    # the Schur complement's lower triangle, eliminated one column at a time
-    diag = [m[..., i, i].real - PSD_MARGIN for i in range(d)]
-    lower = {(i, j): m[..., i, j] for i in range(d) for j in range(i)}
-    flagged = np.zeros(m.shape[:-2], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(d):
-            flagged |= ~(diag[j] > 0.0)
-            for i in range(j + 1, d):
-                ratio = lower[i, j] / diag[j]
-                diag[i] = diag[i] - (ratio.real * lower[i, j].real + ratio.imag * lower[i, j].imag)
-                for k in range(j + 1, i):
-                    lower[i, k] = lower[i, k] - ratio * np.conj(lower[k, j])
-    return flagged
 
 
 def reconstruct(expectations: dict[str, float], n_qubits: int) -> TomographyResult:

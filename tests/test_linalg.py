@@ -2,11 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interfero import ValidationError, kron, outer, purity
 from interfero.circuits import Circuit, outcome_probabilities, simulate_density, unitary
 from interfero.complementarity import coherence_l1, l1_metrics, predictability_l1
-from interfero.linalg import check_density_matrix, check_state_vector, dagger, hermitian_residual, random_unitary
+from interfero.experiments import ExperimentConfig, setting_probabilities
+from interfero.linalg import (
+    ATOL_EIG,
+    PSD_MARGIN,
+    at_index,
+    check_density_matrix,
+    check_state_vector,
+    dagger,
+    hermitian_residual,
+    random_unitary,
+    uncertified,
+)
 from interfero.noise import NoiseModel, check_channel
 from interfero.tomography import project_psd
 
@@ -132,6 +145,86 @@ def test_check_density_matrix_holds_less_than_one_stack():
         tracemalloc.stop()
     # the Hermitian check holds one entry per matrix at a time; eigvalsh gives (cells, d)
     assert peak < stack.nbytes
+
+
+def _spectrum_state(seed, lam):
+    """A Hermitian matrix with spectrum ``lam`` (trace 1 to rounding) in a random eigenbasis."""
+    u = random_unitary(len(lam), np.random.default_rng(seed))
+    return (u * np.asarray(lam)) @ dagger(u)
+
+
+def _eigvalsh_every_matrix(rho):
+    """The positivity check before the certificate: ``eigvalsh`` of every matrix, or its error message."""
+    lam = np.linalg.eigvalsh(rho)[..., 0]
+    failing = [cell for cell in np.ndindex(lam.shape) if not lam[cell] >= -ATOL_EIG]
+    if not failing:
+        return None
+    return f"density matrix{at_index(failing[0])} has negative eigenvalue {float(lam[failing[0]])!r}"
+
+
+def _message(rho):
+    try:
+        check_density_matrix(rho)
+    except ValidationError as error:
+        return str(error)
+    return None
+
+
+#: Smallest eigenvalues on both sides of the certificate's floor, of -ATOL_EIG and of 0.
+LOWEST = [0.3, 0.0, 1e-12, -1e-12, -5e-9, -9e-9, -9.5e-9, -9.999e-9, -1.0001e-8, -2e-8, -1e-3, -0.4]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_check_density_matrix_eigendecomposes_only_what_the_certificate_cannot_pass(monkeypatch, d):
+    lowest = np.array(LOWEST)
+    lowest = lowest[lowest >= -ATOL_EIG]
+    stack = np.array([_spectrum_state(k, [x, *[(1 - x) / (d - 1)] * (d - 1)]) for k, x in enumerate(lowest)])
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        seen.append(m)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert check_density_matrix(stack) is stack
+    # the certificate proves every eigenvalue above -9e-9; the states below it, and only those, go to eigvalsh
+    floor = PSD_MARGIN - ATOL_EIG
+    flagged = uncertified(stack, floor)
+    assert flagged[lowest < floor - 1e-10].all() and not flagged[lowest > floor + 1e-10].any()
+    assert len(seen) == 1 and seen[0].tobytes() == stack[flagged].tobytes()
+    seen.clear()
+    check_density_matrix(stack[lowest > floor + 1e-10])
+    noise = dict(depolarizing=0.02, amplitude_damping=0.01, phase_damping=0.01)
+    for config in (ExperimentConfig(kind="pqe", **noise), ExperimentConfig(kind="pqe"), ExperimentConfig(kind="bmzi")):
+        setting_probabilities(config, config.angles())  # pure states too: 0 is 9e-9 above the floor
+    assert seen == []
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+def test_check_density_matrix_names_the_first_failing_matrix_as_before(lead):
+    rng = np.random.default_rng(len(lead))
+    for trial in range(12):
+        lowest = rng.choice(LOWEST, size=lead)
+        stack = np.array([_spectrum_state(trial * 100 + k, [x, 1 - x]) for k, x in enumerate(lowest.ravel())])
+        stack = stack.reshape(*lead, 2, 2)
+        assert _message(stack) == _eigvalsh_every_matrix(stack)
+    assert _message(np.diag([1 + 2e-8, -2e-8])) == "density matrix has negative eigenvalue -2e-08"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 4),
+    lowest=st.one_of(st.floats(-0.5, -ATOL_EIG * (1 + 1e-6)), st.floats(-ATOL_EIG * (1 - 1e-6), 0.0, exclude_max=True)),
+    rest=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_matrix_below_minus_atol_eig_is_accepted_and_none_above_is_rejected(d, lowest, rest, seed):
+    weights = np.array(rest[: d - 1]) + 1e-3
+    rho = _spectrum_state(seed, [lowest, *(weights * (1 - lowest) / weights.sum())])
+    message = _message(rho)
+    assert message == _eigvalsh_every_matrix(rho)
+    assert (message is None) == (lowest >= -ATOL_EIG)
 
 
 def _nan_stack(d):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -131,6 +132,35 @@ def test_the_composed_channel_equals_its_kraus_operators_in_sequence(name, n_qub
         # each matrix's result does not depend on the stack it sits in
         single = [_apply_channel(model.superoperator, q, n_qubits, rho[i, j]) for i in range(3) for j in range(5)]
         assert np.array_equal(composed.reshape(-1, *rho.shape[-2:]), np.stack(single))
+
+
+def _einsum_channel(superoperator, q, n_qubits, rho):
+    """The contraction ``_apply_channel`` replaced, kept as its reference."""
+    p, r = 1 << (n_qubits - 1 - q), 1 << q
+    out = np.einsum("abcd,...icjkdl->...iajkbl", superoperator, rho.reshape(*rho.shape[:-2], p, 2, r, p, 2, r))
+    return out.reshape(rho.shape)
+
+
+#: Every channel combination ``NoiseModel.build`` makes: depolarizing, amplitude and phase damping, each on or off.
+#: (A channel that is not phase covariant, such as "one-operator" above, is not bitwise the einsum: einsum's own
+#: order of summation then depends on the memory layout.)
+BUILT = [strengths for strengths in itertools.product((0.0, 0.03), (0.0, 0.02), (0.0, 0.05)) if any(strengths)]
+
+
+@pytest.mark.parametrize("strengths", BUILT, ids=lambda s: "-".join(f"{x:g}" for x in s))
+@pytest.mark.parametrize("n_qubits, q", [(1, 0), (2, 0), (2, 1)])
+def test_the_channel_kernel_is_bitwise_the_einsum_contraction(strengths, n_qubits, q):
+    superoperator = NoiseModel.build(*strengths).superoperator
+    d = 1 << n_qubits
+    rng = np.random.default_rng(n_qubits + 2 * q)
+    for shape in [(), (5,), (3, 60)]:
+        rho = _random_states(rng, shape, d)
+        # exact zeros give signed-zero products: where every term of a sum is -0, einsum's sum from +0 is +0
+        sparse = rho.copy()
+        sparse[..., 0, :] = sparse[..., :, 0] = 0.0
+        for m in (rho, sparse, -sparse):
+            got = _apply_channel(superoperator, q, n_qubits, m)
+            assert got.shape == m.shape and got.tobytes() == _einsum_channel(superoperator, q, n_qubits, m).tobytes()
 
 
 def test_the_composition_keeps_the_channels_order():
