@@ -9,6 +9,7 @@ of :func:`fmt12` for every value.
 from __future__ import annotations
 
 import datetime as _dt
+import platform
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
@@ -222,6 +223,9 @@ def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[
         f"master_seed = {config.master_seed}",
         f"config = {config_path.name}",
         "outputs = " + ",".join(p.name for p in outputs),
+        f"python = {platform.python_version()}",
+        f"numpy = {np.__version__}",
+        f"blas = {_blas_line()}",
     ]
     path = out / "manifest.txt"
     _write(path, "\n".join(lines) + "\n")
@@ -234,6 +238,16 @@ def read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
+def _blas_line() -> str:
+    """numpy's BLAS on one line: its name, version and, for OpenBLAS, the configuration it reports."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy 1.24 has no mode="dicts"
+        return "unknown"
+    text = " ".join(str(blas[key]) for key in ("name", "version", "openblas configuration") if key in blas)
+    return " ".join(text.split()) or "unknown"
 
 
 def _write(path: Path, content: str) -> None:

@@ -8,6 +8,10 @@ the physical (PSD, trace-1) set.
 Inversion and projection work on stacks: expectation arrays ``(..., S)`` and
 matrices ``(..., d, d)``, where the leading axes index independent states.  A
 single state is the case with no leading axes.
+
+Inversion is exact up to the order of its additions: Pauli entries are 0,
++-1 or +-i, so every product of a value and an entry is exact, and each
+entry of the state sums its products in setting order from +0.
 """
 
 from __future__ import annotations
@@ -95,6 +99,12 @@ def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: i
     the leading axes of such an array give a stack of states ``(..., d, d)``.
     Exact expectations reconstruct the state exactly; finite-shot estimates
     may produce negative eigenvalues, so the result is not validated as PSD.
+
+    The sum is one real matrix product of the values with the basis's
+    interleaved (re, im) columns.  Every Pauli entry is 0, +-1 or +-i, so
+    each product is exact, and each entry sums its terms in setting order
+    from +0: the result is bitwise ``einsum("...s,sij->...ij")`` over the
+    complex basis, zero signs included, and exactly Hermitian.
     """
     required = measurement_settings(n_qubits)
     if isinstance(expectations, Mapping):
@@ -115,8 +125,13 @@ def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: i
         np.abs(values) <= 1.0 + 1e-9,
         lambda k: f"expectation for {required[k[-1]]!r} is {float(values[k])!r}, outside [-1, 1]",
     )
-    dim = 1 << n_qubits
-    return (np.eye(dim) + np.einsum("...s,sij->...ij", values, pauli_basis(n_qubits))) / dim
+    dim, settings = 1 << n_qubits, len(required)
+    rho = (values.reshape(-1, settings) @ pauli_basis(n_qubits).reshape(settings, -1).view(float)).view(complex)
+    rho = rho.reshape(*values.shape[:-1], dim, dim)
+    # (eye + rho) / dim in place: two more fresh stacks would page-fault on every call
+    rho += np.eye(dim)
+    rho /= dim
+    return rho
 
 
 def project_psd(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:

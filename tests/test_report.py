@@ -1,4 +1,5 @@
 import hashlib
+import platform
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -405,6 +406,27 @@ def test_manifest_contents(tmp_path, noisy_result):
     assert f"master_seed = {noisy_result.config.master_seed}" in text
     assert "results.csv" in text
     assert parse_config(tmp_path / "config.cfg") == noisy_result.config
+
+
+def test_manifest_records_the_python_numpy_and_blas_versions_apart_from_the_outputs(tmp_path, noisy_result):
+    paths = write_results(noisy_result, tmp_path)
+    written = {name: path.read_bytes() for name, path in paths.items()}
+    manifest = write_manifest(tmp_path, noisy_result.config, list(paths.values()), "0.1.0")
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    assert f"python = {platform.python_version()}" in lines
+    assert f"numpy = {np.__version__}" in lines
+    blas = [line for line in lines if line.startswith("blas = ")]
+    assert len(blas) == 1 and len(blas[0]) > len("blas = ")
+    assert {name: path.read_bytes() for name, path in paths.items()} == written
+    assert written["summary"] == summary_text(noisy_result).encode() and b"numpy" not in written["summary"]
+
+
+# numpy 1.24's show_config takes no mode
+@pytest.mark.parametrize("show_config", [lambda mode: {}, lambda: None], ids=["no-blas-entry", "no-dicts-mode"])
+def test_manifest_blas_line_without_build_information(tmp_path, noisy_result, monkeypatch, show_config):
+    monkeypatch.setattr(np, "show_config", show_config)
+    text = write_manifest(tmp_path, noisy_result.config, [], "0.1.0").read_text(encoding="utf-8")
+    assert "blas = unknown\n" in text
 
 
 def test_pqe_rows_recompute_against_dim_four_theory(tmp_path):

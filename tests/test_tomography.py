@@ -22,7 +22,7 @@ from interfero import (
 import interfero.tomography as tomography
 from interfero.experiments import ExperimentConfig, run_sweep
 from interfero.tomography import PAULI, PSD_MARGIN
-from interfero.linalg import check_stack, kron, random_unitary
+from interfero.linalg import check_stack, dagger, kron, random_unitary
 
 
 def exact_expectations(state, n_qubits):
@@ -283,6 +283,45 @@ def test_linear_inversion_of_a_stack_names_the_bad_setting():
         linear_inversion(values, 1)
     with pytest.raises(ValidationError, match="3 expectation values"):
         linear_inversion(np.zeros((4, 15)), 1)
+
+
+def _einsum_inversion(values, n_qubits):
+    """The complex einsum that the inversion's real matrix product replaced, kept as its reference."""
+    dim = 1 << n_qubits
+    return (np.eye(dim) + np.einsum("...s,sij->...ij", values, tomography.pauli_basis(n_qubits))) / dim
+
+
+def _inversion_inputs(n_qubits):
+    """Uniform values, count fractions and values in {+-1, +-0, +-0.5}, for one state and stacks of six shapes."""
+    rng = np.random.default_rng(53 + n_qubits)
+    size = len(measurement_settings(n_qubits))
+    for shape in [(), (1,), (2,), (5,), (3, 7), (960,), (2048,)]:
+        yield rng.uniform(-1, 1, (*shape, size))
+        yield rng.integers(0, 1001, (*shape, size)) / 1000 * 2 - 1
+        yield rng.choice([1.0, -1.0, 0.0, -0.0, 0.5, -0.5], (*shape, size))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_the_inversion_is_bitwise_the_einsum(n_qubits):
+    settings = measurement_settings(n_qubits)
+    for values in _inversion_inputs(n_qubits):
+        got, want = linear_inversion(values, n_qubits), _einsum_inversion(values, n_qubits)
+        # equal bytes: equal values and equal signbits, zeros included
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        single = values.reshape(-1, len(settings))[-1]
+        got = linear_inversion(dict(zip(settings, single)), n_qubits)
+        assert got.tobytes() == _einsum_inversion(single, n_qubits).tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_the_inversion_is_exactly_hermitian(n_qubits):
+    # project_psd's lower-triangle LDL^H certificate and eigh read one triangle only
+    settings = measurement_settings(n_qubits)
+    for values in _inversion_inputs(n_qubits):
+        single = dict(zip(settings, values.reshape(-1, len(settings))[0]))
+        for rho in (linear_inversion(values, n_qubits), linear_inversion(single, n_qubits)):
+            assert np.all(rho == dagger(rho))
+            assert np.all(np.diagonal(rho, axis1=-2, axis2=-1).imag == 0.0)
 
 
 def test_project_psd_of_a_stack_matches_each_matrix():
