@@ -1,8 +1,10 @@
 """The results reader, the MSE tables and curves, and their renderers.
 
-:func:`read_results` parses a results.csv, as :mod:`interfero.output`
-writes it, into one :class:`SweepTable` per label; :func:`reports_from_rows`
-and :func:`aggregate_curves` reduce those to MSE reports and mean curves.
+:func:`read_results` parses a results.csv into one :class:`SweepTable` per
+label: a numpy byte kernel reads the grammar :mod:`interfero.output` writes,
+each number bitwise as Python's ``int`` and ``float`` read it, and Python
+converts line by line a file the kernel declines.  :func:`reports_from_rows`
+and :func:`aggregate_curves` reduce the tables to MSE reports and mean curves.
 Figures are plain SVG strings built without imaging dependencies; sparkline
 tables come in a text variant (8-level block characters) and an SVG variant.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import KINDS, ResultRow, SweepTable, analyze, theory_series
+from .experiments import BLOCK_CELLS, KINDS, ResultRow, SweepTable, analyze, theory_series
 from .mse import HIST_BINS, MseReport, histogram_bins
 # write_manifest and write_results are unused here: the benchmark's tracer looks them up in this module
 from .output import CSV_HEADER, read_text, write_manifest, write_results  # noqa: F401
@@ -34,11 +36,6 @@ CURVE_COLORS = {"sum": "#000000", "coherence": "#e07b00", "predictability": "#1f
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 INDEX_FIELDS = ("angle_index", "repetition")
-FLOAT_FIELDS = ("angle", *CSV_FIELDS[5:])
-
-#: Width of ``kind`` as :func:`_load_file` reads it; no valid kind fills it,
-#: so a kind truncated to the field is never valid.
-KIND_BYTES = f"S{max(map(len, KINDS)) + 1}"
 
 
 class ResultRows(Sequence[ResultRow]):
@@ -69,101 +66,122 @@ class ResultRows(Sequence[ResultRow]):
 def read_results(csv_path: str | Path) -> ResultRows:
     """Parse a results CSV into one table per label.
 
-    A malformed line is a ValidationError naming ``path:line``: a wrong field
-    count, an unknown kind, a non-integer index, an unparseable or non-finite
-    number, a kind that differs from the label's earlier rows, an angle that
-    differs from earlier rows of the same (label, angle_index), or a repeated
-    (label, angle_index, repetition) cell.  Of several such lines the lowest
-    is named.  A label whose rows miss a cell of its (angle_index,
-    repetition) grid is a ValidationError naming ``path``.
+    A malformed line is a ValidationError naming ``path:line``: a wrong field count, an unknown kind,
+    a non-integer index, an unparseable or non-finite number, a kind that differs from the label's
+    earlier rows, an angle that differs from earlier rows of the same (label, angle_index), or a
+    repeated (label, angle_index, repetition) cell; of several, the lowest.  A label whose rows miss
+    a cell of its (angle_index, repetition) grid is a ValidationError naming ``path``.
 
-    The file is read in one pass of numpy's C reader (:func:`_load_file`) or,
-    where that declines it, line by line with Python's ``int`` and ``float``
-    (:func:`_read_lines`); both give the same columns, which :func:`_group`
-    then groups into each label's table.
+    A numpy byte kernel over the grammar the writer uses (:func:`_load_file`) reads the file, or
+    where it declines the file, Python's ``int`` and ``float`` convert it line by line
+    (:func:`_read_lines`); both give the same columns, which :func:`_group` groups by label.
     """
     path = Path(csv_path)
     return ResultRows(_group(path, *(_load_file(path) or _read_lines(path))))
 
 
-def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], None] | None:
-    """The columns of a whole results file from one ``np.loadtxt`` call.
+def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None] | None:
+    """The columns of a whole results file from one numpy byte kernel, and its first line fault; or None.
 
-    None when numpy could split or read the file differently from
-    :func:`_read_lines`, or when the file has a fault; that reader then
-    gives its columns or names its fault.
+    The kernel takes the grammar that :func:`interfero.output.result_csv` writes.  Lines end at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``, as for ``str.splitlines``; each has nine commas; a float field is
+    ``-?[0-9]{1,3}\\.[0-9]{12}`` and an index field ``[0-9]{1,8}``.  A float's digits form an integer
+    ``M < 10**15 < 2**53``, so ``M / 1e12``, one correctly rounded division, negated after a '-', is
+    ``float(text)`` bit for bit.  The rows are read :data:`BLOCK_CELLS` at a time.
+
+    None, for :func:`_read_lines`, on a control byte other than tab, LF and CR, a Unicode line break, no
+    rows, a line without nine commas, an unknown kind, a label far longer than the rest, or a first number
+    outside the grammar that Python's ``int`` or ``float`` reads or that is not ASCII.  A number they
+    reject is its line's fault, given with the rows before it, as :func:`_read_lines` gives them.
     """
-    header = CSV_HEADER.encode()
-    data = path.read_bytes()
-    if not (
-        data[: len(header) + 1] in (header + b"\n", header + b"\r")
-        and (data.isascii() or _is_utf8_without_unicode_breaks(data))
-    ):
+    header, data = CSV_HEADER.encode(), path.read_bytes()
+    starts_well = data[: len(header) + 1] in (header + b"\n", header + b"\r")
+    if not (starts_well and (data.isascii() or _is_utf8_without_unicode_breaks(data))):
         return None
-    # The commas, and the control bytes: the line ends and the bytes read differently, which are
-    # sought in the file only when one is there.  (Keeping every separator's position in one
-    # pass cost as much time and more memory.)
     b = np.frombuffer(data, np.uint8)
-    commas = np.flatnonzero(b == ord(","))
-    control = b[b < ord(" ")]
-    # \x0b, \x0c and \x1c to \x1e break lines for str.splitlines, not for numpy; numpy's number
-    # parsers take \x1f for whitespace, and its bytes fields drop trailing NULs.  A file holding
-    # any of them is declined (uint8 differences wrap, so each range is one test).
-    if ((control - 0x0B < 2) | (control - 0x1C < 4) | (control == 0)).any():
+    # the control bytes, sought a megabyte at a time so that no mask as long as the file is held
+    control = np.concatenate([np.flatnonzero(b[i : i + 2**20] < ord(" ")) + i for i in range(0, len(b), 2**20)])
+    eol = control[b[control] != ord("\t")]
+    # the empty text between the two bytes of a \r\n is no line, nor is the empty text after a final line end
+    starts, ends = np.append(0, eol + 1), np.append(eol, len(b))
+    lines = np.append((b[eol] != ord("\n")) | (b[eol - 1] != ord("\r")), ends[-1] > starts[-1])
+    starts, ends = starts[lines][1:], ends[lines][1:]  # the rows, past the header
+    if not len(starts) or np.isin(b[eol], (ord("\n"), ord("\r")), invert=True).any():
         return None
-    # lines end at \n, \r\n and a lone \r, for numpy's universal newlines as for splitlines
-    lines = int(np.count_nonzero(control == ord("\n"))) + (data[-1:] not in (b"\n", b"\r"))
-    if (control == ord("\r")).any():
-        cr = np.flatnonzero(b == ord("\r"))
-        lines += len(cr) - int(np.count_nonzero(b[cr[cr + 1 < len(b)] + 1] == ord("\n")))
-    # With nine commas on every line, each label lies between its line's first two, so a field
-    # as wide as the longest label truncates none; with nine per line on average but not on
-    # every line, some line has more, and numpy raises on it.  One label far longer than the
-    # rest would make the field cost more memory than the line-by-line reader.
-    if lines < 2 or len(commas) != 9 * lines:
-        return None
-    width = int(np.diff(commas.reshape(lines, 9)[:, :2]).max()) - 1
-    if width * lines > 4 * len(data):
-        return None
-    del data, b, commas  # holding these while numpy parses only raises the peak
-    numbers = [(name, np.int64 if name in INDEX_FIELDS else np.float64) for name in CSV_FIELDS[2:]]
-    dtype = np.dtype([("kind", KIND_BYTES), ("label", f"S{width}"), *numbers])
-    # numpy reads the file again, assuming that nothing writes it meanwhile.  Through latin-1
-    # each byte is one character, so a label keeps its UTF-8 bytes, and a number holding a
-    # non-ASCII character fails: its first byte (0xc2 to 0xf4) reads as a letter, × or ÷
-    try:
-        records = np.loadtxt(path, delimiter=",", comments=None, ndmin=1, dtype=dtype, skiprows=1, encoding="latin-1")
-    except ValueError:
-        return None
-    n = len(records)
-    if n != lines - 1:  # numpy split the lines differently
-        return None
-    kind, label = records["kind"], records["label"]
-    # labels are coded once per run of equal (kind, label) rows
-    head = np.ones(n, dtype=bool)
-    head[1:] = (kind[1:] != kind[:-1]) | (label[1:] != label[:-1])
-    starts = np.flatnonzero(head)
-    # a kind cut short mid-character decodes to U+FFFD, which is no kind
-    kinds = [KIND_CODES.get(k.decode(errors="replace")) for k in kind[starts].tolist()]
-    if None in kinds:
-        return None
-    labels: dict[str, int] = {}
-    codes = [labels.setdefault(name.decode(), len(labels)) for name in label[starts].tolist()]
-    runs = np.diff(starts, append=n)
-    ints = np.stack([np.repeat(codes, runs), np.repeat(kinds, runs), records["angle_index"], records["repetition"]])
-    floats = np.stack([records[name] for name in FLOAT_FIELDS])
-    if not np.isfinite(floats).all():
-        return None
+    # the eight bytes from each offset, as one word, and the sixteen, as two
+    words, pairs = (np.ndarray((len(b) + 1 - size,), f"V{size}", data, strides=(1,)) for size in (8, 16))
+    ints, floats, labels = np.empty((4, len(starts)), np.int64), np.empty((6, len(starts))), {}
+    for r in range(0, len(starts), BLOCK_CELLS):
+        s, e, n = starts[r : r + BLOCK_CELLS], ends[r : r + BLOCK_CELLS], min(BLOCK_CELLS, len(starts) - r)
+        commas = np.flatnonzero(b[s[0] : e[-1]] == ord(",")) + s[0]
+        if len(commas) != 9 * n:
+            return None
+        # with nine commas per line on average, each line has nine just when the k-th nine lie in the k-th line
+        bounds = np.column_stack((commas.reshape(n, 9), e))
+        key_bytes = bounds[:, 1] - s  # the kind, its comma and the label
+        # a label far longer than the rest would make the words of that text cost more memory than the text
+        if ((bounds[:, 0] < s) | (bounds[:, 8] > e)).any() or key_bytes.max() * n > 4 * (e[-1] - s[0]):
+            return None
+        # (kind, label) is coded once per run of equal rows: where that text, read in words, differs
+        # from the row before's (numpy shifts a word by 64 bits to 0)
+        offsets = np.arange(0, key_bytes.max(), 8)
+        clear = (64 - 8 * np.clip(key_bytes[:, None] - offsets, 0, 8)).astype(np.uint64)
+        key = words[np.minimum(s[:, None] + offsets, len(words) - 1)].view("<u8") << clear >> clear
+        at = np.flatnonzero(np.append(True, (key[1:] != key[:-1]).any(axis=1)))
+        text = [data[i:j].decode().split(",") for i, j in zip(s[at].tolist(), bounds[at, 1].tolist())]
+        kinds, codes = [KIND_CODES.get(kind) for kind, _ in text], [labels.setdefault(x, len(labels)) for _, x in text]
+        if None in kinds:
+            return None
+        ints[:2, r : r + n] = np.repeat([codes, kinds], np.diff(at, append=n), axis=1)
+        # the number fields [lo, hi), bytes before a field read as '0': an index is the word ending at its last
+        # byte; a float, the word of its last eight decimals and the word before, integer digits moved over the '.'
+        lo, hi = bounds[:, 1:9].T + 1, bounds[:, 2:].T  # by field, then row
+        size, ok = hi - lo, np.empty((8, n), dtype=bool)
+        i, f = [0, 2], [1, 3, 4, 5, 6, 7]  # angle_index and repetition; the floats
+        width = np.clip(size[i], 1, 8)
+        ok[i], ints[2:, r : r + n] = _digits8(words[hi[i] - 8].view("<u8"), 8 - width)
+        ok[i] &= width == size[i]
+        sign = b.take(lo[f], mode="clip") == ord("-")
+        digits = size[f] - 13 - sign  # of the integer part
+        width, (head, tail) = np.clip(digits, 1, 3), np.moveaxis(pairs[hi[f] - 16].view("<u8").reshape(6, n, 2), 2, 0)
+        ok[f], whole = _digits8((head & 0xFFFFFF) << 8 | head & 0xFFFFFFFF00000000, 4 - width)
+        ok_tail, tail = _digits8(tail)
+        ok[f] &= ok_tail & (width == digits) & (head >> 24 & 0xFF == ord("."))
+        value = (whole * 10**8 + tail).astype(np.float64) / 1e12
+        floats[:, r : r + n] = np.negative(value, out=value, where=sign)
+        if not ok.all():  # the first row outside the grammar, and its first such field
+            k = int(np.argmin(ok.all(axis=0)))
+            j = int(np.argmin(ok[:, k]))
+            number = data[lo[j, k] : hi[j, k]].decode()
+            try:
+                (int if j in i else float)(number)
+            except ValueError:
+                if number.isascii():  # Python's int and float read digits and spaces beyond ASCII
+                    k, names = r + k, list(labels)[: int(ints[0, : r + k].max(initial=-1)) + 1]
+                    return ints[:, :k], floats[:, :k], names, (k, _line_fault(data[starts[k] : ends[k]].decode()))
+            return None
     return ints, floats, list(labels), None
+
+
+def _digits8(words: np.ndarray, skip: np.ndarray | int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each little-endian word's eight bytes, its first ``skip`` read as '0', are ASCII digits, and their value.
+
+    SWAR steps after Lemire, "Number Parsing at a Gigabyte per Second" (2021): a byte ``c`` is a digit when
+    ``x = c ^ 0x30`` is at most 9, so neither ``x`` nor ``x + 0x76`` sets its high bit (a carry between bytes starts
+    at a byte that is no digit); multiply-shifts then join the digit values in pairs, fours and eights."""
+    x = (words ^ 0x3030303030303030) & np.uint64(2**64 - 1) << np.asarray(skip, np.uint64) * 8
+    ok = (x | x + 0x7676767676767676) & 0x8080808080808080 == 0
+    x = x * 2561 >> 8
+    x = (x & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return ok, (x & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
 
 
 def _is_utf8_without_unicode_breaks(data: bytes) -> bool:
     """Whether ``data`` is UTF-8 without U+0085, U+2028 or U+2029, where ``str.splitlines`` breaks lines."""
     try:
-        text = data.decode()
+        return not any(map(data.decode().__contains__, "\x85\u2028\u2029"))
     except UnicodeDecodeError:
         return False
-    return all(text.find(char) < 0 for char in "\x85\u2028\u2029")
 
 
 def _read_lines(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None]:
@@ -238,12 +256,9 @@ def _group(
     code, kind, index, rep = ints
     angle = floats[0]
     n = len(code)
-    new_label = np.ones(n, dtype=bool)
-    new_label[1:] = code[1:] != code[:-1]
-    new_angle = new_label.copy()
-    new_angle[1:] |= index[1:] != index[:-1]
-    new_cell = new_angle.copy()
-    new_cell[1:] |= rep[1:] != rep[:-1]
+    new_label = np.append(True, code[1:] != code[:-1])[:n]  # [:n] keeps no rows empty
+    new_angle = new_label | np.append(True, index[1:] != index[:-1])[:n]
+    new_cell = new_angle | np.append(True, rep[1:] != rep[:-1])[:n]
 
     def first_lines(new: np.ndarray) -> np.ndarray:
         """For each row, the lowest line of its group."""
@@ -463,29 +478,21 @@ def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        '<text x="8" y="16" font-size="11" font-weight="bold">label</text>',
-        f'<text x="{mean_x}" y="16" font-size="11" font-weight="bold">mean</text>',
-        f'<text x="{std_x}" y="16" font-size="11" font-weight="bold">std</text>',
-        f'<text x="{corr_x}" y="16" font-size="11" font-weight="bold">corr</text>',
-        f'<text x="{min_x}" y="16" font-size="11" font-weight="bold">min</text>',
-        f'<text x="{left_cols}" y="16" font-size="11" font-weight="bold">MSE histogram</text>',
-        f'<text x="{left_cols + spark_w + 12}" y="16" font-size="11" font-weight="bold">max</text>',
     ]
+    heads = (8, "label"), (mean_x, "mean"), (std_x, "std"), (corr_x, "corr"), (min_x, "min")
+    for x, head in (*heads, (left_cols, "MSE histogram"), (left_cols + spark_w + 12, "max")):
+        parts.append(f'<text x="{x}" y="16" font-size="11" font-weight="bold">{head}</text>')
     for k, (label, report) in enumerate(rows):
         y0 = 26 + k * row_h
         base = y0 + spark_h + 4
-        corr_color = "#cc0000" if report.corr < 0 else "#000000"
+        fill = f' fill="{"#cc0000" if report.corr < 0 else "#000000"}"'
         parts.append(f'<text x="8" y="{base - 6}" font-size="11">{_esc(label)}</text>')
-        parts.append(f'<text x="{mean_x}" y="{base - 6}" font-size="11">{report.mean:.3f}</text>')
-        parts.append(f'<text x="{std_x}" y="{base - 6}" font-size="11">{report.std:.3f}</text>')
-        parts.append(f'<text x="{corr_x}" y="{base - 6}" font-size="11" fill="{corr_color}">{report.corr:.3f}</text>')
-        parts.append(f'<text x="{min_x}" y="{base - 6}" font-size="11">{report.min:.3f}</text>')
+        cells = (mean_x, report.mean, ""), (std_x, report.std, ""), (corr_x, report.corr, fill), (min_x, report.min, "")
+        for x, value, attribute in cells:
+            parts.append(f'<text x="{x}" y="{base - 6}" font-size="11"{attribute}>{value:.3f}</text>')
         peak = max(max(report.histogram), 1)
-        pts = []
-        for b in range(HIST_BINS):
-            x = left_cols + (b + 0.5) / HIST_BINS * spark_w
-            y = base - report.histogram[b] / peak * spark_h
-            pts.append(f"{x:.2f},{y:.2f}")
+        xs = [left_cols + (b + 0.5) / HIST_BINS * spark_w for b in range(HIST_BINS)]
+        pts = [f"{x:.2f},{base - count / peak * spark_h:.2f}" for x, count in zip(xs, report.histogram)]
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" stroke-width="1"/>')
         for b, on_curve in zip(histogram_bins([report.min, report.max, report.mean]), (False, False, True)):
             x = left_cols + (b + 0.5) / HIST_BINS * spark_w
@@ -497,16 +504,8 @@ def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
 
 
 def _spark_glyphs(histogram: tuple[int, ...]) -> str:
-    peak = max(histogram)
-    if peak == 0:
-        return " " * len(histogram)
-    glyphs = []
-    for count in histogram:
-        if count == 0:
-            glyphs.append(" ")
-        else:
-            level = int(np.ceil(count / peak * len(SPARK_BLOCKS)))
-            glyphs.append(SPARK_BLOCKS[min(level, len(SPARK_BLOCKS)) - 1])
+    peak, top = max(histogram), len(SPARK_BLOCKS)
+    glyphs = (SPARK_BLOCKS[min(int(np.ceil(count / peak * top)), top) - 1] if count else " " for count in histogram)
     return "".join(glyphs)
 
 

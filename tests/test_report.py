@@ -891,3 +891,85 @@ def test_a_file_interfero_run_writes_takes_the_whole_file_reader(tmp_path, monke
     monkeypatch.setattr(report, "_read_lines", unreached)
     rows = read_results(tmp_path / "out" / "results.csv")
     assert list(rows.tables) == [label or "0-1"] and rows.tables[label or "0-1"].coherence.shape == (5, 3)
+
+
+@pytest.fixture(scope="module")
+def long_text(noisy_result):
+    """The results.csv text of one label's 960 x 128 = 122,880 rows, the benchmark's size, written by the writer's kernel."""
+    values = np.random.default_rng(26).uniform(-1.0, 4.0, (960 * 128, 6))
+    table = table_of(values, m=128, label="s0")
+    table.angles[:] = np.linspace(-np.pi, np.pi, 960)
+    return result_csv(replace(noisy_result, table=table))
+
+
+def test_a_fault_on_the_last_line_of_a_long_file_is_named_without_the_line_reader(tmp_path, monkeypatch, long_text):
+    rows, last = long_text[:-1].rsplit("\n", 1)
+    path = tmp_path / "results.csv"
+    path.write_text(f"{rows}\n{_set_field(last, 6, 'x')}\n", encoding="utf-8")
+    # the kernel gives the rows before the faulty line, and its fault, as the line reader does
+    _columns_identical(report._load_file(path), report._read_lines(path))
+
+    def unreached(*args):
+        raise AssertionError("the line-by-line reader was reached")
+
+    monkeypatch.setattr(report, "_read_lines", unreached)
+    with pytest.raises(ValidationError) as info:
+        read_results(path)
+    assert str(info.value) == f"{path}:{960 * 128 + 1}: predictability must be a number, got 'x'"
+
+
+def test_the_kernel_holds_less_than_three_times_the_file(tmp_path, long_text):
+    path = tmp_path / "results.csv"
+    path.write_text(long_text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ints, floats, labels, fault = report._load_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fault is None and labels == ["s0"] and floats.shape == (6, 960 * 128)
+    # the file's bytes and the columns; each block's scans and words are a small part
+    assert peak < 3 * path.stat().st_size
+
+
+#: Ends of the kernel's float grammar: a signed zero, one unit of the twelfth decimal, the largest value.
+FIXED12_EDGES = (0.0, -0.0, 1e-12, -1e-12, 999.999999999999, -999.999999999999)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.lists(
+        st.sampled_from(FIXED12_EDGES) | st.floats(-999.999999999999, 999.999999999999), min_size=1, max_size=60
+    )
+)
+def test_the_kernel_reads_fmt12_text_bitwise_as_python_does(tmp_path_factory, values):
+    values = values + [0.0] * (-len(values) % 6)
+    rows = [
+        f"pqe,h,{k},{fmt12(a)},{k % 7},{','.join(map(fmt12, metrics))}"
+        for k, (a, *metrics) in enumerate(zip(*[iter(values)] * 6))
+    ]
+    path = _write_lines(tmp_path_factory.mktemp("fixed12") / "results.csv", [CSV_HEADER, *rows])
+    fast = report._load_file(path)
+    assert fast is not None
+    _columns_identical(fast, report._read_lines(path))
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        pytest.param(3, "1000.000000000000", id="four-integer-digits"),
+        pytest.param(5, "0.12345678901", id="eleven-decimals"),
+        pytest.param(5, "0.1234567890123", id="thirteen-decimals"),
+        pytest.param(6, "+0.500000000000", id="plus-sign"),
+        pytest.param(7, " 1.000000000000", id="leading-space"),
+        pytest.param(8, "1.000000000000e0", id="exponent"),
+        pytest.param(2, "123456789", id="nine-digit-index"),
+        pytest.param(9, "1.0", id="a-number-python-reads"),
+    ],
+)
+def test_the_kernel_declines_numbers_outside_its_grammar(tmp_path, clean_lines, field, text):
+    lines = list(clean_lines)
+    lines[-1] = _set_field(lines[-1], field, text)
+    path = _write_lines(tmp_path / "results.csv", lines)
+    assert report._load_file(path) is None
+    _assert_read_like_the_line_reader(path)
