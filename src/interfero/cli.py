@@ -143,7 +143,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValidationError(f"threads must be at least 1, got {args.threads}")
     result = run_sweep(config, threads=args.threads)
     paths = write_results(result, args.out)
-    manifest = write_manifest(args.out, config, list(paths.values()), __version__)
+    manifest = write_manifest(args.out, result, list(paths.values()), __version__)
     for p in (*paths.values(), manifest):
         print(p)
     return 0

@@ -212,10 +212,30 @@ def write_results(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pa
     return paths
 
 
-def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[Path], version: str) -> Path:
-    out = Path(out_dir)
+def run_counters(table: SweepTable, shots: int) -> dict[str, int | float]:
+    """A sweep's counters, each cell of ``table`` having drawn ``shots`` per tomography setting (0: analytic).
+
+    The cells and the shots drawn in all; the cells the PSD projection clipped (``psd_violation > 0``) and
+    the largest and the total clipped mass; the cells whose raw C + P exceeds the bound d - 1.  Counted on
+    the sweep's values, not on their 12-decimal text in results.csv.
+    """
+    d = 2 if table.kind == "bmzi" else 4
+    mass = table.psd_violation
+    return {
+        "cells": mass.size,
+        "shots": mass.size * (d * d - 1) * shots,
+        "clipped_cells": int(np.count_nonzero(mass > 0)),
+        "clipped_mass_max": float(mass.max()),
+        "clipped_mass_total": float(mass.sum()),
+        "raw_over_bound_cells": int(np.count_nonzero(table.total_raw > d - 1)),
+    }
+
+
+def write_manifest(out_dir: str | Path, result: ExperimentResult, outputs: list[Path], version: str) -> Path:
+    out, config = Path(out_dir), result.config
     config_path = out / "config.cfg"
     _write(config_path, "\n".join(config_lines(config)) + "\n")
+    counters = run_counters(result.table, 0 if config.analytic else config.shots)
     lines = [
         "tool = interfero",
         f"version = {version}",
@@ -223,6 +243,7 @@ def write_manifest(out_dir: str | Path, config: ExperimentConfig, outputs: list[
         f"master_seed = {config.master_seed}",
         f"config = {config_path.name}",
         "outputs = " + ",".join(p.name for p in outputs),
+        *(f"{key} = {fmt12(value) if isinstance(value, float) else value}" for key, value in counters.items()),
         f"python = {platform.python_version()}",
         f"numpy = {np.__version__}",
         f"blas = {_blas_line()}",

@@ -3,18 +3,26 @@
 :func:`read_results` parses a results.csv into one :class:`SweepTable` per
 label: a numpy byte kernel reads the grammar :mod:`interfero.output` writes,
 each number bitwise as Python's ``int`` and ``float`` read it, and Python
-converts line by line a file the kernel declines.  :func:`reports_from_rows`
-and :func:`aggregate_curves` reduce the tables to MSE reports and mean curves.
-Figures are plain SVG strings built without imaging dependencies; sparkline
-tables come in a text variant (8-level block characters) and an SVG variant.
+converts line by line a file the kernel declines.  The tables of a file
+that parses are cached under the sha256 of its bytes in
+``$XDG_CACHE_HOME/interfero`` (``~/.cache/interfero`` by default): a hit
+gives bitwise the tables of a parse, and a file that fails to parse is
+never stored.  Bump :data:`TABLE_FORMAT` whenever what :func:`read_results`
+returns changes.  :func:`reports_from_rows` and :func:`aggregate_curves`
+reduce the tables to MSE reports and mean curves.  Figures are plain SVG
+strings built without imaging dependencies; sparkline tables come in a
+text variant (8-level block characters) and an SVG variant.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import zipfile
 from array import array
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
@@ -22,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import BLOCK_CELLS, KINDS, ResultRow, SweepTable, analyze, theory_series
+from .experiments import BLOCK_CELLS, KINDS, METRICS, ResultRow, SweepTable, analyze, theory_series
 from .mse import HIST_BINS, MseReport, histogram_bins
 # write_manifest and write_results are unused here: the benchmark's tracer looks them up in this module
 from .output import CSV_HEADER, read_text, write_manifest, write_results  # noqa: F401
@@ -36,6 +44,13 @@ CURVE_COLORS = {"sum": "#000000", "coherence": "#e07b00", "predictability": "#1f
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 INDEX_FIELDS = ("angle_index", "repetition")
+
+#: The layout of the cache's entries, part of each entry's name: bump it whenever what
+#: :func:`read_results` returns changes, so that no entry of an older layout is read.
+TABLE_FORMAT = 1
+
+#: The cache keeps this many entries, the newest written or read.
+CACHE_ENTRIES = 8
 
 
 class ResultRows(Sequence[ResultRow]):
@@ -75,13 +90,77 @@ def read_results(csv_path: str | Path) -> ResultRows:
     A numpy byte kernel over the grammar the writer uses (:func:`_load_file`) reads the file, or
     where it declines the file, Python's ``int`` and ``float`` convert it line by line
     (:func:`_read_lines`); both give the same columns, which :func:`_group` groups by label.
+
+    The grouped columns of a file that parses are cached under the sha256 of its bytes (:func:`_entry`).
+    A hit builds the tables from the entry without a parse, and they are bitwise those of a miss.  A
+    missing, corrupt or mismatched entry is a miss.  A file that fails to parse is never stored, so it
+    fails alike on every read.  Where no cache directory can be made and written, no digest is taken.
+    Bump :data:`TABLE_FORMAT` whenever what this function returns changes.
     """
     path = Path(csv_path)
-    return ResultRows(_group(path, *(_load_file(path) or _read_lines(path))))
+    data = path.read_bytes()
+    entry = _entry(data)
+    tables = _read_entry(entry) if entry else None
+    if tables is None:
+        columns = _load_file(path, data)
+        del data  # freed before a declined file is read line by line, whose lines are the peak
+        grid = _group(path, *(columns or _read_lines(path)))
+        if entry:
+            _store(entry, *grid)
+        tables = _tables(*grid)
+    return ResultRows(tables)
 
 
-def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None] | None:
-    """The columns of a whole results file from one numpy byte kernel, and its first line fault; or None.
+def _entry(data: bytes) -> Path | None:
+    """The cache entry of the results file whose bytes are ``data``; None where the cache directory,
+    ``$XDG_CACHE_HOME/interfero`` (an absolute path) or ``~/.cache/interfero``, cannot be made and written."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    directory = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"), "interfero")
+    if directory.is_absolute():  # expanduser leaves '~' where no home is found
+        with suppress(OSError):
+            directory.mkdir(parents=True, exist_ok=True)
+        if os.access(directory, os.W_OK):
+            return directory / f"tables{TABLE_FORMAT}-{hashlib.sha256(data).hexdigest()}.npz"
+    return None
+
+
+def _read_entry(entry: Path) -> dict[str, SweepTable] | None:
+    """The tables of the grid :func:`_store` wrote to ``entry``, or None where it is missing or is not such a grid."""
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            text, ends, kinds, shapes, floats = (npz[name] for name in ("text", "ends", "kinds", "shapes", "floats"))
+        labels = [text[a:b].tobytes().decode() for a, b in zip(np.append(0, ends[:-1]), ends)]
+        tables = _tables(labels, kinds, shapes, floats)  # fails on labels, kinds and shapes that do not go together
+        cells = sum(table.coherence.size for table in tables.values())  # fewer where two labels are equal
+        if floats.dtype != np.float64 or not floats.flags.c_contiguous or floats.shape != (len(METRICS) + 1, cells):
+            return None
+        os.utime(entry)  # read, so among the newest
+    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile):
+        return None  # a missing, truncated or foreign entry is a miss
+    return tables
+
+
+def _store(entry: Path, labels: list[str], kinds: np.ndarray, shapes: np.ndarray, floats: np.ndarray) -> None:
+    """Write a grid to ``entry`` through a temporary file, then keep only the newest :data:`CACHE_ENTRIES` entries."""
+    encoded = [label.encode() for label in labels]
+    ends = np.cumsum([len(t) for t in encoded], dtype=np.int64)
+    temporary = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as f:
+            text = np.frombuffer(b"".join(encoded), np.uint8)
+            np.savez(f, text=text, ends=ends, kinds=kinds, shapes=shapes, floats=floats)
+        os.replace(temporary, entry)
+        others = (p for p in entry.parent.glob("*.npz") if p != entry)  # their times may tie with its own
+        for old in sorted(others, key=lambda p: p.stat().st_mtime_ns, reverse=True)[CACHE_ENTRIES - 1 :]:
+            old.unlink()
+    except OSError:  # another process's pruning, or a full disk: the tables are returned all the same
+        with suppress(OSError):
+            temporary.unlink()
+
+
+def _load_file(path: Path, data: bytes) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None] | None:
+    """The columns of a whole results file, whose bytes are ``data``, from one numpy byte kernel, and its first
+    line fault; or None.
 
     The kernel takes the grammar that :func:`interfero.output.result_csv` writes.  Lines end at ``\\n``,
     ``\\r\\n`` or a lone ``\\r``, as for ``str.splitlines``; each has nine commas; a float field is
@@ -94,7 +173,7 @@ def _load_file(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int
     outside the grammar that Python's ``int`` or ``float`` reads or that is not ASCII.  A number they
     reject is its line's fault, given with the rows before it, as :func:`_read_lines` gives them.
     """
-    header, data = CSV_HEADER.encode(), path.read_bytes()
+    header = CSV_HEADER.encode()
     starts_well = data[: len(header) + 1] in (header + b"\n", header + b"\r")
     if not (starts_well and (data.isascii() or _is_utf8_without_unicode_breaks(data))):
         return None
@@ -237,15 +316,16 @@ def _line_fault(line: str) -> str | None:
 
 def _group(
     path: Path, ints: np.ndarray, floats: np.ndarray, labels: list[str], fault: tuple[int, str] | None
-) -> dict[str, SweepTable]:
-    """Each label's rows as a table, in order of first appearance.
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Each label's rows as a grid, in order of first appearance: the labels, their kind codes, their
+    (angles, repetitions) shapes and the float columns, each label's rows a block of them, angle-major.
 
     ``fault`` is the first row that is faulty on its own, if any; only the
     rows before it are given.  The lowest row that is faulty on its own or
     against earlier rows is a ValidationError, then the first missing cell.
     Rows in (label, angle_index, repetition) order, as ``interfero run``
-    writes them, are grouped where they are, so each grid is a view of
-    ``floats``; other rows are first sorted into that order.
+    writes them, are grouped where they are, so the columns are ``floats``;
+    other rows are first sorted into that order.
     """
     kind_at, angle_at = ints[1], floats[0]  # by line
     line = np.arange(ints.shape[1])  # the line of each row as the columns run, counted from 0
@@ -289,8 +369,8 @@ def _group(
         raise ValidationError(f"{path}: no data rows")
     # each label's rows are one block of the columns, angle-major
     bounds = np.append(np.flatnonzero(new_label), n)
-    tables = {}
-    for label, a, b in zip(labels, bounds[:-1], bounds[1:]):
+    shapes = np.empty((len(labels), 2), np.int64)
+    for k, (label, a, b) in enumerate(zip(labels, bounds[:-1], bounds[1:])):
         angle_indices = index[a:b][new_angle[a:b]]
         # Each angle's repetitions rise, so they repeat the first angle's in every block of its
         # length exactly when each angle has those repetitions: the label's full grid.
@@ -303,9 +383,18 @@ def _group(
             raise ValidationError(
                 f"{path}: label {label!r}: missing row for angle index {angle_indices[q]}, repetition {reps[s]}"
             )
+        shapes[k] = grid.shape
+    return labels, kind[bounds[:-1]], shapes, floats
+
+
+def _tables(labels: list[str], kinds: np.ndarray, shapes: np.ndarray, floats: np.ndarray) -> dict[str, SweepTable]:
+    """Each label's table: its kind code, its (angles, repetitions) shape and its block of ``floats``' columns."""
+    tables, a = {}, 0
+    for label, kind, (n, m) in zip(labels, kinds.tolist(), shapes.tolist(), strict=True):
         # floats is C-contiguous, so every (n, m) grid is too
-        angles, *metrics = floats[:, a:b].reshape(len(floats), *grid.shape)
-        tables[label] = SweepTable(KINDS[kind[a]], label, angles[:, 0], *metrics)
+        angles, *metrics = floats[:, a : a + n * m].reshape(len(floats), n, m)
+        tables[label] = SweepTable(KINDS[kind], label, angles[:, 0], *metrics)
+        a += n * m
     return tables
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import platform
 import re
 import tracemalloc
@@ -400,7 +401,7 @@ def test_summary_text_round_trips_config(tmp_path, noisy_result):
 
 def test_manifest_contents(tmp_path, noisy_result):
     paths = write_results(noisy_result, tmp_path)
-    manifest = write_manifest(tmp_path, noisy_result.config, list(paths.values()), "0.1.0")
+    manifest = write_manifest(tmp_path, noisy_result, list(paths.values()), "0.1.0")
     text = manifest.read_text(encoding="utf-8")
     assert "tool = interfero" in text
     assert f"master_seed = {noisy_result.config.master_seed}" in text
@@ -411,7 +412,7 @@ def test_manifest_contents(tmp_path, noisy_result):
 def test_manifest_records_the_python_numpy_and_blas_versions_apart_from_the_outputs(tmp_path, noisy_result):
     paths = write_results(noisy_result, tmp_path)
     written = {name: path.read_bytes() for name, path in paths.items()}
-    manifest = write_manifest(tmp_path, noisy_result.config, list(paths.values()), "0.1.0")
+    manifest = write_manifest(tmp_path, noisy_result, list(paths.values()), "0.1.0")
     lines = manifest.read_text(encoding="utf-8").splitlines()
     assert f"python = {platform.python_version()}" in lines
     assert f"numpy = {np.__version__}" in lines
@@ -425,8 +426,35 @@ def test_manifest_records_the_python_numpy_and_blas_versions_apart_from_the_outp
 @pytest.mark.parametrize("show_config", [lambda mode: {}, lambda: None], ids=["no-blas-entry", "no-dicts-mode"])
 def test_manifest_blas_line_without_build_information(tmp_path, noisy_result, monkeypatch, show_config):
     monkeypatch.setattr(np, "show_config", show_config)
-    text = write_manifest(tmp_path, noisy_result.config, [], "0.1.0").read_text(encoding="utf-8")
+    text = write_manifest(tmp_path, noisy_result, [], "0.1.0").read_text(encoding="utf-8")
     assert "blas = unknown\n" in text
+
+
+@pytest.mark.parametrize("name", PINNED_CSV)
+def test_manifest_counters_match_a_recount_of_results_csv(tmp_path, name):
+    config = PINNED_CSV[name][0]
+    result = run_sweep(config)
+    paths = write_results(result, tmp_path)
+    written = {key: path.read_bytes() for key, path in paths.items()}
+    lines = write_manifest(tmp_path, result, list(paths.values()), "0.1.0").read_text(encoding="utf-8").splitlines()
+    fields = dict(line.split(" = ", 1) for line in lines)
+    rows = [line.split(",") for line in written["results"].decode().splitlines()[1:]]
+    raw, mass = (np.array([float(row[k]) for row in rows]) for k in (8, 9))
+    d = 2 if config.kind == "bmzi" else 4
+    assert fields["cells"] == str(len(rows))
+    assert fields["shots"] == str(len(rows) * (d * d - 1) * config.shots)
+    assert fields["clipped_cells"] == str(np.count_nonzero(mass > 0)) != "0"
+    assert fields["clipped_mass_max"] == fmt12(mass.max())
+    # the manifest sums the sweep's values, the recount their 12-decimal text
+    assert float(fields["clipped_mass_total"]) == pytest.approx(mass.sum(), rel=0, abs=len(rows) * 5e-13)
+    assert fields["raw_over_bound_cells"] == str(np.count_nonzero(raw > d - 1))
+    assert {key: path.read_bytes() for key, path in paths.items()} == written
+
+
+def test_an_analytic_manifest_counts_no_shots(tmp_path):
+    result = run_sweep(ExperimentConfig(kind="pqe", angle_points=4, repetitions=2, analytic=True))
+    lines = write_manifest(tmp_path, result, [], "0.1.0").read_text(encoding="utf-8").splitlines()
+    assert "cells = 8" in lines and "shots = 0" in lines
 
 
 def test_pqe_rows_recompute_against_dim_four_theory(tmp_path):
@@ -533,7 +561,7 @@ def long_lines():
 
 
 @pytest.mark.parametrize("offset", [0, 1, 57])
-def test_a_fault_in_the_second_chunk_names_its_own_line(tmp_path, long_lines, offset):
+def test_a_fault_past_the_first_block_names_its_own_line(tmp_path, long_lines, offset):
     lines = list(long_lines)
     ln = FAR_ROW + 1 + offset + 1  # line numbers count the header as line 1
     parts = lines[ln - 1].split(",")
@@ -614,9 +642,10 @@ def _outcome(path):
 
 
 def _line_outcome(path):
-    """:func:`_outcome` with the whole-file reader declining every file."""
+    """:func:`_outcome` with the whole-file reader declining every file, and no cache."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "_load_file", lambda path: None)
+        mp.setattr(report, "_load_file", lambda path, data: None)
+        mp.setattr(report, "_entry", lambda data: None)
         return _outcome(path)
 
 
@@ -627,6 +656,11 @@ def _assert_read_like_the_line_reader(path):
         assert outcome == by_line
     else:
         _tables_equal(outcome, by_line)
+
+
+def _kernel(path):
+    """The columns the whole-file kernel reads from ``path``, or None where it declines the file."""
+    return report._load_file(path, path.read_bytes())
 
 
 def _columns_identical(a, b):
@@ -641,20 +675,20 @@ def _write_lines(path, lines):
     return path
 
 
-def test_the_c_reader_declines_the_text_it_could_read_differently(tmp_path, clean_lines):
+def test_the_kernel_declines_the_text_it_could_read_differently(tmp_path, clean_lines):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
-    _columns_identical(report._load_file(path), report._read_lines(path))
-    assert report._load_file(_write_lines(path, clean_lines[:1])) is None
-    # numpy would skip the empty line
-    assert report._load_file(_write_lines(path, clean_lines[:3] + [""] + clean_lines[3:])) is None
-    for index in ("1\u01fe", "1\x1f"):  # numpy reads these as 472 and 1, Python's int rejects them
+    _columns_identical(_kernel(path), report._read_lines(path))
+    assert _kernel(_write_lines(path, clean_lines[:1])) is None
+    # an empty line is no row of the writer's grammar
+    assert _kernel(_write_lines(path, clean_lines[:3] + [""] + clean_lines[3:])) is None
+    for index in ("1\u01fe", "1\x1f"):  # numpy's old reader read these as 472 and 1, Python's int rejects them
         parts = clean_lines[1].split(",")
         parts[2] = index
-        assert report._load_file(_write_lines(path, [CSV_HEADER, ",".join(parts)])) is None
+        assert _kernel(_write_lines(path, [CSV_HEADER, ",".join(parts)])) is None
         assert report._read_lines(path)[3] == (0, f"angle_index must be an integer, got {index!r}")
-    # a non-ASCII label keeps its UTF-8 bytes through numpy's latin-1 reading
+    # a non-ASCII label keeps its UTF-8 bytes through the kernel
     relabelled = [line.replace(",b,", ",\u03bb,") for line in clean_lines]
-    ints, floats, labels, fault = report._load_file(_write_lines(path, relabelled))
+    ints, floats, labels, fault = _kernel(_write_lines(path, relabelled))
     assert labels == ["\u03bb", "q"] and fault is None
     _columns_identical((ints, floats, labels, fault), report._read_lines(path))
 
@@ -662,9 +696,9 @@ def test_the_c_reader_declines_the_text_it_could_read_differently(tmp_path, clea
 def test_the_line_reader_holds_less_than_three_times_the_file(tmp_path, long_lines):
     lines = list(long_lines)
     assert lines[65].split(",")[2] == "1"
-    lines[65] = _set_field(lines[65], 2, "0_1")  # Python's int reads 1, numpy's rejects it
+    lines[65] = _set_field(lines[65], 2, "0_1")  # Python's int reads 1, the kernel's grammar rejects it
     path = _write_lines(tmp_path / "results.csv", lines)
-    assert report._load_file(path) is None
+    assert _kernel(path) is None
     tracemalloc.start()
     try:
         ints, floats, labels, fault = report._read_lines(path)
@@ -718,16 +752,16 @@ def mutated_results(draw, lines):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_lines, data):
+def test_the_kernel_and_the_line_reader_agree(tmp_path_factory, clean_lines, data):
     text = data.draw(mutated_results(clean_lines))
     directory = tmp_path_factory.mktemp("differential")
     path = directory / "results.csv"
     path.write_bytes(text.encode("utf-8"))
-    # a line the C reader converts, Python converts to the same values
+    # a line the kernel converts, Python converts to the same values
     line_path = directory / "line.csv"
     for line in text.splitlines()[1:]:
         _write_lines(line_path, [CSV_HEADER, line])
-        fast = report._load_file(line_path)
+        fast = _kernel(line_path)
         if fast is not None:
             _columns_identical(fast, report._read_lines(line_path))
     _assert_read_like_the_line_reader(path)
@@ -758,13 +792,13 @@ def test_the_c_reader_and_the_python_conversion_agree(tmp_path_factory, clean_li
         pytest.param(lambda t: t.replace(",b,", ",\udce4,"), id="label-not-utf8"),  # written as the byte 0xe4
     ],
 )
-def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_lines, mutate):
+def test_the_kernel_declines_to_the_line_reader(tmp_path, clean_lines, mutate):
     clean = "\n".join(clean_lines) + "\n"
     text = mutate(clean)
     assert text != clean
     path = tmp_path / "results.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert report._load_file(path) is None
+    assert _kernel(path) is None
     _assert_read_like_the_line_reader(path)
 
 
@@ -780,13 +814,13 @@ def test_the_whole_file_reader_declines_to_the_chunked_reader(tmp_path, clean_li
         pytest.param(lambda t: t.replace(",b,", ",w w\t ,"), id="label-with-inner-and-trailing-whitespace"),
     ],
 )
-def test_the_whole_file_reader_takes_what_numpy_reads_as_python_does(tmp_path, clean_lines, mutate):
+def test_the_kernel_takes_what_it_reads_as_python_does(tmp_path, clean_lines, mutate):
     clean = "\n".join(clean_lines) + "\n"
     text = mutate(clean)
     assert text != clean
     path = tmp_path / "results.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert report._load_file(path) is not None
+    assert _kernel(path) is not None
     _assert_read_like_the_line_reader(path)
     assert len(_outcome(path)) == 2
 
@@ -799,7 +833,7 @@ def test_interleaved_labels_are_coded_run_by_run(tmp_path, clean_lines):
     interleaved = [line for pair in zip(b, q) for line in pair] + b[len(q) :]
     path = tmp_path / "results.csv"
     path.write_text("\n".join([CSV_HEADER, *interleaved]) + "\n", encoding="utf-8")
-    ints, floats, labels, fault = report._load_file(path)
+    ints, floats, labels, fault = _kernel(path)
     assert labels == ["b", "q"] and fault is None
     assert ints[0].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
     assert ints[1].tolist() == [0, 1] * len(q) + [0] * (len(b) - len(q))
@@ -807,9 +841,10 @@ def test_interleaved_labels_are_coded_run_by_run(tmp_path, clean_lines):
 
 
 def _sorted_outcome(path):
-    """:func:`_outcome` with the rows sorted before they are grouped, in order or not."""
+    """:func:`_outcome` with the rows sorted before they are grouped, in order or not, and no cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_in_order", lambda *keys: False)
+        mp.setattr(report, "_entry", lambda data: None)
         return _outcome(path)
 
 
@@ -868,7 +903,7 @@ def test_rows_in_order_and_sorted_rows_group_alike(tmp_path, clean_lines, case):
         (_write_lines(tmp_path / "results.csv", [header, *changed]), in_order, error),
         (_write_lines(tmp_path / "reversed.csv", [header, *changed[::-1]]), False, reversed_error),
     ):
-        ints = report._load_file(path)[0]
+        ints = _kernel(path)[0]
         assert report._in_order(ints[0], ints[2], ints[3]) == rows_in_order
         outcome = _outcome(path)
         if expected is None:
@@ -907,7 +942,7 @@ def test_a_fault_on_the_last_line_of_a_long_file_is_named_without_the_line_reade
     path = tmp_path / "results.csv"
     path.write_text(f"{rows}\n{_set_field(last, 6, 'x')}\n", encoding="utf-8")
     # the kernel gives the rows before the faulty line, and its fault, as the line reader does
-    _columns_identical(report._load_file(path), report._read_lines(path))
+    _columns_identical(_kernel(path), report._read_lines(path))
 
     def unreached(*args):
         raise AssertionError("the line-by-line reader was reached")
@@ -923,7 +958,7 @@ def test_the_kernel_holds_less_than_three_times_the_file(tmp_path, long_text):
     path.write_text(long_text, encoding="utf-8")
     tracemalloc.start()
     try:
-        ints, floats, labels, fault = report._load_file(path)
+        ints, floats, labels, fault = _kernel(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -949,7 +984,7 @@ def test_the_kernel_reads_fmt12_text_bitwise_as_python_does(tmp_path_factory, va
         for k, (a, *metrics) in enumerate(zip(*[iter(values)] * 6))
     ]
     path = _write_lines(tmp_path_factory.mktemp("fixed12") / "results.csv", [CSV_HEADER, *rows])
-    fast = report._load_file(path)
+    fast = _kernel(path)
     assert fast is not None
     _columns_identical(fast, report._read_lines(path))
 
@@ -971,5 +1006,143 @@ def test_the_kernel_declines_numbers_outside_its_grammar(tmp_path, clean_lines, 
     lines = list(clean_lines)
     lines[-1] = _set_field(lines[-1], field, text)
     path = _write_lines(tmp_path / "results.csv", lines)
-    assert report._load_file(path) is None
+    assert _kernel(path) is None
     _assert_read_like_the_line_reader(path)
+
+
+def _cache_entries(cache_home):
+    return sorted((cache_home / "interfero").glob("*.npz"))
+
+
+def _unreached(*args):
+    raise AssertionError("the file was parsed")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda rows: rows, id="kernel"),
+        pytest.param(lambda rows: rows[:2] + [_set_field(rows[2], 2, "0_1")] + rows[3:], id="line-by-line"),
+        pytest.param(lambda rows: rows[::-1], id="reversed-rows"),
+        pytest.param(lambda rows: [row.replace(",b,", ",trail\x00,") for row in rows], id="label-with-a-trailing-nul"),
+        pytest.param(lambda rows: [row.replace(",b,", ",\u03bb\xe5\U0001f600,") for row in rows], id="non-ascii-label"),
+    ],
+)
+def test_a_warm_read_gives_the_tables_of_a_cold_read_bitwise(tmp_path, monkeypatch, cache_home, clean_lines, mutate):
+    header, *rows = clean_lines
+    path = _write_lines(tmp_path / "results.csv", [header, *mutate(rows)])
+    cold = read_results(path).tables
+    assert len(_cache_entries(cache_home)) == 1 and {t.kind for t in cold.values()} == {"bmzi", "pqe"}
+    monkeypatch.setattr(report, "_load_file", _unreached)
+    monkeypatch.setattr(report, "_read_lines", _unreached)
+    warm = read_results(path).tables
+    _tables_equal(cold, warm)
+    for label in cold:
+        for name in ("angles", *METRICS):
+            x, y = getattr(cold[label], name), getattr(warm[label], name)
+            assert (x.dtype, x.strides, x.flags.c_contiguous) == (y.dtype, y.strides, y.flags.c_contiguous)
+    assert reports_from_rows(report.ResultRows(cold)) == reports_from_rows(report.ResultRows(warm))
+
+
+def _truncated(entry):
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+
+
+def _changed(**change):
+    """Rewrite an entry with some of its arrays changed, or dropped where the change is None."""
+
+    def spoil(entry):
+        with np.load(entry) as npz:
+            arrays = {name: change.get(name, lambda a: a)(array) for name, array in npz.items()}
+        with open(entry, "wb") as f:
+            np.savez(f, **{name: array for name, array in arrays.items() if array is not None})
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        pytest.param(_truncated, id="truncated"),
+        pytest.param(lambda entry: entry.write_bytes(b""), id="empty"),
+        pytest.param(lambda entry: entry.write_bytes(b"not a zip file"), id="not-a-zip"),
+        pytest.param(_changed(shapes=lambda a: a + 1), id="wrong-shapes"),
+        pytest.param(_changed(shapes=lambda a: a - 1), id="too-few-cells"),
+        pytest.param(_changed(shapes=lambda a: a.astype(float)), id="float-shapes"),
+        pytest.param(_changed(kinds=lambda a: a + 2), id="unknown-kind"),
+        pytest.param(_changed(text=lambda a: None), id="no-labels"),
+        pytest.param(_changed(floats=lambda a: a.astype(np.float32)), id="single-precision"),
+    ],
+)
+def test_a_spoilt_entry_falls_back_to_a_parse(tmp_path, monkeypatch, cache_home, clean_lines, spoil):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    cold = read_results(path).tables
+    (entry,) = _cache_entries(cache_home)
+    spoil(entry)
+    parses = []
+    parse = report._load_file
+    monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
+    _tables_equal(cold, read_results(path).tables)
+    # the parse stored the entry again, and the next read hits it
+    _tables_equal(cold, read_results(path).tables)
+    assert len(parses) == 1 and _cache_entries(cache_home) == [entry]
+
+
+def test_an_unusable_cache_directory_is_never_hashed_and_changes_no_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    write_results(run_sweep(PINNED_CSV["pqe-noisy"][0]), out)
+
+    def outputs():
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["report", "--out", str(out), "--format", "all"]) == 0
+        return printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    expected = outputs()
+    not_a_directory = tmp_path / "cache-file"
+    not_a_directory.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    monkeypatch.setattr(hashlib, "sha256", _unreached)
+    assert outputs() == expected
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        pytest.param(lambda rows: rows[:4] + [_set_field(rows[4], 6, "x")] + rows[5:], ":6: predictability", id="line"),
+        pytest.param(lambda rows: rows[:3] + rows[2:], ":5: duplicate row", id="duplicate"),
+        pytest.param(lambda rows: rows[:3] + rows[4:], ": label 'b': missing row", id="missing-cell"),
+    ],
+)
+def test_a_faulty_file_is_never_stored(tmp_path, cache_home, clean_lines, mutate, error):
+    header, *rows = clean_lines
+    path = _write_lines(tmp_path / "results.csv", [header, *mutate(rows)])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as info:
+            read_results(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and messages[0].startswith(f"{path}{error}")
+    assert _cache_entries(cache_home) == []
+
+
+def test_the_cache_keeps_only_the_newest_entries(tmp_path, cache_home, clean_lines):
+    header, *rows = clean_lines
+    paths = []
+    for k in range(report.CACHE_ENTRIES + 3):
+        relabelled = [row.replace(",b,", f",b{k},") for row in rows]
+        paths.append(_write_lines(tmp_path / f"results{k}.csv", [header, *relabelled]))
+        read_results(paths[-1])
+        entries = _cache_entries(cache_home)
+        assert len(entries) == min(k + 1, report.CACHE_ENTRIES)
+        # entries written within one tick of the file system's clock share a time: set them apart
+        for age, entry in enumerate(sorted(entries, key=lambda entry: entry.stat().st_mtime_ns)):
+            os.utime(entry, ns=(10**18 + age * 10**9,) * 2)
+    oldest = min(entries, key=lambda entry: entry.stat().st_mtime_ns)
+    second = sorted(entries, key=lambda entry: entry.stat().st_mtime_ns)[1]
+    read_results(paths[3])  # a hit, which makes its entry the newest
+    assert _cache_entries(cache_home) == entries and oldest.stat().st_mtime_ns > 10**18 + 10**11
+    read_results(paths[0])  # a miss, whose store drops the oldest entry
+    assert oldest in _cache_entries(cache_home) and second not in _cache_entries(cache_home)
+    assert len(_cache_entries(cache_home)) == report.CACHE_ENTRIES
