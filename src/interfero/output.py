@@ -215,19 +215,20 @@ def write_results(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pa
 def run_counters(table: SweepTable, shots: int) -> dict[str, int | float]:
     """A sweep's counters, each cell of ``table`` having drawn ``shots`` per tomography setting (0: analytic).
 
-    The cells and the shots drawn in all; the cells the PSD projection clipped (``psd_violation > 0``) and
-    the largest and the total clipped mass; the cells whose raw C + P exceeds the bound d - 1.  Counted on
-    the sweep's values, not on their 12-decimal text in results.csv.
+    The cells and the shots drawn in all; the cells the PSD projection clipped and the largest and the
+    total clipped mass; the cells whose raw C + P exceeds the bound d - 1.  Counted on the values as
+    results.csv writes them, to 12 decimals (:func:`_fixed12`), so a recount from that file agrees and
+    float residue below 5e-13 counts as no clipping.
     """
     d = 2 if table.kind == "bmzi" else 4
-    mass = table.psd_violation
+    mass, raw = _fixed12(table.psd_violation), _fixed12(table.total_raw)  # both at least 0, up to float residue
     return {
         "cells": mass.size,
         "shots": mass.size * (d * d - 1) * shots,
-        "clipped_cells": int(np.count_nonzero(mass > 0)),
-        "clipped_mass_max": float(mass.max()),
-        "clipped_mass_total": float(mass.sum()),
-        "raw_over_bound_cells": int(np.count_nonzero(table.total_raw > d - 1)),
+        "clipped_cells": int(np.count_nonzero(mass)),
+        "clipped_mass_max": float(table.psd_violation.max()),  # rounding keeps the order, so it writes the largest text
+        "clipped_mass_total": int(mass.sum()) / 1e12,
+        "raw_over_bound_cells": int(np.count_nonzero(raw > (d - 1) * 10**12)),
     }
 
 

@@ -4,14 +4,15 @@
 label: a numpy byte kernel reads the grammar :mod:`interfero.output` writes,
 each number bitwise as Python's ``int`` and ``float`` read it, and Python
 converts line by line a file the kernel declines.  The tables of a file
-that parses are cached under the sha256 of its bytes in
-``$XDG_CACHE_HOME/interfero`` (``~/.cache/interfero`` by default): a hit
-gives bitwise the tables of a parse, and a file that fails to parse is
-never stored.  Bump :data:`TABLE_FORMAT` whenever what :func:`read_results`
-returns changes.  :func:`reports_from_rows` and :func:`aggregate_curves`
-reduce the tables to MSE reports and mean curves.  Figures are plain SVG
-strings built without imaging dependencies; sparkline tables come in a
-text variant (8-level block characters) and an SVG variant.
+that parses are cached in ``$XDG_CACHE_HOME/interfero`` (by default
+``~/.cache/interfero``) under the sha256 of its bytes and of the code that
+reads them: a hit gives bitwise the tables of a parse, a change to this
+package's sources or to numpy's version makes every older entry a miss,
+and a file that fails to parse is never stored.  :func:`reports_from_rows`
+and :func:`aggregate_curves` reduce the tables to MSE reports and mean
+curves.  Figures are plain SVG strings built without imaging dependencies;
+sparkline tables come in a text variant (8-level block characters) and an
+SVG variant.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import zipfile
 from array import array
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import compress, islice
+from functools import cache
+from itertools import accumulate, compress, islice
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.format import read_array
 
 from .errors import ValidationError
 from .experiments import BLOCK_CELLS, KINDS, METRICS, ResultRow, SweepTable, analyze, theory_series
@@ -45,12 +47,8 @@ KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 INDEX_FIELDS = ("angle_index", "repetition")
 
-#: The layout of the cache's entries, part of each entry's name: bump it whenever what
-#: :func:`read_results` returns changes, so that no entry of an older layout is read.
-TABLE_FORMAT = 1
-
-#: The cache keeps this many entries, the newest written or read.
-CACHE_ENTRIES = 8
+#: The cache keeps the entries written or read last whose sizes sum to at most this many bytes.
+CACHE_BYTES = 2**28
 
 
 class ResultRows(Sequence[ResultRow]):
@@ -91,11 +89,11 @@ def read_results(csv_path: str | Path) -> ResultRows:
     where it declines the file, Python's ``int`` and ``float`` convert it line by line
     (:func:`_read_lines`); both give the same columns, which :func:`_group` groups by label.
 
-    The grouped columns of a file that parses are cached under the sha256 of its bytes (:func:`_entry`).
-    A hit builds the tables from the entry without a parse, and they are bitwise those of a miss.  A
-    missing, corrupt or mismatched entry is a miss.  A file that fails to parse is never stored, so it
+    The grouped columns of a file that parses are cached under the sha256 of its bytes and of the code
+    that reads them (:func:`_entry`).  A hit builds the tables from the entry without a parse, and they
+    are bitwise those of a miss.  A missing, corrupt or mismatched entry, or one that other sources of
+    this package or another numpy wrote, is a miss.  A file that fails to parse is never stored, so it
     fails alike on every read.  Where no cache directory can be made and written, no digest is taken.
-    Bump :data:`TABLE_FORMAT` whenever what this function returns changes.
     """
     path = Path(csv_path)
     data = path.read_bytes()
@@ -112,46 +110,64 @@ def read_results(csv_path: str | Path) -> ResultRows:
 
 
 def _entry(data: bytes) -> Path | None:
-    """The cache entry of the results file whose bytes are ``data``; None where the cache directory,
-    ``$XDG_CACHE_HOME/interfero`` (an absolute path) or ``~/.cache/interfero``, cannot be made and written."""
+    """The cache entry of the results file whose bytes are ``data``, read by this code; None where the cache
+    directory, ``$XDG_CACHE_HOME/interfero`` (an absolute path) or ``~/.cache/interfero``, cannot be made and written."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     directory = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"), "interfero")
     if directory.is_absolute():  # expanduser leaves '~' where no home is found
         with suppress(OSError):
             directory.mkdir(parents=True, exist_ok=True)
         if os.access(directory, os.W_OK):
-            return directory / f"tables{TABLE_FORMAT}-{hashlib.sha256(data).hexdigest()}.npz"
+            key = hashlib.sha256(_code_digest())
+            key.update(data)
+            return directory / f"{key.hexdigest()}.tables"
     return None
+
+
+@cache
+def _code_digest() -> bytes:
+    """The sha256 of numpy's version and of each source file of this package, so that an entry is read only by
+    the code that wrote it: a change to what the reader returns, accepts or rejects needs no format number."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(hashlib.sha256(source.read_bytes()).digest())
+    return digest.digest()
 
 
 def _read_entry(entry: Path) -> dict[str, SweepTable] | None:
     """The tables of the grid :func:`_store` wrote to ``entry``, or None where it is missing or is not such a grid."""
     try:
-        with np.load(entry, allow_pickle=False) as npz:
-            text, ends, kinds, shapes, floats = (npz[name] for name in ("text", "ends", "kinds", "shapes", "floats"))
+        with open(entry, "rb") as f:
+            text, ends, kinds, shapes, floats = (read_array(f, allow_pickle=False) for _ in range(5))
         labels = [text[a:b].tobytes().decode() for a, b in zip(np.append(0, ends[:-1]), ends)]
         tables = _tables(labels, kinds, shapes, floats)  # fails on labels, kinds and shapes that do not go together
         cells = sum(table.coherence.size for table in tables.values())  # fewer where two labels are equal
         if floats.dtype != np.float64 or not floats.flags.c_contiguous or floats.shape != (len(METRICS) + 1, cells):
             return None
         os.utime(entry)  # read, so among the newest
-    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile):
+    except (OSError, IndexError, TypeError, ValueError):
         return None  # a missing, truncated or foreign entry is a miss
     return tables
 
 
 def _store(entry: Path, labels: list[str], kinds: np.ndarray, shapes: np.ndarray, floats: np.ndarray) -> None:
-    """Write a grid to ``entry`` through a temporary file, then keep only the newest :data:`CACHE_ENTRIES` entries."""
+    """Write a grid to ``entry`` as five .npy arrays through a temporary file, then keep only the newest entries,
+    this one first, that fit in :data:`CACHE_BYTES` together.
+
+    Pruning also drops every temporary file in the directory: one a killed store left, or one another process
+    is writing, whose store then fails and leaves that file's tables uncached."""
     encoded = [label.encode() for label in labels]
     ends = np.cumsum([len(t) for t in encoded], dtype=np.int64)
     temporary = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as f:
-            text = np.frombuffer(b"".join(encoded), np.uint8)
-            np.savez(f, text=text, ends=ends, kinds=kinds, shapes=shapes, floats=floats)
+            for array in (np.frombuffer(b"".join(encoded), np.uint8), ends, kinds, shapes, floats):
+                np.save(f, array, allow_pickle=False)
         os.replace(temporary, entry)
-        others = (p for p in entry.parent.glob("*.npz") if p != entry)  # their times may tie with its own
-        for old in sorted(others, key=lambda p: p.stat().st_mtime_ns, reverse=True)[CACHE_ENTRIES - 1 :]:
+        stats = {p: p.stat() for p in entry.parent.glob("*.tables")}
+        newest = sorted(stats, key=lambda p: (p != entry, -stats[p].st_mtime_ns))  # its time may tie with others'
+        total = accumulate(stats[p].st_size for p in newest)
+        for old in [*(p for p, size in zip(newest, total) if size > CACHE_BYTES), *entry.parent.glob("*.tmp")]:
             old.unlink()
     except OSError:  # another process's pruning, or a full disk: the tables are returned all the same
         with suppress(OSError):

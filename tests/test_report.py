@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,31 +431,34 @@ def test_manifest_blas_line_without_build_information(tmp_path, noisy_result, mo
     assert "blas = unknown\n" in text
 
 
-@pytest.mark.parametrize("name", PINNED_CSV)
-def test_manifest_counters_match_a_recount_of_results_csv(tmp_path, name):
-    config = PINNED_CSV[name][0]
+@pytest.mark.parametrize(
+    "config, clipped",
+    [
+        *(pytest.param(config, True, id=name) for name, (config, _) in PINNED_CSV.items()),
+        # pure states: their masses are float residue (up to 4e-16), which results.csv writes as 0
+        pytest.param(ExperimentConfig(kind="bmzi", repetitions=2, analytic=True), False, id="bmzi-analytic"),
+        pytest.param(ExperimentConfig(kind="pqe", repetitions=2, analytic=True), False, id="pqe-analytic"),
+    ],
+)
+def test_manifest_counters_match_a_recount_of_results_csv(tmp_path, config, clipped):
     result = run_sweep(config)
     paths = write_results(result, tmp_path)
     written = {key: path.read_bytes() for key, path in paths.items()}
     lines = write_manifest(tmp_path, result, list(paths.values()), "0.1.0").read_text(encoding="utf-8").splitlines()
     fields = dict(line.split(" = ", 1) for line in lines)
     rows = [line.split(",") for line in written["results"].decode().splitlines()[1:]]
-    raw, mass = (np.array([float(row[k]) for row in rows]) for k in (8, 9))
+    raw, mass = ([row[k] for row in rows] for k in (8, 9))
     d = 2 if config.kind == "bmzi" else 4
     assert fields["cells"] == str(len(rows))
-    assert fields["shots"] == str(len(rows) * (d * d - 1) * config.shots)
-    assert fields["clipped_cells"] == str(np.count_nonzero(mass > 0)) != "0"
-    assert fields["clipped_mass_max"] == fmt12(mass.max())
-    # the manifest sums the sweep's values, the recount their 12-decimal text
-    assert float(fields["clipped_mass_total"]) == pytest.approx(mass.sum(), rel=0, abs=len(rows) * 5e-13)
-    assert fields["raw_over_bound_cells"] == str(np.count_nonzero(raw > d - 1))
+    assert fields["shots"] == str(len(rows) * (d * d - 1) * (0 if config.analytic else config.shots))
+    assert fields["clipped_cells"] == str(sum(text != fmt12(0) for text in mass))
+    assert (fields["clipped_cells"] != "0") == clipped
+    assert fields["clipped_mass_max"] == max(mass)
+    # the total of the texts, summed exactly in units of 1e-12
+    total = sum(int(text.replace(".", "")) for text in mass)
+    assert fields["clipped_mass_total"] == f"{total // 10**12}.{total % 10**12:012d}"
+    assert fields["raw_over_bound_cells"] == str(sum(float(text) > d - 1 for text in raw))
     assert {key: path.read_bytes() for key, path in paths.items()} == written
-
-
-def test_an_analytic_manifest_counts_no_shots(tmp_path):
-    result = run_sweep(ExperimentConfig(kind="pqe", angle_points=4, repetitions=2, analytic=True))
-    lines = write_manifest(tmp_path, result, [], "0.1.0").read_text(encoding="utf-8").splitlines()
-    assert "cells = 8" in lines and "shots = 0" in lines
 
 
 def test_pqe_rows_recompute_against_dim_four_theory(tmp_path):
@@ -1011,7 +1015,7 @@ def test_the_kernel_declines_numbers_outside_its_grammar(tmp_path, clean_lines, 
 
 
 def _cache_entries(cache_home):
-    return sorted((cache_home / "interfero").glob("*.npz"))
+    return sorted((cache_home / "interfero").glob("*.tables"))
 
 
 def _unreached(*args):
@@ -1052,10 +1056,12 @@ def _changed(**change):
     """Rewrite an entry with some of its arrays changed, or dropped where the change is None."""
 
     def spoil(entry):
-        with np.load(entry) as npz:
-            arrays = {name: change.get(name, lambda a: a)(array) for name, array in npz.items()}
+        with open(entry, "rb") as f:
+            arrays = [change.get(name, lambda a: a)(np.load(f)) for name in ("text", "ends", "kinds", "shapes", "floats")]
         with open(entry, "wb") as f:
-            np.savez(f, **{name: array for name, array in arrays.items() if array is not None})
+            for array in arrays:
+                if array is not None:
+                    np.save(f, array)
 
     return spoil
 
@@ -1065,7 +1071,8 @@ def _changed(**change):
     [
         pytest.param(_truncated, id="truncated"),
         pytest.param(lambda entry: entry.write_bytes(b""), id="empty"),
-        pytest.param(lambda entry: entry.write_bytes(b"not a zip file"), id="not-a-zip"),
+        pytest.param(lambda entry: entry.write_bytes(b"not an array"), id="not-npy"),
+        pytest.param(lambda entry: entry.write_bytes(b"PK\x03\x04 not a zip file"), id="zip-magic"),
         pytest.param(_changed(shapes=lambda a: a + 1), id="wrong-shapes"),
         pytest.param(_changed(shapes=lambda a: a - 1), id="too-few-cells"),
         pytest.param(_changed(shapes=lambda a: a.astype(float)), id="float-shapes"),
@@ -1127,22 +1134,56 @@ def test_a_faulty_file_is_never_stored(tmp_path, cache_home, clean_lines, mutate
     assert _cache_entries(cache_home) == []
 
 
-def test_the_cache_keeps_only_the_newest_entries(tmp_path, cache_home, clean_lines):
+def test_the_cache_keeps_the_newest_entries_that_fit_in_its_budget(tmp_path, monkeypatch, cache_home, clean_lines):
     header, *rows = clean_lines
-    paths = []
-    for k in range(report.CACHE_ENTRIES + 3):
-        relabelled = [row.replace(",b,", f",b{k},") for row in rows]
-        paths.append(_write_lines(tmp_path / f"results{k}.csv", [header, *relabelled]))
-        read_results(paths[-1])
-        entries = _cache_entries(cache_home)
-        assert len(entries) == min(k + 1, report.CACHE_ENTRIES)
-        # entries written within one tick of the file system's clock share a time: set them apart
-        for age, entry in enumerate(sorted(entries, key=lambda entry: entry.stat().st_mtime_ns)):
-            os.utime(entry, ns=(10**18 + age * 10**9,) * 2)
-    oldest = min(entries, key=lambda entry: entry.stat().st_mtime_ns)
-    second = sorted(entries, key=lambda entry: entry.stat().st_mtime_ns)[1]
+    paths = [
+        _write_lines(tmp_path / f"results{k}.csv", [header, *(row.replace(",b,", f",b{k},") for row in rows)])
+        for k in range(6)
+    ]
+    entries = [report._entry(path.read_bytes()) for path in paths]
+    cold = read_results(paths[0]).tables
+    monkeypatch.setattr(report, "CACHE_BYTES", 3 * entries[0].stat().st_size)  # every entry has this size
+    stale = entries[0].with_name(f"{entries[0].name}.99999.tmp")
+    stale.write_bytes(b"left by a killed store")
+    for k, path in enumerate(paths):
+        read_results(path)
+        os.utime(entries[k], ns=(10**18 + k * 10**9,) * 2)  # entries written within one clock tick share a time
+        assert _cache_entries(cache_home) == sorted(entries[max(0, k - 2) : k + 1])
+    assert not stale.exists()
     read_results(paths[3])  # a hit, which makes its entry the newest
-    assert _cache_entries(cache_home) == entries and oldest.stat().st_mtime_ns > 10**18 + 10**11
     read_results(paths[0])  # a miss, whose store drops the oldest entry
-    assert oldest in _cache_entries(cache_home) and second not in _cache_entries(cache_home)
-    assert len(_cache_entries(cache_home)) == report.CACHE_ENTRIES
+    assert _cache_entries(cache_home) == sorted(entries[i] for i in (0, 3, 5))
+    # the entry just written is kept, though the others' times lie ahead of its own
+    for k, i in enumerate((0, 3, 5)):
+        os.utime(entries[i], ns=(2**62 + k * 10**9,) * 2)
+    read_results(paths[1])
+    assert _cache_entries(cache_home) == sorted(entries[i] for i in (1, 3, 5))
+    # an entry larger than the budget is not kept, and the tables are returned all the same
+    monkeypatch.setattr(report, "CACHE_BYTES", entries[1].stat().st_size - 1)
+    _tables_equal(cold, read_results(paths[0]).tables)
+    assert _cache_entries(cache_home) == []
+
+
+def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, cache_home, clean_lines):
+    sources = tmp_path / "interfero"
+    sources.mkdir()
+    for source in Path(report.__file__).parent.glob("*.py"):
+        (sources / source.name).write_bytes(source.read_bytes())
+    monkeypatch.setattr(report, "__file__", str(sources / "report.py"))
+    digests = [report._code_digest.__wrapped__()]
+    assert digests == [report._code_digest()]
+    # a change to any source file of the package, or another numpy, gives every file another key
+    for name in ("report.py", "experiments.py", "output.py"):
+        (sources / name).write_bytes((sources / name).read_bytes() + b"\n")
+        digests.append(report._code_digest.__wrapped__())
+    monkeypatch.setattr(np, "__version__", "0.0")
+    digests.append(report._code_digest.__wrapped__())
+    assert len(set(digests)) == 5
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    cold = read_results(path).tables
+    parses = []
+    parse = report._load_file
+    monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
+    monkeypatch.setattr(report, "_code_digest", lambda: digests[-1])
+    _tables_equal(cold, read_results(path).tables)
+    assert len(parses) == 1 and len(_cache_entries(cache_home)) == 2
