@@ -13,9 +13,10 @@ X and Y rotations evolve every partial state so far in one stacked call, so
 the ``3**n`` partial states (3 for bmzi, 9 for pqe; ``3**n * angles * d**2``
 complex numbers) come from 2 or 4 evolutions and hold every setting's state.
 A chunk holds whole pieces of at most :data:`BLOCK_CELLS` cells, either
-several whole angles or one slice of one angle's repetitions, and each
-piece in turn is drawn, contracted to expectations, inverted, projected and
-scored.  Each angle draws its counts from a counter-based stream derived
+several whole angles or one slice of one angle's repetitions; the generator
+:func:`_expectation_pieces`, the sweep's one boundary, draws each piece and
+contracts it to expectations, which :func:`run_sweep` inverts, projects and
+scores.  Each angle draws its counts from a counter-based stream derived
 from (master_seed, angle index), one piece after the other, which gives the
 counts of one whole draw.  An analytic angle is one cell at its exact
 frequencies, which stands for each of its repetitions.  The projection
@@ -30,6 +31,7 @@ results do not depend on the chunk or piece sizes.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -59,6 +61,7 @@ from .tomography import BASIS_ROTATION, linear_inversion, measurement_settings, 
 KINDS = ("bmzi", "pqe")
 DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
 DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
+QUBITS = {"bmzi": 1, "pqe": 2}
 
 #: The bound of both tilings of :func:`run_sweep`: it simulates at most this many angles as one
 #: stack, and draws and reconstructs at most this many (angle, repetition) cells as one piece,
@@ -136,7 +139,7 @@ class ExperimentConfig:
 
     @property
     def n_qubits(self) -> int:
-        return 1 if self.kind == "bmzi" else 2
+        return QUBITS[self.kind]
 
     @property
     def m(self) -> int:
@@ -316,56 +319,47 @@ def setting_probabilities(config: ExperimentConfig, angles: float | np.ndarray) 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
-    The grid is simulated in chunks of at most :data:`BLOCK_CELLS` angles
-    and drawn and reconstructed in pieces of at most :data:`BLOCK_CELLS`
-    cells (see the module docstring), on the calling thread; ``threads`` is
-    accepted and changes nothing.  Working memory is one chunk's ``3**n``
-    partial states (``3**n * angles * d**2`` complex numbers), one piece's
-    ``(cells, settings, d)`` frequencies, then its ``(cells, settings)``
-    expectations and ``(cells, d, d)`` states, and the metric columns of the
-    pieces so far, which are joined once into the table and then released.
+    Scores each piece that :func:`_expectation_pieces`, the sweep's one boundary, yields, on the calling
+    thread; ``threads`` is accepted and changes nothing.  Working memory is one chunk's ``3**n`` partial
+    states (``3**n * angles * d**2`` complex numbers), one piece's ``(cells, settings, d)`` frequencies,
+    then its ``(cells, settings)`` expectations and ``(cells, d, d)`` states, and the metric columns of
+    the pieces so far, which are joined once into the table and then released.
     """
     angles = config.angles()
-    cells = 1 if config.analytic else config.m  # an analytic angle is one cell, at its exact frequencies
-    block = max(1, BLOCK_CELLS // cells)
-    chunk = block * (BLOCK_CELLS // block)  # whole blocks, at most BLOCK_CELLS angles
-    pieces = []
-    for first in range(0, len(angles), chunk):
-        probs = setting_probabilities(config, angles[first : first + chunk])
-        for k in range(0, len(probs), block):
-            pieces += _sweep_block(config, first + k, probs[k : k + block], cells)
-    columns = [np.concatenate(column).reshape(len(angles), cells) for column in zip(*pieces)]
+    pieces = [_cell_metrics(expectations, config.n_qubits) for expectations in _expectation_pieces(config)]
+    columns = [np.concatenate(column).reshape(len(angles), -1) for column in zip(*pieces)]
     pieces.clear()
-    if cells < config.m:  # an analytic cell stands for each of its angle's repetitions
+    if config.analytic:  # an angle's one analytic cell stands for each of its repetitions
         columns = [column.repeat(config.m, axis=1) for column in columns]
     table = SweepTable(config.kind, config.run_label, angles, *columns)
     return ExperimentResult(config, table, analyze(table))
 
 
-def _sweep_block(config: ExperimentConfig, start: int, probs: np.ndarray, cells: int) -> list[tuple[np.ndarray, ...]]:
-    """The :data:`METRICS` columns of each piece of a block: ``cells`` per angle of ``probs`` from angle ``start``."""
-    streams = [] if config.analytic else [angle_rng(config.master_seed, start + b) for b in range(len(probs))]
-    return [
-        _cell_metrics(_piece_expectations(config, streams, probs, min(BLOCK_CELLS, cells - r)), config.n_qubits)
-        for r in range(0, cells, BLOCK_CELLS)
-    ]
+def _expectation_pieces(config: ExperimentConfig) -> Iterator[np.ndarray]:
+    """The setting expectations ``(cells, S)`` of each piece of the sweep, angle-major (see the module docstring).
 
-
-def _piece_expectations(config: ExperimentConfig, streams: list, probs: np.ndarray, reps: int) -> np.ndarray:
-    """Setting expectations ``(A * reps, S)`` of ``reps`` repetitions of each of ``probs``' ``(A, S, d)`` distributions.
-
-    Each angle draws from its stream, on from where its last piece stopped;
-    analytic frequencies are the distributions themselves.  Only the
-    expectations outlive the call, so a piece's draws are freed before it
-    is reconstructed.
+    Each sampled angle draws from its stream, on from where its last piece stopped; analytic frequencies
+    are the distributions themselves.  Only the expectations outlive a piece's step (the name that held its
+    draws is rebound to them), so its draws are freed before it is reconstructed.
     """
-    freqs = probs
-    if not config.analytic:
-        freqs = np.empty((len(probs), reps, *probs.shape[1:]))
-        for stream, dist, rows in zip(streams, probs, freqs):
-            rows[...] = stream.multinomial(config.shots, dist, size=rows.shape[:2])
-        freqs /= config.shots
-    return np.einsum("rsk,sk->rs", freqs.reshape(-1, *probs.shape[1:]), parity_signs(config.n_qubits))
+    angles = config.angles()
+    cells = 1 if config.analytic else config.m  # an analytic angle is one cell, at its exact frequencies
+    block = max(1, BLOCK_CELLS // cells)
+    chunk = block * (BLOCK_CELLS // block)  # whole blocks, at most BLOCK_CELLS angles
+    for first in range(0, len(angles), chunk):
+        probs = setting_probabilities(config, angles[first : first + chunk])
+        for k in range(0, len(probs), block):
+            dists = probs[k : k + block]
+            streams = [] if config.analytic else [angle_rng(config.master_seed, first + k + b) for b in range(len(dists))]
+            for r in range(0, cells, BLOCK_CELLS):
+                piece = dists
+                if not config.analytic:
+                    piece = np.empty((len(dists), min(BLOCK_CELLS, cells - r), *dists.shape[1:]))
+                    for b, stream in enumerate(streams):  # binds no view of the draws past the loop
+                        piece[b] = stream.multinomial(config.shots, dists[b], size=piece.shape[1:3])
+                    piece /= config.shots
+                piece = np.einsum("rsk,sk->rs", piece.reshape(-1, *dists.shape[1:]), parity_signs(config.n_qubits))
+                yield piece
 
 
 def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:

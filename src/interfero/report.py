@@ -185,9 +185,9 @@ def _load_file(path: Path, data: bytes) -> tuple[np.ndarray, np.ndarray, list[st
     ``float(text)`` bit for bit.  The rows are read :data:`BLOCK_CELLS` at a time.
 
     None, for :func:`_read_lines`, on a control byte other than tab, LF and CR, a Unicode line break, no
-    rows, a line without nine commas, an unknown kind, a label far longer than the rest, or a first number
-    outside the grammar that Python's ``int`` or ``float`` reads or that is not ASCII.  A number they
-    reject is its line's fault, given with the rows before it, as :func:`_read_lines` gives them.
+    rows, a line without nine commas, an unknown kind, a label far longer than the rest, or a first row
+    outside the grammar in which :func:`_line_fault` finds no fault.  A row it faults is given with the
+    rows before it, as :func:`_read_lines` gives them.
     """
     header = CSV_HEADER.encode()
     starts_well = data[: len(header) + 1] in (header + b"\n", header + b"\r")
@@ -244,17 +244,11 @@ def _load_file(path: Path, data: bytes) -> tuple[np.ndarray, np.ndarray, list[st
         ok[f] &= ok_tail & (width == digits) & (head >> 24 & 0xFF == ord("."))
         value = (whole * 10**8 + tail).astype(np.float64) / 1e12
         floats[:, r : r + n] = np.negative(value, out=value, where=sign)
-        if not ok.all():  # the first row outside the grammar, and its first such field
-            k = int(np.argmin(ok.all(axis=0)))
-            j = int(np.argmin(ok[:, k]))
-            number = data[lo[j, k] : hi[j, k]].decode()
-            try:
-                (int if j in i else float)(number)
-            except ValueError:
-                if number.isascii():  # Python's int and float read digits and spaces beyond ASCII
-                    k, names = r + k, list(labels)[: int(ints[0, : r + k].max(initial=-1)) + 1]
-                    return ints[:, :k], floats[:, :k], names, (k, _line_fault(data[starts[k] : ends[k]].decode()))
-            return None
+        if not ok.all():  # the first row outside the grammar: its line's fault, or Python reads it
+            k = r + int(np.argmin(ok.all(axis=0)))
+            fault = _line_fault(data[starts[k] : ends[k]].decode())
+            names = list(labels)[: ints[0, :k].max(initial=-1) + 1]
+            return (ints[:, :k], floats[:, :k], names, (k, fault)) if fault else None
     return ints, floats, list(labels), None
 
 
@@ -306,7 +300,7 @@ def _read_lines(path: Path) -> tuple[np.ndarray, np.ndarray, list[str], tuple[in
     fault = None if kept == len(lines) - 1 else (kept, _line_fault(lines[kept + 1]))
     del lines  # freed before the columns are copied, so the text's lines stay the peak
     keys = np.vstack((np.frombuffer(codes, np.int64), np.frombuffer(ints, np.int64).reshape(-1, 3).T))
-    return keys[:, :kept], values.T[:, :kept].copy(), list(labels), fault
+    return keys[:, :kept], values.T[:, :kept].copy(), list(labels)[: keys[0, :kept].max(initial=-1) + 1], fault
 
 
 def _line_fault(line: str) -> str | None:

@@ -688,8 +688,13 @@ def test_the_kernel_declines_the_text_it_could_read_differently(tmp_path, clean_
     for index in ("1\u01fe", "1\x1f"):  # numpy's old reader read these as 472 and 1, Python's int rejects them
         parts = clean_lines[1].split(",")
         parts[2] = index
-        assert _kernel(_write_lines(path, [CSV_HEADER, ",".join(parts)])) is None
+        kernel = _kernel(_write_lines(path, [CSV_HEADER, ",".join(parts)]))
         assert report._read_lines(path)[3] == (0, f"angle_index must be an integer, got {index!r}")
+        # a control byte declines the file; a non-ASCII letter is a number outside the grammar, its line's fault
+        if index == "1\x1f":
+            assert kernel is None
+        else:
+            _columns_identical(kernel, report._read_lines(path))
     # a non-ASCII label keeps its UTF-8 bytes through the kernel
     relabelled = [line.replace(",b,", ",\u03bb,") for line in clean_lines]
     ints, floats, labels, fault = _kernel(_write_lines(path, relabelled))
@@ -788,7 +793,6 @@ def test_the_kernel_and_the_line_reader_agree(tmp_path_factory, clean_lines, dat
         pytest.param(lambda t: t.replace("bmzi,", "bmzix,", 1), id="kind-bmzix"),
         pytest.param(lambda t: t.replace("bmzi,", "bmzi\xe9,", 1), id="kind-non-ascii"),
         pytest.param(lambda t: t.replace("kind,", "kind ,", 1), id="header"),
-        pytest.param(lambda t: re.sub(r"^(pqe,q,1,[^,]*,1,)[^,]*", r"\g<1>inf", t, flags=re.M), id="non-finite-number"),
         pytest.param(lambda t: t.replace(",b,1,", ",b,1_0,", 1), id="numpy-raises"),
         pytest.param(lambda t: t.replace(",b,1,", ",b,\u0661,", 1), id="non-ascii-digit"),
         pytest.param(lambda t: t.split("\n", 1)[0] + "\n", id="header-only"),
@@ -803,6 +807,30 @@ def test_the_kernel_declines_to_the_line_reader(tmp_path, clean_lines, mutate):
     path = tmp_path / "results.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert _kernel(path) is None
+    _assert_read_like_the_line_reader(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, fault",
+    [
+        pytest.param(
+            lambda t: re.sub(r"^(pqe,q,1,[^,]*,1,)[^,]*", r"\g<1>inf", t, flags=re.M),
+            (9, "coherence must be finite, got 'inf'"),
+            id="non-finite-number",
+        ),
+        pytest.param(
+            lambda t: t.replace(",b,1,", f",b,{2**63},", 1), (2, f"angle_index must fit in 64 bits, got '{2**63}'"),
+            id="index-beyond-64-bits",
+        ),
+    ],
+)
+def test_the_kernel_names_a_fault_in_a_number_python_reads(tmp_path, clean_lines, mutate, fault):
+    path = tmp_path / "results.csv"
+    path.write_bytes(mutate("\n".join(clean_lines) + "\n").encode("utf-8"))
+    # the rows before the faulty line, only their labels, and its fault, as the line reader gives them
+    kernel = _kernel(path)
+    _columns_identical(kernel, report._read_lines(path))
+    assert kernel[3] == fault
     _assert_read_like_the_line_reader(path)
 
 
@@ -941,10 +969,10 @@ def long_text(noisy_result):
     return result_csv(replace(noisy_result, table=table))
 
 
-def test_a_fault_on_the_last_line_of_a_long_file_is_named_without_the_line_reader(tmp_path, monkeypatch, long_text):
+def _last_line_fault_without_the_line_reader(path, monkeypatch, long_text, value):
+    """The error ``read_results`` names for ``long_text`` with ``value`` as the last line's predictability."""
     rows, last = long_text[:-1].rsplit("\n", 1)
-    path = tmp_path / "results.csv"
-    path.write_text(f"{rows}\n{_set_field(last, 6, 'x')}\n", encoding="utf-8")
+    path.write_text(f"{rows}\n{_set_field(last, 6, value)}\n", encoding="utf-8")
     # the kernel gives the rows before the faulty line, and its fault, as the line reader does
     _columns_identical(_kernel(path), report._read_lines(path))
 
@@ -954,7 +982,21 @@ def test_a_fault_on_the_last_line_of_a_long_file_is_named_without_the_line_reade
     monkeypatch.setattr(report, "_read_lines", unreached)
     with pytest.raises(ValidationError) as info:
         read_results(path)
-    assert str(info.value) == f"{path}:{960 * 128 + 1}: predictability must be a number, got 'x'"
+    return str(info.value)
+
+
+def test_a_fault_on_the_last_line_of_a_long_file_is_named_without_the_line_reader(tmp_path, monkeypatch, long_text):
+    path = tmp_path / "results.csv"
+    message = _last_line_fault_without_the_line_reader(path, monkeypatch, long_text, "x")
+    assert message == f"{path}:{960 * 128 + 1}: predictability must be a number, got 'x'"
+
+
+def test_a_non_finite_number_on_the_last_line_of_a_long_file_is_named_without_the_line_reader(
+    tmp_path, monkeypatch, long_text
+):
+    path = tmp_path / "results.csv"
+    message = _last_line_fault_without_the_line_reader(path, monkeypatch, long_text, "inf")
+    assert message == f"{path}:{960 * 128 + 1}: predictability must be finite, got 'inf'"
 
 
 def test_the_kernel_holds_less_than_three_times_the_file(tmp_path, long_text):

@@ -14,6 +14,7 @@ from interfero import Circuit, ExperimentConfig, NoiseModel, ValidationError, ru
 from interfero.circuits import ctrl_ix, cx, ix, phase, rx_neg, simulate_density, unitary
 from interfero.linalg import check_density_matrix, random_unitary
 from interfero.output import result_csv
+from interfero.tomography import parity_signs
 
 NOISE = dict(depolarizing=0.02, amplitude_damping=0.01, phase_damping=0.01, readout_flip0=0.02, readout_flip1=0.03)
 
@@ -91,17 +92,16 @@ def test_block_boundaries_do_not_change_bytes(config):
     # 12 cells: blocks of 12 // cells angles (an analytic angle is one cell), simulated 12 angles at a time,
     # so a sampled chunk ends mid-grid after several blocks and the next one starts there
     simulated = mock.Mock(wraps=exp.setting_probabilities)
-    blocks = mock.Mock(wraps=exp._sweep_block)
     inversion = mock.Mock(wraps=exp.linear_inversion)
-    patches = dict(setting_probabilities=simulated, _sweep_block=blocks, linear_inversion=inversion)
-    with mock.patch.multiple(exp, BLOCK_CELLS=12, **patches):
+    with mock.patch.multiple(exp, BLOCK_CELLS=12, setting_probabilities=simulated, linear_inversion=inversion):
         assert result_csv(run_sweep(config)) == whole
-    assert [len(call.args[1]) for call in simulated.call_args_list] == [12, 8]
+        pieces = [len(expectations) for expectations in exp._expectation_pieces(config)]
+    assert [len(call.args[1]) for call in simulated.call_args_list] == [12, 8] * 2
     cells = 1 if config.analytic else config.m
-    sizes = [len(call.args[2]) for call in blocks.call_args_list]
-    assert sizes == {5: [2] * 10, 3: [4] * 5, 1: [12, 8]}[cells]
+    sizes = {5: [2] * 10, 3: [4] * 5, 1: [12, 8]}[cells]  # angles per block
     # each block is one piece of its angles' cells
-    assert [call.args[0].shape[0] for call in inversion.call_args_list] == [size * cells for size in sizes]
+    assert pieces == [size * cells for size in sizes]
+    assert [call.args[0].shape[0] for call in inversion.call_args_list] == pieces
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -145,12 +145,15 @@ def test_a_sweep_simulates_once_per_chunk_and_qubit_rotation(monkeypatch):
     assert checks.call_count == 5  # each output once; no step re-checks its input
     # 25 angles of 2 repetitions per block and chunks of 2 blocks: 2 simulations, of 50 and 10 angles, for 3 blocks
     monkeypatch.setattr(exp, "BLOCK_CELLS", 50)
-    blocks = mock.Mock(wraps=exp._sweep_block)
-    monkeypatch.setattr(exp, "_sweep_block", blocks)
+    streams = mock.Mock(wraps=exp.angle_rng)
+    monkeypatch.setattr(exp, "angle_rng", streams)
     calls.clear()
-    run_sweep(ExperimentConfig(kind="bmzi", angle_points=60, repetitions=2, shots=10))
+    config = ExperimentConfig(kind="bmzi", angle_points=60, repetitions=2, shots=10)
+    blocks = []  # (first angle, angles) of each piece's block, whose streams are the ones made last
+    for piece in exp._expectation_pieces(config):
+        blocks.append((streams.call_args_list[-(len(piece) // config.m)].args[1], len(piece) // config.m))
     assert calls == (["simulate_density"] + ["_evolve_density"] * 2 + ["outcome_probabilities"]) * 2
-    assert [(call.args[1], len(call.args[2])) for call in blocks.call_args_list] == [(0, 25), (25, 25), (50, 10)]
+    assert blocks == [(0, 25), (25, 25), (50, 10)]
 
 
 @pytest.mark.parametrize("noise", [NOISE, {}], ids=["noisy", "noiseless"])
@@ -241,14 +244,6 @@ def test_analytic_repetitions_repeat_the_one_repetition_row(kind):
         assert getattr(many, name).tobytes() == np.repeat(getattr(one, name), 6, axis=1).tobytes()
 
 
-def _chunk_expectations(config):
-    """The ``(cells, S)`` expectations of the sweep's first piece."""
-    block = max(1, exp.BLOCK_CELLS // config.m)
-    probs = exp.setting_probabilities(config, config.angles()[:block])
-    streams = [exp.angle_rng(config.master_seed, b) for b in range(len(probs))]
-    return exp._piece_expectations(config, streams, probs, min(config.m, exp.BLOCK_CELLS))
-
-
 @pytest.mark.parametrize(
     "config, rebuilt",
     [
@@ -259,7 +254,7 @@ def _chunk_expectations(config):
     ids=["noisy-pqe", "bmzi", "pqe"],
 )
 def test_rebuilt_only_metrics_are_bitwise_the_whole_stack_metrics(config, rebuilt):
-    expectations = _chunk_expectations(config)
+    expectations = next(exp._expectation_pieces(config))
     rho_raw = exp.linear_inversion(expectations, config.n_qubits)
     rho, violation = exp.project_psd(rho_raw)
     count = np.count_nonzero(violation > 0)
@@ -272,7 +267,7 @@ def test_rebuilt_only_metrics_are_bitwise_the_whole_stack_metrics(config, rebuil
 
 
 def test_the_projected_metrics_score_only_the_rebuilt_cells(monkeypatch):
-    expectations = _chunk_expectations(ExperimentConfig(kind="bmzi"))
+    expectations = next(exp._expectation_pieces(ExperimentConfig(kind="bmzi")))
     rho, violation = exp.project_psd(exp.linear_inversion(expectations, 1))
     rebuilt = violation > 0
     assert 0 < np.count_nonzero(rebuilt) < len(rho)
@@ -283,3 +278,33 @@ def test_the_projected_metrics_score_only_the_rebuilt_cells(monkeypatch):
     raw, projected = (call.args[0] for call in metrics.call_args_list)
     assert raw.shape == rho.shape
     assert projected.tobytes() == rho[rebuilt].tobytes()
+
+
+def _whole_grid_expectations(config):
+    """The ``(angles * cells, S)`` expectations of the whole grid in one draw per angle and one contraction."""
+    freqs = exp.setting_probabilities(config, config.angles())
+    if not config.analytic:
+        size = (config.m, freqs.shape[1])
+        draws = [exp.angle_rng(config.master_seed, a).multinomial(config.shots, p, size=size) for a, p in enumerate(freqs)]
+        freqs = np.stack(draws) / config.shots
+    return np.einsum("rsk,sk->rs", freqs.reshape(-1, *freqs.shape[-2:]), parity_signs(config.n_qubits))
+
+
+@pytest.mark.parametrize(
+    "config, block_cells, pieces",
+    [
+        # 30 repetitions, more than a piece holds: each angle in slices of 12, 12 and 6
+        (ExperimentConfig(kind="pqe", angle_points=3, repetitions=30, shots=50, master_seed=7, **NOISE), 12, 9),
+        (ExperimentConfig(kind="bmzi", angle_points=20, repetitions=4, analytic=True, **NOISE), 8, 3),
+        # blocks of 2 angles and chunks of 12: 2 simulations, of 12 and 8 angles, for 10 pieces
+        (ExperimentConfig(kind="bmzi", angle_points=20, repetitions=5, shots=40, master_seed=8), 12, 10),
+        (ExperimentConfig(kind="pqe", angle_points=20, repetitions=3, shots=40), None, 1),
+    ],
+    ids=["sampled-angle-past-a-piece", "analytic", "sampled-chunks", "one-piece"],
+)
+def test_the_pieces_join_into_the_whole_grid_expectations(monkeypatch, config, block_cells, pieces):
+    if block_cells is not None:
+        monkeypatch.setattr(exp, "BLOCK_CELLS", block_cells)
+    got = list(exp._expectation_pieces(config))
+    assert len(got) == pieces and max(len(piece) for piece in got) <= exp.BLOCK_CELLS
+    assert np.concatenate(got).tobytes() == _whole_grid_expectations(config).tobytes()

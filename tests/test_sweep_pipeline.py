@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from hashlib import sha256
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -161,25 +162,23 @@ def test_sampling_memory_does_not_grow_with_shots():
     assert peak < 1_000_000
 
 
-def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks(monkeypatch):
+def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks():
     # noiseless pqe: every finite-shot state is clipped, the projection's largest case
     config = ExperimentConfig(kind="pqe", angle_points=2, repetitions=5000, master_seed=3)
-    probs = exp.setting_probabilities(config, config.angles()[:1])
-    exp._sweep_block(config, 0, probs, config.m)  # first-call caches are not per-cell memory
+    first_angle = lambda: islice(exp._expectation_pieces(config), 3)  # noqa: E731
+    [exp._cell_metrics(piece, 2) for piece in first_angle()]  # first-call caches are not per-cell memory
     held = []  # per piece: the bytes live as its reconstruction starts, and its reconstruction's peak above them
-    real = exp._cell_metrics
 
-    def metrics(*args):
+    def metrics(expectations):
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        columns = real(*args)
+        columns = exp._cell_metrics(expectations, 2)
         held.append((live, tracemalloc.get_traced_memory()[1] - live))
         return columns
 
-    monkeypatch.setattr(exp, "_cell_metrics", metrics)
     tracemalloc.start()
     try:
-        pieces = exp._sweep_block(config, 0, probs, config.m)
+        pieces = [metrics(expectations) for expectations in first_angle()]
     finally:
         tracemalloc.stop()
     assert [len(piece[0]) for piece in pieces] == [2048, 2048, 904]
