@@ -370,8 +370,8 @@ def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, 
     total_raw = c + p
     # the projection returns each cell it did not rebuild (mass 0) unchanged, with its raw metrics
     rebuilt = violation > 0
-    if rebuilt.any():
-        c[rebuilt], p[rebuilt] = l1_metrics(rho[rebuilt])
+    if rebuilt.any():  # rho itself where every cell was rebuilt: a gathered copy would hold a second stack
+        c[rebuilt], p[rebuilt] = l1_metrics(rho if rebuilt.all() else rho[rebuilt])
     return c, p, c + p, total_raw, violation
 
 

@@ -5,10 +5,11 @@ label: a numpy byte kernel reads the grammar :mod:`interfero.output` writes,
 each number bitwise as Python's ``int`` and ``float`` read it, and Python
 converts line by line a file the kernel declines.  The tables of a file
 that parses are cached in ``$XDG_CACHE_HOME/interfero`` (by default
-``~/.cache/interfero``) under the sha256 of its bytes and of the code that
-reads them: a hit gives bitwise the tables of a parse, a change to this
-package's sources or to numpy's version makes every older entry a miss,
-and a file that fails to parse is never stored.  :func:`reports_from_rows`
+``~/.cache/interfero``) under its identity (device, inode, size, mtime,
+ctime) and the sha256 of the code that reads it: a hit reads none of its
+bytes and gives bitwise the tables of a parse, a change to this package's
+sources or to numpy's version makes every older entry a miss, and a file
+that fails to parse is never stored.  :func:`reports_from_rows`
 and :func:`aggregate_curves` reduce the tables to MSE reports and mean
 curves.  Figures are plain SVG strings built without imaging dependencies;
 sparkline tables come in a text variant (8-level block characters) and an
@@ -26,7 +27,9 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, compress, islice
+from operator import attrgetter
 from pathlib import Path
+from time import time_ns
 
 import numpy as np
 from numpy.lib.format import read_array
@@ -49,6 +52,9 @@ INDEX_FIELDS = ("angle_index", "repetition")
 
 #: The cache keeps the entries written or read last whose sizes sum to at most this many bytes.
 CACHE_BYTES = 2**28
+
+#: What tells one version of a file from another: a change to its bytes moves its ctime, which only root can set back.
+_identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
 
 class ResultRows(Sequence[ResultRow]):
@@ -89,28 +95,31 @@ def read_results(csv_path: str | Path) -> ResultRows:
     where it declines the file, Python's ``int`` and ``float`` convert it line by line
     (:func:`_read_lines`); both give the same columns, which :func:`_group` groups by label.
 
-    The grouped columns of a file that parses are cached under the sha256 of its bytes and of the code
-    that reads them (:func:`_entry`).  A hit builds the tables from the entry without a parse, and they
-    are bitwise those of a miss.  A missing, corrupt or mismatched entry, or one that other sources of
-    this package or another numpy wrote, is a miss.  A file that fails to parse is never stored, so it
-    fails alike on every read.  Where no cache directory can be made and written, no digest is taken.
+    The grouped columns of a file that parses are cached under the identity of the open file and the code
+    that reads it (:func:`_entry`).  A hit builds the tables from the entry without reading the file, and
+    they are bitwise those of a miss.  A missing, corrupt or mismatched entry, or one that other sources of
+    this package or another numpy wrote, is a miss, which is stored only where the file kept its identity
+    while read and is :func:`_settled`.  A file that fails to parse is never stored, so it fails alike on
+    every read.  Where no cache directory can be made and written, no digest is taken.
     """
     path = Path(csv_path)
-    data = path.read_bytes()
-    entry = _entry(data)
-    tables = _read_entry(entry) if entry else None
-    if tables is None:
-        columns = _load_file(path, data)
-        del data  # freed before a declined file is read line by line, whose lines are the peak
-        grid = _group(path, *(columns or _read_lines(path)))
-        if entry:
-            _store(entry, *grid)
-        tables = _tables(*grid)
-    return ResultRows(tables)
+    with open(path, "rb") as f:
+        stat = os.fstat(f.fileno())
+        entry = _entry(stat)
+        if tables := entry and _read_entry(entry):
+            return ResultRows(tables)
+        data = f.read()
+        store = entry and _identity(os.fstat(f.fileno())) == _identity(stat) and _settled(stat.st_ctime_ns)
+    columns = _load_file(path, data)
+    del data  # freed before a declined file is read line by line, whose lines are the peak
+    grid = _group(path, *(columns or _read_lines(path)))
+    if store:
+        _store(entry, *grid)
+    return ResultRows(_tables(*grid))
 
 
-def _entry(data: bytes) -> Path | None:
-    """The cache entry of the results file whose bytes are ``data``, read by this code; None where the cache
+def _entry(stat: os.stat_result) -> Path | None:
+    """The cache entry of the results file whose ``os.fstat`` is ``stat``, read by this code; None where the cache
     directory, ``$XDG_CACHE_HOME/interfero`` (an absolute path) or ``~/.cache/interfero``, cannot be made and written."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     directory = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"), "interfero")
@@ -118,10 +127,15 @@ def _entry(data: bytes) -> Path | None:
         with suppress(OSError):
             directory.mkdir(parents=True, exist_ok=True)
         if os.access(directory, os.W_OK):
-            key = hashlib.sha256(_code_digest())
-            key.update(data)
-            return directory / f"{key.hexdigest()}.tables"
+            return directory / f"{_code_digest().hex()}-{'-'.join(map(str, _identity(stat)))}.tables"
     return None
+
+
+def _settled(ctime_ns: int) -> bool:
+    """Whether a file whose ctime is ``ctime_ns`` is older than the tick that stamped it, with room to spare: 3 s
+    for a whole-second stamp (FAT, ext3 and HFS+ keep 1-2 s stamps), else 0.1 s (ten 10 ms ticks of Linux's coarse
+    clock).  A change within that tick could keep the file's identity; no later change can (git's racy-clean rule)."""
+    return time_ns() - ctime_ns >= (3 if ctime_ns % 10**9 == 0 else 0.1) * 10**9
 
 
 @cache

@@ -2,10 +2,12 @@ import hashlib
 import os
 import platform
 import re
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -649,7 +651,7 @@ def _line_outcome(path):
     """:func:`_outcome` with the whole-file reader declining every file, and no cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_load_file", lambda path, data: None)
-        mp.setattr(report, "_entry", lambda data: None)
+        mp.setattr(report, "_entry", lambda stat: None)
         return _outcome(path)
 
 
@@ -876,7 +878,7 @@ def _sorted_outcome(path):
     """:func:`_outcome` with the rows sorted before they are grouped, in order or not, and no cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_in_order", lambda *keys: False)
-        mp.setattr(report, "_entry", lambda data: None)
+        mp.setattr(report, "_entry", lambda stat: None)
         return _outcome(path)
 
 
@@ -1060,6 +1062,12 @@ def _cache_entries(cache_home):
     return sorted((cache_home / "interfero").glob("*.tables"))
 
 
+@pytest.fixture
+def settled(monkeypatch):
+    """The reader's clock a minute ahead, so that a file just written is older than its settled window."""
+    monkeypatch.setattr(report, "time_ns", lambda: time.time_ns() + 60 * 10**9)
+
+
 def _unreached(*args):
     raise AssertionError("the file was parsed")
 
@@ -1074,7 +1082,9 @@ def _unreached(*args):
         pytest.param(lambda rows: [row.replace(",b,", ",\u03bb\xe5\U0001f600,") for row in rows], id="non-ascii-label"),
     ],
 )
-def test_a_warm_read_gives_the_tables_of_a_cold_read_bitwise(tmp_path, monkeypatch, cache_home, clean_lines, mutate):
+def test_a_warm_read_gives_the_tables_of_a_cold_read_bitwise(
+    tmp_path, monkeypatch, cache_home, settled, clean_lines, mutate
+):
     header, *rows = clean_lines
     path = _write_lines(tmp_path / "results.csv", [header, *mutate(rows)])
     cold = read_results(path).tables
@@ -1123,7 +1133,7 @@ def _changed(**change):
         pytest.param(_changed(floats=lambda a: a.astype(np.float32)), id="single-precision"),
     ],
 )
-def test_a_spoilt_entry_falls_back_to_a_parse(tmp_path, monkeypatch, cache_home, clean_lines, spoil):
+def test_a_spoilt_entry_falls_back_to_a_parse(tmp_path, monkeypatch, cache_home, settled, clean_lines, spoil):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     cold = read_results(path).tables
     (entry,) = _cache_entries(cache_home)
@@ -1176,13 +1186,15 @@ def test_a_faulty_file_is_never_stored(tmp_path, cache_home, clean_lines, mutate
     assert _cache_entries(cache_home) == []
 
 
-def test_the_cache_keeps_the_newest_entries_that_fit_in_its_budget(tmp_path, monkeypatch, cache_home, clean_lines):
+def test_the_cache_keeps_the_newest_entries_that_fit_in_its_budget(
+    tmp_path, monkeypatch, cache_home, settled, clean_lines
+):
     header, *rows = clean_lines
     paths = [
         _write_lines(tmp_path / f"results{k}.csv", [header, *(row.replace(",b,", f",b{k},") for row in rows)])
         for k in range(6)
     ]
-    entries = [report._entry(path.read_bytes()) for path in paths]
+    entries = [report._entry(os.stat(path)) for path in paths]
     cold = read_results(paths[0]).tables
     monkeypatch.setattr(report, "CACHE_BYTES", 3 * entries[0].stat().st_size)  # every entry has this size
     stale = entries[0].with_name(f"{entries[0].name}.99999.tmp")
@@ -1206,7 +1218,7 @@ def test_the_cache_keeps_the_newest_entries_that_fit_in_its_budget(tmp_path, mon
     assert _cache_entries(cache_home) == []
 
 
-def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, cache_home, clean_lines):
+def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, cache_home, settled, clean_lines):
     sources = tmp_path / "interfero"
     sources.mkdir()
     for source in Path(report.__file__).parent.glob("*.py"):
@@ -1229,3 +1241,150 @@ def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, 
     monkeypatch.setattr(report, "_code_digest", lambda: digests[-1])
     _tables_equal(cold, read_results(path).tables)
     assert len(parses) == 1 and len(_cache_entries(cache_home)) == 2
+
+
+class _Unreadable:
+    """An open file whose descriptor is at hand and whose bytes are not: it has no ``read``."""
+
+    def __init__(self, path):
+        self.file = open(path, "rb")
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def _opened_as(path, kind):
+    """``open``, except that ``path`` is opened as a ``kind``."""
+    return lambda file, *args: kind(file) if file == path else open(file, *args)
+
+
+def test_a_hit_reads_no_byte_of_the_file_and_hashes_only_the_code(
+    tmp_path, monkeypatch, cache_home, settled, clean_lines
+):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    cold = read_results(path).tables
+    monkeypatch.setattr(report, "_load_file", _unreached)
+    monkeypatch.setattr(report, "_read_lines", _unreached)
+    monkeypatch.setattr(report, "open", _opened_as(path, _Unreadable), raising=False)
+    report._code_digest.cache_clear()  # so that a new process's hit is seen, which takes the digest once
+    hashed, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data=b"": hashed.append(data) or sha256(data))
+    _tables_equal(cold, read_results(path).tables)
+    sources = sorted(Path(report.__file__).parent.glob("*.py"))
+    assert hashed == [np.__version__.encode(), *(source.read_bytes() for source in sources)]
+
+
+def _wait_until_settled(path):
+    while not report._settled(os.stat(path).st_ctime_ns):
+        time.sleep(0.02)
+
+
+def _with_one_number_changed(lines):
+    """``lines`` with the first row's coherence one unit higher in its last decimal, so the text keeps its size."""
+    header, first, *rest = lines
+    coherence = first.split(",")[5]
+    return [header, _set_field(first, 5, coherence[:-1] + str((int(coherence[-1]) + 1) % 10)), *rest]
+
+
+def _rewritten_in_place(path, lines):
+    with open(path, "r+b") as f:  # the same inode, overwritten from its first byte
+        f.write(("\n".join(lines) + "\n").encode())
+
+
+def _replaced(path, lines):
+    _write_lines(path.with_name("new.csv"), lines)
+    os.replace(path.with_name("new.csv"), path)
+
+
+@pytest.mark.parametrize("rewrite", [_rewritten_in_place, _replaced], ids=["in-place", "os-replace"])
+def test_a_same_size_rewrite_with_the_old_mtime_misses_and_gives_the_new_tables(
+    tmp_path, cache_home, clean_lines, rewrite
+):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    _wait_until_settled(path)
+    old = read_results(path).tables
+    assert len(_cache_entries(cache_home)) == 1
+    before = os.stat(path)
+    rewrite(path, _with_one_number_changed(clean_lines))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    new = read_results(path).tables
+    _tables_equal(new, _line_outcome(path))
+    assert new["b"].coherence[0, 0] != old["b"].coherence[0, 0]
+
+
+IDENTITY_FIELDS = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+
+
+def _stat_with(stat, **change):
+    """``stat``'s identity fields and access time, with ``change`` made."""
+    fields = (*IDENTITY_FIELDS, "st_atime_ns")
+    return SimpleNamespace(**{**{name: getattr(stat, name) for name in fields}, **change})
+
+
+@pytest.mark.parametrize(
+    "field, stored",
+    [*((field, False) for field in IDENTITY_FIELDS), ("st_atime_ns", True)],
+)
+def test_a_change_between_the_two_fstats_is_not_stored(
+    tmp_path, monkeypatch, cache_home, settled, clean_lines, field, stored
+):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    fstat, calls = os.fstat, []
+
+    def changed_on_the_second_call(fd):
+        calls.append(fd)
+        stat = fstat(fd)
+        return _stat_with(stat, **{field: getattr(stat, field) + 1}) if len(calls) == 2 else stat
+
+    monkeypatch.setattr(os, "fstat", changed_on_the_second_call)
+    tables = read_results(path).tables
+    # a read moves the access time, which tells no version of the file from another
+    assert len(calls) == 2 and len(_cache_entries(cache_home)) == int(stored)
+    _tables_equal(tables, _line_outcome(path))
+
+
+def test_a_file_rewritten_while_read_is_not_stored(tmp_path, monkeypatch, cache_home, clean_lines):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    _wait_until_settled(path)
+
+    class RewrittenOnRead(_Unreadable):
+        def read(self):
+            data = self.file.read()
+            _rewritten_in_place(path, _with_one_number_changed(clean_lines))
+            return data
+
+    monkeypatch.setattr(report, "open", _opened_as(path, RewrittenOnRead), raising=False)
+    read_results(path)
+    assert _cache_entries(cache_home) == []
+
+
+@pytest.mark.parametrize(
+    "ctime_ns, window",
+    [(1_700_000_000_123_456_789, 10**8), (1_700_000_000 * 10**9, 3 * 10**9)],
+    ids=["sub-second-stamp-0.1s", "whole-second-stamp-3s"],
+)
+def test_a_file_younger_than_its_window_is_parsed_on_every_read_and_never_stored(
+    tmp_path, monkeypatch, cache_home, clean_lines, ctime_ns, window
+):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: _stat_with(fstat(fd), st_ctime_ns=ctime_ns))
+    parses, parse = [], report._load_file
+    monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
+    monkeypatch.setattr(report, "time_ns", lambda: ctime_ns + window - 1)
+    cold = read_results(path).tables
+    _tables_equal(cold, read_results(path).tables)
+    assert len(parses) == 2 and _cache_entries(cache_home) == []
+    # at the window's end the file is settled: stored once, then a hit
+    monkeypatch.setattr(report, "time_ns", lambda: ctime_ns + window)
+    for _ in range(2):
+        _tables_equal(cold, read_results(path).tables)
+    assert len(parses) == 3 and len(_cache_entries(cache_home)) == 1

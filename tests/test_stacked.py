@@ -280,6 +280,19 @@ def test_the_projected_metrics_score_only_the_rebuilt_cells(monkeypatch):
     assert projected.tobytes() == rho[rebuilt].tobytes()
 
 
+def test_a_piece_whose_every_cell_was_rebuilt_is_scored_without_a_gathered_copy(monkeypatch):
+    expectations = next(exp._expectation_pieces(ExperimentConfig(kind="pqe")))  # noiseless: every cell is clipped
+    projections, project = [], exp.project_psd
+    monkeypatch.setattr(exp, "project_psd", lambda m: projections.append(project(m)) or projections[-1])
+    metrics = mock.Mock(wraps=exp.l1_metrics)
+    monkeypatch.setattr(exp, "l1_metrics", metrics)
+    exp._cell_metrics(expectations, 2)
+    ((rho, violation),) = projections
+    assert (violation > 0).all()
+    raw, projected = (call.args[0] for call in metrics.call_args_list)
+    assert projected is rho
+
+
 def _whole_grid_expectations(config):
     """The ``(angles * cells, S)`` expectations of the whole grid in one draw per angle and one contraction."""
     freqs = exp.setting_probabilities(config, config.angles())

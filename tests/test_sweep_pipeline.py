@@ -188,8 +188,8 @@ def test_an_angle_past_the_block_size_is_reconstructed_in_block_sized_chunks():
         # the piece's expectations and the columns of the pieces before it (at most 0.8 stack); its
         # draws, 1.9 stacks, are freed before it is reconstructed
         assert live < stack
-        # its raw stack, its projected copy and the projection's transients, then its rebuilt cells
-        # gathered to be scored; reconstructing the angle whole held 10.5 stacks
+        # its raw stack, its projected copy and the projection's transients; every cell is rebuilt, so
+        # the projected copy itself is scored; reconstructing the angle whole held 10.5 stacks
         assert peak < 5 * stack
 
 
