@@ -4,20 +4,20 @@
 label: a numpy byte kernel reads the grammar :mod:`interfero.output` writes,
 each number bitwise as Python's ``int`` and ``float`` read it, and Python
 converts line by line a file the kernel declines.  The tables of a file
-that parses are cached in ``$XDG_CACHE_HOME/interfero`` (by default
-``~/.cache/interfero``) under its identity (device, inode, size, mtime,
-ctime) and the sha256 of the code that reads it: a hit reads none of its
-bytes and gives bitwise the tables of a parse, a change to this package's
-sources or to numpy's version makes every older entry a miss, and a file
-that fails to parse is never stored.  :func:`reports_from_rows`
-and :func:`aggregate_curves` reduce the tables to MSE reports and mean
-curves.  Figures are plain SVG strings built without imaging dependencies;
-sparkline tables come in a text variant (8-level block characters) and an
-SVG variant.
+that parses are cached beside it, in ``.<name>.tables``, under its identity
+(device, inode, size, mtime, ctime) and the sha256 of the code that reads
+it: a hit reads none of its bytes, writes nothing and gives bitwise the
+tables of a parse, a change to this package's sources or to numpy's version
+makes every older entry a miss, and a file that fails to parse is never
+stored.  :func:`reports_from_rows` and :func:`aggregate_curves` reduce the
+tables to MSE reports and mean curves.  Figures are plain SVG strings built
+without imaging dependencies; sparkline tables come in a text variant
+(8-level block characters) and an SVG variant.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import math
 import os
@@ -26,7 +26,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 from operator import attrgetter
 from pathlib import Path
 from time import time_ns
@@ -49,9 +49,6 @@ CURVE_COLORS = {"sum": "#000000", "coherence": "#e07b00", "predictability": "#1f
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 INDEX_FIELDS = ("angle_index", "repetition")
-
-#: The cache keeps the entries written or read last whose sizes sum to at most this many bytes.
-CACHE_BYTES = 2**28
 
 #: What tells one version of a file from another: a change to its bytes moves its ctime, which only root can set back.
 _identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
@@ -95,40 +92,26 @@ def read_results(csv_path: str | Path) -> ResultRows:
     where it declines the file, Python's ``int`` and ``float`` convert it line by line
     (:func:`_read_lines`); both give the same columns, which :func:`_group` groups by label.
 
-    The grouped columns of a file that parses are cached under the identity of the open file and the code
-    that reads it (:func:`_entry`).  A hit builds the tables from the entry without reading the file, and
-    they are bitwise those of a miss.  A missing, corrupt or mismatched entry, or one that other sources of
-    this package or another numpy wrote, is a miss, which is stored only where the file kept its identity
-    while read and is :func:`_settled`.  A file that fails to parse is never stored, so it fails alike on
-    every read.  Where no cache directory can be made and written, no digest is taken.
+    The grouped columns of a file that parses are cached beside it, in ``.<name>.tables``, under the key of the
+    open file and the code that reads it (:func:`_key`).  A hit builds the tables from the entry without reading
+    the file, writes nothing, and gives bitwise the tables of a miss.  A missing, corrupt or mismatched entry, or
+    one that other sources of this package or another numpy wrote, is a miss, which replaces the entry only where
+    the file kept its identity while read and is :func:`_settled`.  A file that fails to parse is never stored, so
+    it fails alike on every read.  Where no entry exists and the directory cannot be written, no digest is taken.
     """
     path = Path(csv_path)
     with open(path, "rb") as f:
-        stat = os.fstat(f.fileno())
-        entry = _entry(stat)
-        if tables := entry and _read_entry(entry):
+        stat, entry = os.fstat(f.fileno()), path.with_name(f".{path.name}.tables")
+        if tables := _read_entry(entry, stat):
             return ResultRows(tables)
         data = f.read()
-        store = entry and _identity(os.fstat(f.fileno())) == _identity(stat) and _settled(stat.st_ctime_ns)
+        store = _identity(os.fstat(f.fileno())) == _identity(stat) and _settled(stat.st_ctime_ns)
     columns = _load_file(path, data)
     del data  # freed before a declined file is read line by line, whose lines are the peak
     grid = _group(path, *(columns or _read_lines(path)))
     if store:
-        _store(entry, *grid)
+        _store(entry, stat, *grid)
     return ResultRows(_tables(*grid))
-
-
-def _entry(stat: os.stat_result) -> Path | None:
-    """The cache entry of the results file whose ``os.fstat`` is ``stat``, read by this code; None where the cache
-    directory, ``$XDG_CACHE_HOME/interfero`` (an absolute path) or ``~/.cache/interfero``, cannot be made and written."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    directory = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"), "interfero")
-    if directory.is_absolute():  # expanduser leaves '~' where no home is found
-        with suppress(OSError):
-            directory.mkdir(parents=True, exist_ok=True)
-        if os.access(directory, os.W_OK):
-            return directory / f"{_code_digest().hex()}-{'-'.join(map(str, _identity(stat)))}.tables"
-    return None
 
 
 def _settled(ctime_ns: int) -> bool:
@@ -148,42 +131,46 @@ def _code_digest() -> bytes:
     return digest.digest()
 
 
-def _read_entry(entry: Path) -> dict[str, SweepTable] | None:
-    """The tables of the grid :func:`_store` wrote to ``entry``, or None where it is missing or is not such a grid."""
+def _key(stat: os.stat_result) -> bytes:
+    """The first array of the entry of the results file whose ``os.fstat`` is ``stat``, read by this code: the code
+    digest in hex, then the file's identity as decimal text (an inode is an unsigned 64-bit number)."""
+    return f"{_code_digest().hex()}-{'-'.join(map(str, _identity(stat)))}".encode()
+
+
+def _read_entry(entry: Path, stat: os.stat_result) -> dict[str, SweepTable] | None:
+    """The tables of the grid :func:`_store` wrote to ``entry`` for the file whose ``os.fstat`` is ``stat``, or None
+    where the entry is missing, holds another key or is not such a grid."""
     try:
         with open(entry, "rb") as f:
+            if read_array(f, allow_pickle=False).tobytes() != _key(stat):
+                return None
             text, ends, kinds, shapes, floats = (read_array(f, allow_pickle=False) for _ in range(5))
         labels = [text[a:b].tobytes().decode() for a, b in zip(np.append(0, ends[:-1]), ends)]
         tables = _tables(labels, kinds, shapes, floats)  # fails on labels, kinds and shapes that do not go together
         cells = sum(table.coherence.size for table in tables.values())  # fewer where two labels are equal
         if floats.dtype != np.float64 or not floats.flags.c_contiguous or floats.shape != (len(METRICS) + 1, cells):
             return None
-        os.utime(entry)  # read, so among the newest
     except (OSError, IndexError, TypeError, ValueError):
         return None  # a missing, truncated or foreign entry is a miss
     return tables
 
 
-def _store(entry: Path, labels: list[str], kinds: np.ndarray, shapes: np.ndarray, floats: np.ndarray) -> None:
-    """Write a grid to ``entry`` as five .npy arrays through a temporary file, then keep only the newest entries,
-    this one first, that fit in :data:`CACHE_BYTES` together.
-
-    Pruning also drops every temporary file in the directory: one a killed store left, or one another process
-    is writing, whose store then fails and leaves that file's tables uncached."""
+def _store(entry: Path, stat: os.stat_result, labels: list[str], *arrays: np.ndarray) -> None:
+    """Replace ``entry``, through a temporary file, with six .npy arrays: the key of the file whose ``os.fstat`` is
+    ``stat``, then its grid (the labels, then the kind codes, shapes and floats of ``arrays``).  Then drop this entry's
+    other temporary files: one a killed store left, or one another process is writing, whose store then fails."""
     encoded = [label.encode() for label in labels]
     ends = np.cumsum([len(t) for t in encoded], dtype=np.int64)
     temporary = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "wb") as f:
-            for array in (np.frombuffer(b"".join(encoded), np.uint8), ends, kinds, shapes, floats):
+        with open(temporary, "wb") as f:  # before the key, so that no digest is taken where nothing can be written
+            key, text = (np.frombuffer(b, np.uint8) for b in (_key(stat), b"".join(encoded)))
+            for array in (key, text, ends, *arrays):
                 np.save(f, array, allow_pickle=False)
         os.replace(temporary, entry)
-        stats = {p: p.stat() for p in entry.parent.glob("*.tables")}
-        newest = sorted(stats, key=lambda p: (p != entry, -stats[p].st_mtime_ns))  # its time may tie with others'
-        total = accumulate(stats[p].st_size for p in newest)
-        for old in [*(p for p, size in zip(newest, total) if size > CACHE_BYTES), *entry.parent.glob("*.tmp")]:
+        for old in entry.parent.glob(f"{glob.escape(entry.name)}.*.tmp"):
             old.unlink()
-    except OSError:  # another process's pruning, or a full disk: the tables are returned all the same
+    except OSError:  # another store's clean-up, or a full disk: the tables are returned all the same
         with suppress(OSError):
             temporary.unlink()
 

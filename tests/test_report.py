@@ -2,10 +2,12 @@ import hashlib
 import os
 import platform
 import re
+import shutil
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -130,6 +132,10 @@ PINNED_OUTPUTS = {
 }
 
 
+#: The cache entry of a results.csv, beside it.
+ENTRY = ".results.csv.tables"
+
+
 @pytest.mark.parametrize("name", PINNED_OUTPUTS)
 def test_summary_analyze_and_report_bytes_are_pinned(name, tmp_path, capsys):
     write_results(run_sweep(PINNED_CSV[name][0]), tmp_path)
@@ -137,7 +143,8 @@ def test_summary_analyze_and_report_bytes_are_pinned(name, tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 0
     digests = {"analyze": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
     assert main(["report", "--out", str(tmp_path), "--format", "all"]) == 0
-    written = {p.name for p in tmp_path.iterdir()} - {"results.csv"}
+    # the cached tables are there only where results.csv had settled when analyze read it
+    written = {p.name for p in tmp_path.iterdir()} - {"results.csv", ENTRY}
     digests |= {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written}
     assert digests == PINNED_OUTPUTS[name]
 
@@ -647,11 +654,17 @@ def _outcome(path):
         return str(exc)
 
 
+def _uncached(mp):
+    """Every read a parse, and nothing stored."""
+    mp.setattr(report, "_read_entry", lambda entry, stat: None)
+    mp.setattr(report, "_store", lambda *args: None)
+
+
 def _line_outcome(path):
     """:func:`_outcome` with the whole-file reader declining every file, and no cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_load_file", lambda path, data: None)
-        mp.setattr(report, "_entry", lambda stat: None)
+        _uncached(mp)
         return _outcome(path)
 
 
@@ -878,7 +891,7 @@ def _sorted_outcome(path):
     """:func:`_outcome` with the rows sorted before they are grouped, in order or not, and no cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_in_order", lambda *keys: False)
-        mp.setattr(report, "_entry", lambda stat: None)
+        _uncached(mp)
         return _outcome(path)
 
 
@@ -1058,8 +1071,9 @@ def test_the_kernel_declines_numbers_outside_its_grammar(tmp_path, clean_lines, 
     _assert_read_like_the_line_reader(path)
 
 
-def _cache_entries(cache_home):
-    return sorted((cache_home / "interfero").glob("*.tables"))
+def _entries(directory):
+    """The cache entries in ``directory``, and any temporary file of a store."""
+    return sorted(directory.glob(".*.tables*"))
 
 
 @pytest.fixture
@@ -1082,13 +1096,11 @@ def _unreached(*args):
         pytest.param(lambda rows: [row.replace(",b,", ",\u03bb\xe5\U0001f600,") for row in rows], id="non-ascii-label"),
     ],
 )
-def test_a_warm_read_gives_the_tables_of_a_cold_read_bitwise(
-    tmp_path, monkeypatch, cache_home, settled, clean_lines, mutate
-):
+def test_a_warm_read_gives_the_tables_of_a_cold_read_bitwise(tmp_path, monkeypatch, settled, clean_lines, mutate):
     header, *rows = clean_lines
     path = _write_lines(tmp_path / "results.csv", [header, *mutate(rows)])
     cold = read_results(path).tables
-    assert len(_cache_entries(cache_home)) == 1 and {t.kind for t in cold.values()} == {"bmzi", "pqe"}
+    assert len(_entries(tmp_path)) == 1 and {t.kind for t in cold.values()} == {"bmzi", "pqe"}
     monkeypatch.setattr(report, "_load_file", _unreached)
     monkeypatch.setattr(report, "_read_lines", _unreached)
     warm = read_results(path).tables
@@ -1133,10 +1145,10 @@ def _changed(**change):
         pytest.param(_changed(floats=lambda a: a.astype(np.float32)), id="single-precision"),
     ],
 )
-def test_a_spoilt_entry_falls_back_to_a_parse(tmp_path, monkeypatch, cache_home, settled, clean_lines, spoil):
+def test_a_spoilt_entry_falls_back_to_a_parse(tmp_path, monkeypatch, settled, clean_lines, spoil):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     cold = read_results(path).tables
-    (entry,) = _cache_entries(cache_home)
+    (entry,) = _entries(tmp_path)
     spoil(entry)
     parses = []
     parse = report._load_file
@@ -1144,26 +1156,50 @@ def test_a_spoilt_entry_falls_back_to_a_parse(tmp_path, monkeypatch, cache_home,
     _tables_equal(cold, read_results(path).tables)
     # the parse stored the entry again, and the next read hits it
     _tables_equal(cold, read_results(path).tables)
-    assert len(parses) == 1 and _cache_entries(cache_home) == [entry]
+    assert len(parses) == 1 and _entries(tmp_path) == [entry]
 
 
-def test_an_unusable_cache_directory_is_never_hashed_and_changes_no_output(tmp_path, monkeypatch, capsys):
+def _outputs(out, capsys):
+    """The stdout of ``interfero analyze`` on ``out`` and every file in ``out`` after ``interfero report``, but the
+    cache entry."""
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["report", "--out", str(out), "--format", "all"]) == 0
+    return printed, {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != ENTRY}
+
+
+def _refused(file, mode="r", *args, **kwargs):
+    """``open``, except that no file can be opened for writing, as in a directory this user cannot write."""
+    if "w" in mode:
+        raise PermissionError(13, "Permission denied", str(file))
+    return open(file, mode, *args, **kwargs)
+
+
+def test_a_directory_that_cannot_be_written_is_never_hashed_and_changes_no_output(
+    tmp_path, monkeypatch, settled, capsys
+):
     out = tmp_path / "out"
     write_results(run_sweep(PINNED_CSV["pqe-noisy"][0]), out)
-
-    def outputs():
-        capsys.readouterr()
-        assert main(["analyze", "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert main(["report", "--out", str(out), "--format", "all"]) == 0
-        return printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    expected = outputs()
-    not_a_directory = tmp_path / "cache-file"
-    not_a_directory.write_text("", encoding="utf-8")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    expected = _outputs(out, capsys)
+    (out / ENTRY).unlink()
+    # root may write any directory, so the refusal is the reader's open
+    monkeypatch.setattr(report, "open", _refused, raising=False)
+    report._code_digest.cache_clear()  # as in a new process, which has taken no digest
     monkeypatch.setattr(hashlib, "sha256", _unreached)
-    assert outputs() == expected
+    assert _outputs(out, capsys) == expected
+    assert _entries(out) == []
+
+
+def test_an_entry_path_that_cannot_be_written_changes_no_output(tmp_path, settled, capsys):
+    out = tmp_path / "out"
+    write_results(run_sweep(PINNED_CSV["pqe-noisy"][0]), out)
+    expected = _outputs(out, capsys)
+    # a directory in the entry's place: a root process may write a read-only file, but not over a directory
+    (out / ENTRY).unlink()
+    (out / ENTRY).mkdir()
+    assert _outputs(out, capsys) == expected
+    assert _entries(out) == [out / ENTRY] and (out / ENTRY).is_dir() and not any((out / ENTRY).iterdir())
 
 
 @pytest.mark.parametrize(
@@ -1174,7 +1210,7 @@ def test_an_unusable_cache_directory_is_never_hashed_and_changes_no_output(tmp_p
         pytest.param(lambda rows: rows[:3] + rows[4:], ": label 'b': missing row", id="missing-cell"),
     ],
 )
-def test_a_faulty_file_is_never_stored(tmp_path, cache_home, clean_lines, mutate, error):
+def test_a_faulty_file_is_never_stored(tmp_path, clean_lines, mutate, error):
     header, *rows = clean_lines
     path = _write_lines(tmp_path / "results.csv", [header, *mutate(rows)])
     messages = []
@@ -1183,42 +1219,10 @@ def test_a_faulty_file_is_never_stored(tmp_path, cache_home, clean_lines, mutate
             read_results(path)
         messages.append(str(info.value))
     assert messages[0] == messages[1] and messages[0].startswith(f"{path}{error}")
-    assert _cache_entries(cache_home) == []
+    assert _entries(tmp_path) == []
 
 
-def test_the_cache_keeps_the_newest_entries_that_fit_in_its_budget(
-    tmp_path, monkeypatch, cache_home, settled, clean_lines
-):
-    header, *rows = clean_lines
-    paths = [
-        _write_lines(tmp_path / f"results{k}.csv", [header, *(row.replace(",b,", f",b{k},") for row in rows)])
-        for k in range(6)
-    ]
-    entries = [report._entry(os.stat(path)) for path in paths]
-    cold = read_results(paths[0]).tables
-    monkeypatch.setattr(report, "CACHE_BYTES", 3 * entries[0].stat().st_size)  # every entry has this size
-    stale = entries[0].with_name(f"{entries[0].name}.99999.tmp")
-    stale.write_bytes(b"left by a killed store")
-    for k, path in enumerate(paths):
-        read_results(path)
-        os.utime(entries[k], ns=(10**18 + k * 10**9,) * 2)  # entries written within one clock tick share a time
-        assert _cache_entries(cache_home) == sorted(entries[max(0, k - 2) : k + 1])
-    assert not stale.exists()
-    read_results(paths[3])  # a hit, which makes its entry the newest
-    read_results(paths[0])  # a miss, whose store drops the oldest entry
-    assert _cache_entries(cache_home) == sorted(entries[i] for i in (0, 3, 5))
-    # the entry just written is kept, though the others' times lie ahead of its own
-    for k, i in enumerate((0, 3, 5)):
-        os.utime(entries[i], ns=(2**62 + k * 10**9,) * 2)
-    read_results(paths[1])
-    assert _cache_entries(cache_home) == sorted(entries[i] for i in (1, 3, 5))
-    # an entry larger than the budget is not kept, and the tables are returned all the same
-    monkeypatch.setattr(report, "CACHE_BYTES", entries[1].stat().st_size - 1)
-    _tables_equal(cold, read_results(paths[0]).tables)
-    assert _cache_entries(cache_home) == []
-
-
-def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, cache_home, settled, clean_lines):
+def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, settled, clean_lines):
     sources = tmp_path / "interfero"
     sources.mkdir()
     for source in Path(report.__file__).parent.glob("*.py"):
@@ -1238,9 +1242,14 @@ def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, 
     parses = []
     parse = report._load_file
     monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
+    (entry,) = _entries(tmp_path)
     monkeypatch.setattr(report, "_code_digest", lambda: digests[-1])
     _tables_equal(cold, read_results(path).tables)
-    assert len(parses) == 1 and len(_cache_entries(cache_home)) == 2
+    # the other code's entry missed, and the parse replaced it
+    assert len(parses) == 1 and _entries(tmp_path) == [entry]
+    assert np.load(entry).tobytes().startswith(digests[-1].hex().encode())
+    _tables_equal(cold, read_results(path).tables)
+    assert len(parses) == 1
 
 
 class _Unreadable:
@@ -1264,9 +1273,7 @@ def _opened_as(path, kind):
     return lambda file, *args: kind(file) if file == path else open(file, *args)
 
 
-def test_a_hit_reads_no_byte_of_the_file_and_hashes_only_the_code(
-    tmp_path, monkeypatch, cache_home, settled, clean_lines
-):
+def test_a_hit_reads_no_byte_of_the_file_and_hashes_only_the_code(tmp_path, monkeypatch, settled, clean_lines):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     cold = read_results(path).tables
     monkeypatch.setattr(report, "_load_file", _unreached)
@@ -1278,6 +1285,69 @@ def test_a_hit_reads_no_byte_of_the_file_and_hashes_only_the_code(
     _tables_equal(cold, read_results(path).tables)
     sources = sorted(Path(report.__file__).parent.glob("*.py"))
     assert hashed == [np.__version__.encode(), *(source.read_bytes() for source in sources)]
+
+
+def test_a_hit_writes_nothing(tmp_path, monkeypatch, settled, clean_lines):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    read_results(path)
+    entry = tmp_path / ENTRY
+    written = attrgetter("st_ino", "st_mtime_ns", "st_ctime_ns")
+    before = entry.read_bytes(), written(os.stat(entry))
+    monkeypatch.setattr(report, "_load_file", _unreached)
+    read_results(path)
+    assert (entry.read_bytes(), written(os.stat(entry))) == before
+
+
+def test_runs_into_one_out_directory_leave_one_entry(tmp_path, monkeypatch, settled, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("kind = bmzi\nangle_points = 4\nrepetitions = 2\nshots = 50\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for _ in range(3):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["analyze", "--out", str(out)]) == 0
+    # each rewrite of results.csv replaced the one entry, and it is the last file's
+    assert _entries(out) == [out / ENTRY]
+    monkeypatch.setattr(report, "_load_file", _unreached)
+    monkeypatch.setattr(report, "_read_lines", _unreached)
+    read_results(out / "results.csv")
+
+
+def test_analyze_and_report_write_nothing_under_home_or_the_cache_home(tmp_path, monkeypatch, settled, capsys):
+    home, cache_home = tmp_path / "home", tmp_path / "cache-home"
+    home.mkdir()
+    cache_home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    out = tmp_path / "out"
+    write_results(run_sweep(ExperimentConfig(kind="bmzi", angle_points=4, repetitions=2, shots=50)), out)
+    assert _outputs(out, capsys) == _outputs(out, capsys)  # a store, then a hit
+    assert _entries(out) == [out / ENTRY]
+    assert not any(home.iterdir()) and not any(cache_home.iterdir())
+
+
+def test_a_copied_out_directory_misses_and_replaces_the_copied_entry(tmp_path, monkeypatch, settled, clean_lines):
+    out = tmp_path / "out"
+    out.mkdir()
+    cold = read_results(_write_lines(out / "results.csv", clean_lines)).tables
+    copy = Path(shutil.copytree(out, tmp_path / "copy"))  # by shutil.copy2, which keeps sizes and mtimes
+    original, copied = os.stat(out / "results.csv"), os.stat(copy / "results.csv")
+    assert (copied.st_size, copied.st_mtime_ns) == (original.st_size, original.st_mtime_ns)
+    assert copied.st_ino != original.st_ino and (copy / ENTRY).read_bytes() == (out / ENTRY).read_bytes()
+    parses, parse = [], report._load_file
+    monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
+    for _ in range(2):
+        _tables_equal(cold, read_results(copy / "results.csv").tables)
+    assert len(parses) == 1 and _entries(copy) == [copy / ENTRY]
+    assert (copy / ENTRY).read_bytes() != (out / ENTRY).read_bytes()
+
+
+def test_a_store_drops_its_own_entrys_temporary_files_only(tmp_path, settled, clean_lines):
+    path = _write_lines(tmp_path / "results.csv", clean_lines)
+    stale, other = tmp_path / f"{ENTRY}.99999.tmp", tmp_path / ".other.csv.tables.99999.tmp"
+    for left in (stale, other):
+        left.write_bytes(b"left by a killed store")
+    read_results(path)
+    assert _entries(tmp_path) == [other, tmp_path / ENTRY]
 
 
 def _wait_until_settled(path):
@@ -1303,13 +1373,11 @@ def _replaced(path, lines):
 
 
 @pytest.mark.parametrize("rewrite", [_rewritten_in_place, _replaced], ids=["in-place", "os-replace"])
-def test_a_same_size_rewrite_with_the_old_mtime_misses_and_gives_the_new_tables(
-    tmp_path, cache_home, clean_lines, rewrite
-):
+def test_a_same_size_rewrite_with_the_old_mtime_misses_and_gives_the_new_tables(tmp_path, clean_lines, rewrite):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     _wait_until_settled(path)
     old = read_results(path).tables
-    assert len(_cache_entries(cache_home)) == 1
+    assert len(_entries(tmp_path)) == 1
     before = os.stat(path)
     rewrite(path, _with_one_number_changed(clean_lines))
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
@@ -1333,9 +1401,7 @@ def _stat_with(stat, **change):
     "field, stored",
     [*((field, False) for field in IDENTITY_FIELDS), ("st_atime_ns", True)],
 )
-def test_a_change_between_the_two_fstats_is_not_stored(
-    tmp_path, monkeypatch, cache_home, settled, clean_lines, field, stored
-):
+def test_a_change_between_the_two_fstats_is_not_stored(tmp_path, monkeypatch, settled, clean_lines, field, stored):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     fstat, calls = os.fstat, []
 
@@ -1347,11 +1413,11 @@ def test_a_change_between_the_two_fstats_is_not_stored(
     monkeypatch.setattr(os, "fstat", changed_on_the_second_call)
     tables = read_results(path).tables
     # a read moves the access time, which tells no version of the file from another
-    assert len(calls) == 2 and len(_cache_entries(cache_home)) == int(stored)
+    assert len(calls) == 2 and len(_entries(tmp_path)) == int(stored)
     _tables_equal(tables, _line_outcome(path))
 
 
-def test_a_file_rewritten_while_read_is_not_stored(tmp_path, monkeypatch, cache_home, clean_lines):
+def test_a_file_rewritten_while_read_is_not_stored(tmp_path, monkeypatch, clean_lines):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     _wait_until_settled(path)
 
@@ -1363,7 +1429,7 @@ def test_a_file_rewritten_while_read_is_not_stored(tmp_path, monkeypatch, cache_
 
     monkeypatch.setattr(report, "open", _opened_as(path, RewrittenOnRead), raising=False)
     read_results(path)
-    assert _cache_entries(cache_home) == []
+    assert _entries(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -1372,7 +1438,7 @@ def test_a_file_rewritten_while_read_is_not_stored(tmp_path, monkeypatch, cache_
     ids=["sub-second-stamp-0.1s", "whole-second-stamp-3s"],
 )
 def test_a_file_younger_than_its_window_is_parsed_on_every_read_and_never_stored(
-    tmp_path, monkeypatch, cache_home, clean_lines, ctime_ns, window
+    tmp_path, monkeypatch, clean_lines, ctime_ns, window
 ):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     fstat = os.fstat
@@ -1382,9 +1448,9 @@ def test_a_file_younger_than_its_window_is_parsed_on_every_read_and_never_stored
     monkeypatch.setattr(report, "time_ns", lambda: ctime_ns + window - 1)
     cold = read_results(path).tables
     _tables_equal(cold, read_results(path).tables)
-    assert len(parses) == 2 and _cache_entries(cache_home) == []
+    assert len(parses) == 2 and _entries(tmp_path) == []
     # at the window's end the file is settled: stored once, then a hit
     monkeypatch.setattr(report, "time_ns", lambda: ctime_ns + window)
     for _ in range(2):
         _tables_equal(cold, read_results(path).tables)
-    assert len(parses) == 3 and len(_cache_entries(cache_home)) == 1
+    assert len(parses) == 3 and len(_entries(tmp_path)) == 1
