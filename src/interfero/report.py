@@ -17,13 +17,12 @@ without imaging dependencies; sparkline tables come in a text variant
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import math
 import os
 from array import array
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress, islice
@@ -95,9 +94,9 @@ def read_results(csv_path: str | Path) -> ResultRows:
     The grouped columns of a file that parses are cached beside it, in ``.<name>.tables``, under the key of the
     open file and the code that reads it (:func:`_key`).  A hit builds the tables from the entry without reading
     the file, writes nothing, and gives bitwise the tables of a miss.  A missing, corrupt or mismatched entry, or
-    one that other sources of this package or another numpy wrote, is a miss, which replaces the entry only where
+    one that other sources of this package or another numpy wrote, is a miss, which writes the entry afresh only where
     the file kept its identity while read and is :func:`_settled`.  A file that fails to parse is never stored, so
-    it fails alike on every read.  Where no entry exists and the directory cannot be written, no digest is taken.
+    it fails alike on every read.  Where the entry can be neither read nor written, no digest is taken.
     """
     path = Path(csv_path)
     with open(path, "rb") as f:
@@ -139,13 +138,13 @@ def _key(stat: os.stat_result) -> bytes:
 
 def _read_entry(entry: Path, stat: os.stat_result) -> dict[str, SweepTable] | None:
     """The tables of the grid :func:`_store` wrote to ``entry`` for the file whose ``os.fstat`` is ``stat``, or None
-    where the entry is missing, holds another key or is not such a grid."""
+    where the entry is missing, holds another key or is not such a grid, as one a store is writing or left cut short."""
     try:
         with open(entry, "rb") as f:
             if read_array(f, allow_pickle=False).tobytes() != _key(stat):
                 return None
-            text, ends, kinds, shapes, floats = (read_array(f, allow_pickle=False) for _ in range(5))
-        labels = [text[a:b].tobytes().decode() for a, b in zip(np.append(0, ends[:-1]), ends)]
+            text, kinds, shapes, floats = (read_array(f, allow_pickle=False) for _ in range(4))
+        labels = text.tobytes().decode().split("\n")  # no label holds a line break: both readers end lines there
         tables = _tables(labels, kinds, shapes, floats)  # fails on labels, kinds and shapes that do not go together
         cells = sum(table.coherence.size for table in tables.values())  # fewer where two labels are equal
         if floats.dtype != np.float64 or not floats.flags.c_contiguous or floats.shape != (len(METRICS) + 1, cells):
@@ -156,23 +155,18 @@ def _read_entry(entry: Path, stat: os.stat_result) -> dict[str, SweepTable] | No
 
 
 def _store(entry: Path, stat: os.stat_result, labels: list[str], *arrays: np.ndarray) -> None:
-    """Replace ``entry``, through a temporary file, with six .npy arrays: the key of the file whose ``os.fstat`` is
-    ``stat``, then its grid (the labels, then the kind codes, shapes and floats of ``arrays``).  Then drop this entry's
-    other temporary files: one a killed store left, or one another process is writing, whose store then fails."""
-    encoded = [label.encode() for label in labels]
-    ends = np.cumsum([len(t) for t in encoded], dtype=np.int64)
-    temporary = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    """Write ``entry`` afresh, by exclusive create, as five .npy arrays: the key of the file whose ``os.fstat`` is
+    ``stat``, then its grid (the labels as one text joined by line breaks, which no label holds, then the kind codes,
+    shapes and floats of ``arrays``).  The exclusive create gives each entry file one writer; a store that finds the
+    entry another store created first leaves it be, and one cut short by a kill or a full disk is a miss to read."""
     try:
-        with open(temporary, "wb") as f:  # before the key, so that no digest is taken where nothing can be written
-            key, text = (np.frombuffer(b, np.uint8) for b in (_key(stat), b"".join(encoded)))
-            for array in (key, text, ends, *arrays):
+        entry.unlink(missing_ok=True)  # fails on a directory there, before any byte is written or digest taken
+        with open(entry, "xb") as f:  # before the key, so that no digest is taken where nothing can be written
+            key, text = (np.frombuffer(b, np.uint8) for b in (_key(stat), "\n".join(labels).encode()))
+            for array in (key, text, *arrays):
                 np.save(f, array, allow_pickle=False)
-        os.replace(temporary, entry)
-        for old in entry.parent.glob(f"{glob.escape(entry.name)}.*.tmp"):
-            old.unlink()
-    except OSError:  # another store's clean-up, or a full disk: the tables are returned all the same
-        with suppress(OSError):
-            temporary.unlink()
+    except OSError:  # an entry path that cannot be replaced, another store's entry, or a full disk
+        pass  # the tables are returned all the same
 
 
 def _load_file(path: Path, data: bytes) -> tuple[np.ndarray, np.ndarray, list[str], tuple[int, str] | None] | None:

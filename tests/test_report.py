@@ -134,6 +134,8 @@ PINNED_OUTPUTS = {
 
 #: The cache entry of a results.csv, beside it.
 ENTRY = ".results.csv.tables"
+#: The arrays of an entry, in order.
+ENTRY_ARRAYS = ("key", "text", "kinds", "shapes", "floats")
 
 
 @pytest.mark.parametrize("name", PINNED_OUTPUTS)
@@ -1072,7 +1074,7 @@ def test_the_kernel_declines_numbers_outside_its_grammar(tmp_path, clean_lines, 
 
 
 def _entries(directory):
-    """The cache entries in ``directory``, and any temporary file of a store."""
+    """The cache entries in ``directory``, and any other file named like one, which no store leaves."""
     return sorted(directory.glob(".*.tables*"))
 
 
@@ -1117,14 +1119,19 @@ def _truncated(entry):
 
 
 def _changed(**change):
-    """Rewrite an entry with some of its arrays changed, or dropped where the change is None."""
+    """Rewrite an entry with some of its arrays, by their names in ``ENTRY_ARRAYS``, changed, or dropped where the
+    change gives None."""
+    assert set(change) <= set(ENTRY_ARRAYS)
 
     def spoil(entry):
+        arrays, size = [], entry.stat().st_size
         with open(entry, "rb") as f:
-            arrays = [change.get(name, lambda a: a)(np.load(f)) for name in ("text", "ends", "kinds", "shapes", "floats")]
+            while f.tell() < size:
+                arrays.append(np.load(f))
+        assert len(arrays) == len(ENTRY_ARRAYS)  # so that a change to the entry's layout fails here, not in the read
         with open(entry, "wb") as f:
-            for array in arrays:
-                if array is not None:
+            for name, array in zip(ENTRY_ARRAYS, arrays):
+                if (array := change.get(name, lambda a: a)(array)) is not None:
                     np.save(f, array)
 
     return spoil
@@ -1141,7 +1148,8 @@ def _changed(**change):
         pytest.param(_changed(shapes=lambda a: a - 1), id="too-few-cells"),
         pytest.param(_changed(shapes=lambda a: a.astype(float)), id="float-shapes"),
         pytest.param(_changed(kinds=lambda a: a + 2), id="unknown-kind"),
-        pytest.param(_changed(text=lambda a: None), id="no-labels"),
+        pytest.param(_changed(text=lambda a: a[:0]), id="no-labels"),
+        pytest.param(_changed(floats=lambda a: None), id="no-floats"),
         pytest.param(_changed(floats=lambda a: a.astype(np.float32)), id="single-precision"),
     ],
 )
@@ -1170,8 +1178,9 @@ def _outputs(out, capsys):
 
 
 def _refused(file, mode="r", *args, **kwargs):
-    """``open``, except that no file can be opened for writing, as in a directory this user cannot write."""
-    if "w" in mode:
+    """``open``, except that no file can be created or opened for writing, as in a directory this user cannot
+    write."""
+    if set(mode) & set("wxa+"):
         raise PermissionError(13, "Permission denied", str(file))
     return open(file, mode, *args, **kwargs)
 
@@ -1191,15 +1200,19 @@ def test_a_directory_that_cannot_be_written_is_never_hashed_and_changes_no_outpu
     assert _entries(out) == []
 
 
-def test_an_entry_path_that_cannot_be_written_changes_no_output(tmp_path, settled, capsys):
+def test_an_entry_path_that_cannot_be_written_changes_no_output(tmp_path, monkeypatch, settled, capsys):
     out = tmp_path / "out"
     write_results(run_sweep(PINNED_CSV["pqe-noisy"][0]), out)
     expected = _outputs(out, capsys)
     # a directory in the entry's place: a root process may write a read-only file, but not over a directory
     (out / ENTRY).unlink()
     (out / ENTRY).mkdir()
+    report._code_digest.cache_clear()  # as in a new process, which has taken no digest
+    monkeypatch.setattr(hashlib, "sha256", _unreached)
+    monkeypatch.setattr(np, "save", _unreached)
     assert _outputs(out, capsys) == expected
-    assert _entries(out) == [out / ENTRY] and (out / ENTRY).is_dir() and not any((out / ENTRY).iterdir())
+    assert [p.name for p in out.iterdir() if p.name.startswith(".")] == [ENTRY]
+    assert (out / ENTRY).is_dir() and not any((out / ENTRY).iterdir())
 
 
 @pytest.mark.parametrize(
@@ -1341,13 +1354,18 @@ def test_a_copied_out_directory_misses_and_replaces_the_copied_entry(tmp_path, m
     assert (copy / ENTRY).read_bytes() != (out / ENTRY).read_bytes()
 
 
-def test_a_store_drops_its_own_entrys_temporary_files_only(tmp_path, settled, clean_lines):
+def test_a_store_leaves_the_entry_another_store_created_first(tmp_path, monkeypatch, settled, clean_lines):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
-    stale, other = tmp_path / f"{ENTRY}.99999.tmp", tmp_path / ".other.csv.tables.99999.tmp"
-    for left in (stale, other):
-        left.write_bytes(b"left by a killed store")
-    read_results(path)
-    assert _entries(tmp_path) == [other, tmp_path / ENTRY]
+    entry = tmp_path / ENTRY
+
+    def raced(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wxa+"):  # another store creates the entry just before this one does
+            entry.write_bytes(b"another store's entry")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(report, "open", raced, raising=False)
+    _tables_equal(read_results(path).tables, _line_outcome(path))
+    assert _entries(tmp_path) == [entry] and entry.read_bytes() == b"another store's entry"
 
 
 def _wait_until_settled(path):
