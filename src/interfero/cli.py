@@ -168,7 +168,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     with _naming(out / "results.csv"):
         reports = reports_from_rows(rows)
         curves = aggregate_curves(rows) if args.format in ("svg", "all") else {}
-    text, svg = render_sparkline_table(list(reports.items()))
+    if args.format != "csv":
+        text, svg = render_sparkline_table(list(reports.items()))
     # every file is rendered, and the curve names checked for clashes, before any is written
     files: dict[Path, str] = {}
     if args.format in ("text", "all"):

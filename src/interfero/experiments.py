@@ -268,12 +268,13 @@ def theory_series(kind: str, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return l1_metrics(outer(state(angles)))
 
 
-def analyze(table: SweepTable) -> MseReport:
+def analyze(table: SweepTable, theory: tuple[np.ndarray, np.ndarray] | None = None) -> MseReport:
     """Deconstructed MSE of each repetition against the pure-state curves, summarised.
 
-    The deviations are reduced as ``(m, n)`` arrays, one row per repetition.
+    The deviations are reduced as ``(m, n)`` arrays, one row per repetition.  ``theory`` is :func:`theory_series`
+    of the table's kind and angles, given by a caller that reduces several tables on one grid, else evaluated here.
     """
-    theory_c, theory_p = theory_series(table.kind, table.angles)
+    theory_c, theory_p = theory or theory_series(table.kind, table.angles)
     return decompose_rows(theory_c - table.coherence.T, theory_p - table.predictability.T)
 
 

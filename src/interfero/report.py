@@ -414,13 +414,24 @@ def _in_order(code: np.ndarray, index: np.ndarray, rep: np.ndarray) -> bool:
 def reports_from_rows(rows: ResultRows) -> dict[str, MseReport]:
     """Per-label MSE reports of the tables :func:`read_results` returns.
 
-    A report whose arithmetic overflows a float is a ValidationError naming its label.
+    The theory curves are evaluated once per distinct (kind, angle grid) of the call, and each
+    label on that grid is scored against them.  A report whose arithmetic overflows a float is
+    a ValidationError naming its label.
     """
-    reports = {}
+    reports, theory = {}, {}
     for label, table in rows.tables.items():
         with _float_faults(label):
-            reports[label] = analyze(table)
+            reports[label] = analyze(table, _grid_theory(theory, table))
     return reports
+
+
+def _grid_theory(theory: dict, table: SweepTable) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`theory_series` of ``table``'s kind and angles, evaluated only where ``theory``, keyed by
+    (kind, angle bytes), holds no curves for that grid yet, and kept there."""
+    key = table.kind, table.angles.tobytes()
+    if key not in theory:
+        theory[key] = theory_series(table.kind, table.angles)
+    return theory[key]
 
 
 def summary_row(label: str, report: MseReport) -> tuple[str, MseReport]:
@@ -444,12 +455,13 @@ class CurveData:
 
 
 def aggregate_curves(rows: ResultRows) -> dict[str, CurveData]:
-    """Mean and standard deviation over repetitions, per label and angle."""
-    curves = {}
+    """Mean and standard deviation over repetitions, per label and angle, with the theory curves,
+    evaluated once per distinct (kind, angle grid) of the call: labels on one grid share their arrays."""
+    curves, theory = {}, {}
     for label, t in rows.tables.items():
         with _float_faults(label):
             stats = [f(v, axis=1) for v in (t.coherence, t.predictability, t.total) for f in (np.mean, np.std)]
-        curves[label] = CurveData(label, t.kind, t.angles, *stats, *theory_series(t.kind, t.angles))
+        curves[label] = CurveData(label, t.kind, t.angles, *stats, *_grid_theory(theory, t))
     return curves
 
 
@@ -464,7 +476,11 @@ def _float_faults(label: str) -> Iterator[None]:
 
 
 def render_curves(curve: CurveData) -> str:
-    """Mean-value curves with error bars over thin theory lines, as SVG."""
+    """Mean-value curves with error bars over thin theory lines, as SVG.
+
+    Each x is formatted once, into one template per point list that one ``%`` fills with its y's (``"%.2f" % v`` is
+    ``f"{v:.2f}"`` for every float): each polyline's points, and each series' bars at the angles where its std > 0.
+    """
     width, height = 520, 360
     left, right, top, bottom = 56, 16, 28, 44
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -480,15 +496,13 @@ def render_curves(curve: CurveData) -> str:
 
     # points are mapped as arrays, each by the operations a single float takes, and each x is formatted once
     x_text = [f"{x:.2f}" for x in (left + (curve.angles - x_lo) / (x_hi - x_lo) * plot_w).tolist()]
+    points = " ".join(f"{x},%.2f" for x in x_text)  # no formatted float holds a '%'
 
     def sy(y):
         return top + (y_max - y) / (y_max - y_min) * plot_h
 
-    def y_text(ys: np.ndarray) -> list[str]:
-        return [f"{y:.2f}" for y in sy(ys).tolist()]
-
     def polyline(ys: np.ndarray, color: str, stroke_width: float, opacity: float = 1.0) -> str:
-        pts = " ".join(map("{},{}".format, x_text, y_text(ys)))
+        pts = points % tuple(sy(ys).tolist())
         return (
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke_width}" opacity="{opacity:.2f}"/>'
@@ -525,10 +539,12 @@ def render_curves(curve: CurveData) -> str:
     ):
         color = CURVE_COLORS[key]
         bar = std > 0
-        parts.extend(
-            f'<line x1="{x}" y1="{y1}" x2="{x}" y2="{y2}" stroke="{color}" stroke-width="0.7" opacity="0.6"/>'
-            for x, y1, y2 in zip(compress(x_text, bar.tolist()), y_text((mean - std)[bar]), y_text((mean + std)[bar]))
-        )
+        if bar.any():
+            bars = "\n".join(
+                f'<line x1="{x}" y1="%.2f" x2="{x}" y2="%.2f" stroke="{color}" stroke-width="0.7" opacity="0.6"/>'
+                for x in compress(x_text, bar.tolist())
+            )
+            parts.append(bars % tuple(sy(np.column_stack((mean - std, mean + std))[bar]).ravel().tolist()))
         parts.append(polyline(mean, color, 1.6))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -576,6 +592,8 @@ def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
     heads = (8, "label"), (mean_x, "mean"), (std_x, "std"), (corr_x, "corr"), (min_x, "min")
     for x, head in (*heads, (left_cols, "MSE histogram"), (left_cols + spark_w + 12, "max")):
         parts.append(f'<text x="{x}" y="16" font-size="11" font-weight="bold">{head}</text>')
+    # the bins' x's are formatted once per table; each row's y's fill them with one %
+    points = " ".join(f"{left_cols + (b + 0.5) / HIST_BINS * spark_w:.2f},%.2f" for b in range(HIST_BINS))
     for k, (label, report) in enumerate(rows):
         y0 = 26 + k * row_h
         base = y0 + spark_h + 4
@@ -585,9 +603,8 @@ def _sparkline_svg(rows: list[tuple[str, MseReport]]) -> str:
         for x, value, attribute in cells:
             parts.append(f'<text x="{x}" y="{base - 6}" font-size="11"{attribute}>{value:.3f}</text>')
         peak = max(max(report.histogram), 1)
-        xs = [left_cols + (b + 0.5) / HIST_BINS * spark_w for b in range(HIST_BINS)]
-        pts = [f"{x:.2f},{base - count / peak * spark_h:.2f}" for x, count in zip(xs, report.histogram)]
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="black" stroke-width="1"/>')
+        pts = points % tuple(base - count / peak * spark_h for count in report.histogram)
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>')
         for b, on_curve in zip(histogram_bins([report.min, report.max, report.mean]), (False, False, True)):
             x = left_cols + (b + 0.5) / HIST_BINS * spark_w
             y = base - (report.histogram[b] / peak * spark_h if on_curve else 0.0)

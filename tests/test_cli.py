@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from interfero import ExperimentConfig, ValidationError
+from interfero import ExperimentConfig, ValidationError, report
 from interfero.cli import main, parse_config
 from interfero.output import CSV_HEADER, config_lines
 
@@ -219,6 +219,22 @@ def test_report_text_format_only(tmp_path, config_path, capsys):
     capsys.readouterr()
     assert (out / "table.txt").exists()
     assert not (out / "table.svg").exists()
+
+
+def test_report_csv_format_renders_no_sparkline_table(tmp_path, config_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out), "--format", "all"]) == 0
+    table = (out / "table.csv").read_bytes()
+    (out / "table.csv").unlink()
+
+    def unreached(rows):
+        raise AssertionError("the sparkline table was rendered")
+
+    monkeypatch.setattr(report, "render_sparkline_table", unreached)
+    assert main(["report", "--out", str(out), "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert (out / "table.csv").read_bytes() == table
 
 
 def test_analyze_missing_results_exits_two(tmp_path, capsys):

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,9 +30,10 @@ from interfero import (
     run_sweep,
     summarize,
     summary_row,
+    theory_series,
     write_results,
 )
-from interfero import output, report
+from interfero import experiments, output, report
 from interfero.cli import main, parse_config
 from interfero.experiments import BLOCK_CELLS, METRICS, SweepTable
 from interfero.output import (
@@ -138,17 +140,70 @@ ENTRY = ".results.csv.tables"
 ENTRY_ARRAYS = ("key", "text", "kinds", "shapes", "floats")
 
 
+def analyze_and_report_digests(out: Path, capsys) -> dict[str, str]:
+    """sha256 of the stdout of ``interfero analyze`` on ``out`` and of every other file there after ``report --format all``."""
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(out)]) == 0
+    digests = {"analyze": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    assert main(["report", "--out", str(out), "--format", "all"]) == 0
+    # the cached tables are there only where results.csv had settled when analyze read it
+    written = {p.name for p in out.iterdir()} - {"results.csv", ENTRY}
+    return digests | {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in written}
+
+
 @pytest.mark.parametrize("name", PINNED_OUTPUTS)
 def test_summary_analyze_and_report_bytes_are_pinned(name, tmp_path, capsys):
     write_results(run_sweep(PINNED_CSV[name][0]), tmp_path)
-    capsys.readouterr()
-    assert main(["analyze", "--out", str(tmp_path)]) == 0
-    digests = {"analyze": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
-    assert main(["report", "--out", str(tmp_path), "--format", "all"]) == 0
-    # the cached tables are there only where results.csv had settled when analyze read it
-    written = {p.name for p in tmp_path.iterdir()} - {"results.csv", ENTRY}
-    digests |= {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written}
-    assert digests == PINNED_OUTPUTS[name]
+    assert analyze_and_report_digests(tmp_path, capsys) == PINNED_OUTPUTS[name]
+
+
+#: The sweeps of a results.csv of several labels on several grids: two bmzi labels on one grid, a bmzi
+#: label on another and a pqe label.  :func:`multi_label_csv` adds a fifth, pqe, label on the first grid.
+MULTI_LABEL = (
+    ExperimentConfig(kind="bmzi", angle_points=12, repetitions=6, shots=300, master_seed=21, label="q0"),
+    ExperimentConfig(kind="bmzi", angle_points=12, repetitions=4, shots=300, master_seed=22, label="q1"),
+    ExperimentConfig(kind="bmzi", angle_points=9, repetitions=5, shots=300, master_seed=23, label="q2"),
+    ExperimentConfig(kind="pqe", angle_points=10, repetitions=4, shots=300, master_seed=24, label="e0"),
+)
+
+#: sha256 of the stdout of ``interfero analyze`` and of each file of ``interfero report --format all``
+#: on :func:`multi_label_csv`, as the code wrote them that evaluated the theory once per label.
+PINNED_MULTI_LABEL = {
+    "analyze": "368123d8908f100e77ec25298fced50aec4d66d1d6875d341efb1a1edf1f07de",
+    "curves_e0.svg": "90eecd44d18cc326626a19bd55ad26603775040edf8b2ef5aa988b82d5c8e355",
+    "curves_q0.svg": "2f9b0244d4a1294e510796cfd3fe0b395f3f2532f388fee168f65c6979f77e4e",
+    "curves_q1-as-pqe.svg": "a63ed8be491b4e79813737b695d7a73e603daaca8b3bc165c0e2349fff7af75c",
+    "curves_q1.svg": "6b0df6f5239377b4965b7ac35fee63000c8d6618d7adacfc44f51bba7b6a985b",
+    "curves_q2.svg": "cc4e82d588dc33be25fcf4fbb7fa808c989bec03a02faeecacf9e3a980fdb38d",
+    "table.csv": "53d06ca340e7c2c1416c83bd9e45ee31db9c1cec4cdf5665297cd0e7e472b12b",
+    "table.svg": "c285aacb392dce60ba616c301b3aad881e3b4cf5bdcaf62faf189b3e5d948c23",
+    "table.txt": "015b4ab154a029b5fea3a1d509c46a787664ef1480f9ecbe7418291aa62f95ba",
+}
+
+
+def multi_label_csv() -> str:
+    """The result_csv bodies of :data:`MULTI_LABEL` joined under one header, then q1's rows again as a pqe label."""
+    bodies = [result_csv(run_sweep(config)).split("\n", 1)[1] for config in MULTI_LABEL]
+    return CSV_HEADER + "\n" + "".join(bodies) + bodies[1].replace("bmzi,q1,", "pqe,q1-as-pqe,")
+
+
+def test_a_file_of_several_labels_and_grids_keeps_its_pinned_outputs(tmp_path, capsys):
+    (tmp_path / "results.csv").write_text(multi_label_csv(), encoding="utf-8")
+    assert analyze_and_report_digests(tmp_path, capsys) == PINNED_MULTI_LABEL
+
+
+@pytest.mark.parametrize("reduce", [reports_from_rows, aggregate_curves])
+def test_the_theory_is_evaluated_once_per_kind_and_grid(tmp_path, monkeypatch, reduce):
+    (tmp_path / "results.csv").write_text(multi_label_csv(), encoding="utf-8")
+    rows = read_results(tmp_path / "results.csv")
+    calls = []
+    theory_series = experiments.theory_series
+    for module in (experiments, report):  # analyze evaluates the curves where it is not given them
+        monkeypatch.setattr(module, "theory_series", lambda kind, angles: calls.append(kind) or theory_series(kind, angles))
+    reduce(rows)
+    # q0 and q1 share one bmzi grid; q2, e0 and the pqe label on q1's grid each have their own curves
+    assert sorted(calls) == ["bmzi", "bmzi", "pqe", "pqe"]
+    assert len(rows.tables) == 5
 
 
 def oracle_csv(rows) -> str:
@@ -322,6 +377,115 @@ def test_curves_single_repetition_has_no_error_bars(tmp_path):
     curves = aggregate_curves(read_results(paths["results"]))
     svg = render_curves(curves[config.run_label])
     assert 'stroke-width="0.7"' not in svg  # error-bar style absent
+
+
+def per_point_curves_tail(curve: report.CurveData) -> str:
+    """render_curves from its first point list to the end, each point formatted on its own, as the renderer did
+    before each point list became one %-format: the reference that its bytes must equal."""
+    left, top, plot_w, plot_h = 56, 28, 448, 288
+    x_min, x_max = float(curve.angles[0]), float(curve.angles[-1])
+    x_lo, x_hi = (x_min, x_max) if x_max != x_min else (x_min - 1.0, x_max + 1.0)
+    y_max = max(
+        1.05,
+        float(np.max(curve.mean_sum + curve.std_sum)) * 1.05,
+        float(np.max(curve.theory_c + curve.theory_p)) * 1.05,
+    )
+    y_min = -0.05
+    x_text = [f"{x:.2f}" for x in (left + (curve.angles - x_lo) / (x_hi - x_lo) * plot_w).tolist()]
+
+    def y_text(ys: np.ndarray) -> list[str]:
+        return [f"{y:.2f}" for y in (top + (y_max - ys) / (y_max - y_min) * plot_h).tolist()]
+
+    def polyline(ys: np.ndarray, color: str, stroke_width: float) -> str:
+        pts = " ".join(map("{},{}".format, x_text, y_text(ys)))
+        return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{stroke_width}" opacity="1.00"/>'
+
+    parts = [polyline(curve.theory_c + curve.theory_p, "#999999", 0.8)]
+    parts += [polyline(curve.theory_c, "#d9b38c", 0.8), polyline(curve.theory_p, "#9cb8d9", 0.8)]
+    for mean, std, key in (
+        (curve.mean_sum, curve.std_sum, "sum"),
+        (curve.mean_c, curve.std_c, "coherence"),
+        (curve.mean_p, curve.std_p, "predictability"),
+    ):
+        color = report.CURVE_COLORS[key]
+        bar = std > 0
+        parts.extend(
+            f'<line x1="{x}" y1="{y1}" x2="{x}" y2="{y2}" stroke="{color}" stroke-width="0.7" opacity="0.6"/>'
+            for x, y1, y2 in zip(compress(x_text, bar.tolist()), y_text((mean - std)[bar]), y_text((mean + std)[bar]))
+        )
+        parts.append(polyline(mean, color, 1.6))
+    return "\n".join([*parts, "</svg>"]) + "\n"
+
+
+def curve_of(mean, std, angles=None) -> report.CurveData:
+    """A curve whose coherence is ``mean`` and ``std``, whose predictability is them reversed and whose sum is their
+    sum, over ``angles`` (by default the bmzi grid of their length), with that grid's bmzi theory."""
+    mean, std = np.asarray(mean, dtype=float), np.asarray(std, dtype=float)
+    if angles is None:
+        angles = ExperimentConfig(kind="bmzi", angle_points=max(2, len(mean))).angles()[: len(mean)]
+    angles = np.asarray(angles, dtype=float)
+    sums = (mean + mean[::-1], std + std[::-1])
+    return report.CurveData("x", "bmzi", angles, mean, std, mean[::-1], std[::-1], *sums, *theory_series("bmzi", angles))
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        pytest.param(curve_of([0.4], [0.1], angles=[0.5]), id="one-angle"),
+        pytest.param(curve_of(np.linspace(0.0, 1.0, 12), np.zeros(12)), id="no-bars"),
+        pytest.param(curve_of(np.linspace(0.0, 1.0, 12), [0.0, 0.05] * 6), id="bars-at-alternate-angles"),
+        # 1.15695 maps a hair above the plot's top edge, to the text -0.00
+        pytest.param(curve_of([-0.0, -0.3, -2.0, 1.15695, 0.0, -1e-3], [0.0, 0.01, 0.1, 0.0, 0.2, 0.0]), id="below-axis"),
+        pytest.param(curve_of(1e6 * np.array([1.0, -2.5, 0.3, 7.0]), [1e5, 0.0, 3e6, 1.0]), id="magnitudes-1e6"),
+        pytest.param(curve_of([0.2, np.nan, 0.5, 0.7], [np.nan, 0.1, 0.0, 0.05]), id="nan"),
+    ],
+)
+def test_curves_point_lists_equal_a_per_point_format(curve):
+    svg, tail = render_curves(curve), per_point_curves_tail(curve)
+    assert svg[svg.index("<polyline") :] == tail
+
+
+def test_a_point_above_the_plot_is_drawn_at_minus_zero():
+    assert "-0.00" in per_point_curves_tail(curve_of([-0.0, -0.3, -2.0, 1.15695, 0.0, -1e-3], [0.0] * 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=n, max_size=n),
+        )
+    )
+)
+def test_curves_of_drawn_finite_arrays_equal_a_per_point_format(values):
+    svg, tail = render_curves(curve_of(*values)), per_point_curves_tail(curve_of(*values))
+    assert svg[svg.index("<polyline") :] == tail
+
+
+def per_point_sparkline_points(rows: list[tuple[str, MseReport]]) -> list[str]:
+    """The points of each row's histogram polyline in the SVG sparkline table, each point formatted on its own, as
+    the renderer did before each row's points became one %-format: the reference that its bytes must equal."""
+    left_cols = 320 + 7 * (max(8, *(len(label) for label, _ in rows)) - 8)
+    points = []
+    for k, (_, shown) in enumerate(rows):
+        base = 26 + k * 30 + 20 + 4
+        peak = max(max(shown.histogram), 1)
+        xs = [left_cols + (b + 0.5) / 60 * 240 for b in range(60)]
+        points.append(" ".join(f"{x:.2f},{base - count / peak * 20:.2f}" for x, count in zip(xs, shown.histogram)))
+    return points
+
+
+def test_sparkline_points_equal_a_per_point_format():
+    rows = [
+        ("q", summarize([0.2])),
+        ("a-label-of-15ch", summarize([0.05, 0.2, 0.5])),
+        ("z", _shown(mean=0.1, std=0.0, corr=-0.3, min=0.0, max=0.2, histogram=tuple([3] + [1] * 10 + [0] * 49))),
+        ("e", _shown(mean=0.1, std=0.0, corr=0.0, min=0.0, max=0.0, histogram=(0,) * 60)),
+        ("big", _shown(mean=0.1, std=0.0, corr=0.0, min=0.0, max=0.0, histogram=tuple(range(10**6, 10**6 + 60)))),
+    ]
+    svg = render_sparkline_table(rows)[1]
+    assert re.findall(r'<polyline points="([^"]+)"', svg) == per_point_sparkline_points(rows)
 
 
 def test_sparkline_single_value_distribution():
