@@ -30,10 +30,10 @@ CONFIG_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in get_type_hi
 
 
 def __getattr__(name: str):
-    # the benchmark's tests read the reader as cli.read_results; reading it imports the reader then
+    # the benchmark's test reads a results.csv's rows, as a list, by cli.read_results(path), which imports the reader
     if name == "read_results":
         from .report import read_results
-        return read_results
+        return lambda path: [row for table in read_results(path).values() for row in table.rows()]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -152,9 +152,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .report import read_results, reports_from_rows  # the reader, imported only by the commands that read
     path = Path(args.out) / "results.csv"
-    rows = read_results(path)
+    tables = read_results(path)
     with _naming(path):
-        reports = reports_from_rows(rows)
+        reports = reports_from_rows(tables)
     for label, report in reports.items():
         print(f"# label {label}")
         print("\n".join(report_lines(report)))
@@ -164,10 +164,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .report import aggregate_curves, read_results, render_curves, render_sparkline_table, reports_from_rows
     out = Path(args.out)
-    rows = read_results(out / "results.csv")
+    tables = read_results(out / "results.csv")
     with _naming(out / "results.csv"):
-        reports = reports_from_rows(rows)
-        curves = aggregate_curves(rows) if args.format in ("svg", "all") else {}
+        reports = reports_from_rows(tables)
+        curves = aggregate_curves(tables) if args.format in ("svg", "all") else {}
     if args.format != "csv":
         text, svg = render_sparkline_table(list(reports.items()))
     # every file is rendered, and the curve names checked for clashes, before any is written

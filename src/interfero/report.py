@@ -1,7 +1,7 @@
 """The results reader, the MSE tables and curves, and their renderers.
 
-:func:`read_results` parses a results.csv into one :class:`SweepTable` per
-label: a numpy byte kernel reads the grammar :mod:`interfero.output` writes,
+:func:`read_results` parses a results.csv into ``{label: SweepTable}``:
+a numpy byte kernel reads the grammar :mod:`interfero.output` writes,
 each number bitwise as Python's ``int`` and ``float`` read it, and Python
 converts line by line a file the kernel declines.  The tables of a file
 that parses are cached beside it, in ``.<name>.tables``, under its identity
@@ -9,10 +9,10 @@ that parses are cached beside it, in ``.<name>.tables``, under its identity
 it: a hit reads none of its bytes, writes nothing and gives bitwise the
 tables of a parse, a change to this package's sources or to numpy's version
 makes every older entry a miss, and a file that fails to parse is never
-stored.  :func:`reports_from_rows` and :func:`aggregate_curves` reduce the
-tables to MSE reports and mean curves.  Figures are plain SVG strings built
-without imaging dependencies; sparkline tables come in a text variant
-(8-level block characters) and an SVG variant.
+stored.  :func:`reports_from_rows` and :func:`aggregate_curves` reduce such
+a dict, read back or held by a run, to MSE reports and mean curves.  Figures
+are plain SVG strings built without imaging dependencies; sparkline tables
+come in a text variant (8-level block characters) and an SVG variant.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import hashlib
 import math
 import os
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.format import read_array
 
 from .errors import ValidationError
-from .experiments import BLOCK_CELLS, KINDS, METRICS, ResultRow, SweepTable, analyze, theory_series
+from .experiments import BLOCK_CELLS, KINDS, METRICS, SweepTable, analyze, theory_series
 from .mse import HIST_BINS, MseReport, histogram_bins
 # write_manifest and write_results are unused here: the benchmark's tracer looks them up in this module
 from .output import CSV_HEADER, read_text, write_manifest, write_results  # noqa: F401
@@ -53,33 +53,8 @@ INDEX_FIELDS = ("angle_index", "repetition")
 _identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
 
-class ResultRows(Sequence[ResultRow]):
-    """The rows of a results.csv, read-only, over its per-label tables.
-
-    ``tables`` maps each label, in order of first appearance, to its
-    :class:`SweepTable`.  The rows run through the tables in that order,
-    each angle-major, which is file order for every file ``interfero run``
-    writes; a row's ``angle_index`` and ``repetition`` are its place in its
-    table's grid.  Iteration builds one table's rows at a time; indexing
-    builds the rows of every table.
-    """
-
-    def __init__(self, tables: dict[str, SweepTable]) -> None:
-        self.tables = tables
-
-    def __len__(self) -> int:
-        return sum(t.coherence.size for t in self.tables.values())
-
-    def __getitem__(self, k):
-        return list(self)[k]
-
-    def __iter__(self) -> Iterator[ResultRow]:
-        for table in self.tables.values():
-            yield from table.rows()
-
-
-def read_results(csv_path: str | Path) -> ResultRows:
-    """Parse a results CSV into one table per label.
+def read_results(csv_path: str | Path) -> dict[str, SweepTable]:
+    """Parse a results CSV into a dict of each label, in order of first appearance, to its table (so too on a hit).
 
     A malformed line is a ValidationError naming ``path:line``: a wrong field count, an unknown kind,
     a non-integer index, an unparseable or non-finite number, a kind that differs from the label's
@@ -102,7 +77,7 @@ def read_results(csv_path: str | Path) -> ResultRows:
     with open(path, "rb") as f:
         stat, entry = os.fstat(f.fileno()), path.with_name(f".{path.name}.tables")
         if tables := _read_entry(entry, stat):
-            return ResultRows(tables)
+            return tables
         data = f.read()
         store = _identity(os.fstat(f.fileno())) == _identity(stat) and _settled(stat.st_ctime_ns)
     columns = _load_file(path, data)
@@ -110,7 +85,7 @@ def read_results(csv_path: str | Path) -> ResultRows:
     grid = _group(path, *(columns or _read_lines(path)))
     if store:
         _store(entry, stat, *grid)
-    return ResultRows(_tables(*grid))
+    return _tables(*grid)
 
 
 def _settled(ctime_ns: int) -> bool:
@@ -411,15 +386,15 @@ def _in_order(code: np.ndarray, index: np.ndarray, rep: np.ndarray) -> bool:
     return bool(rising.all())
 
 
-def reports_from_rows(rows: ResultRows) -> dict[str, MseReport]:
-    """Per-label MSE reports of the tables :func:`read_results` returns.
+def reports_from_rows(tables: dict[str, SweepTable]) -> dict[str, MseReport]:
+    """Per-label MSE reports of label-to-table ``tables``, as :func:`read_results` returns or a run holds.
 
     The theory curves are evaluated once per distinct (kind, angle grid) of the call, and each
     label on that grid is scored against them.  A report whose arithmetic overflows a float is
     a ValidationError naming its label.
     """
     reports, theory = {}, {}
-    for label, table in rows.tables.items():
+    for label, table in tables.items():
         with _float_faults(label):
             reports[label] = analyze(table, _grid_theory(theory, table))
     return reports
@@ -454,11 +429,11 @@ class CurveData:
     theory_p: np.ndarray
 
 
-def aggregate_curves(rows: ResultRows) -> dict[str, CurveData]:
+def aggregate_curves(tables: dict[str, SweepTable]) -> dict[str, CurveData]:
     """Mean and standard deviation over repetitions, per label and angle, with the theory curves,
     evaluated once per distinct (kind, angle grid) of the call: labels on one grid share their arrays."""
     curves, theory = {}, {}
-    for label, t in rows.tables.items():
+    for label, t in tables.items():
         with _float_faults(label):
             stats = [f(v, axis=1) for v in (t.coherence, t.predictability, t.total) for f in (np.mean, np.std)]
         curves[label] = CurveData(label, t.kind, t.angles, *stats, *_grid_theory(theory, t))

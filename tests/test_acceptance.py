@@ -226,8 +226,7 @@ def test_criterion_9_determinism_and_runtime(tmp_path):
     for result, name in ((first, "a"), (second, "b")):
         out = tmp_path / name
         paths = write_results(result, out)
-        rows = read_results(paths["results"])
-        curve = aggregate_curves(rows)[config.run_label]
+        curve = aggregate_curves(read_results(paths["results"]))[config.run_label]
         _, table_svg = render_sparkline_table([summary_row(config.run_label, result.report)])
         svg_pair.append(render_curves(curve) + table_svg)
     svg_identical = svg_pair[0] == svg_pair[1]

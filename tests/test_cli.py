@@ -468,3 +468,33 @@ def test_statistics_that_overflow_a_float_exit_one_naming_the_label(tmp_path, ca
     assert captured.out == ""
     assert captured.err == f"error: {path}: label 'a': overflow encountered in square while reducing its rows\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("kind = bmzi\nshots = 50\nkind = pqe\n", (), "{cfg}:3: duplicate config key 'kind'"),
+        ("angle_points = 4\n", (), "{cfg}: missing required config key 'kind'"),
+        ("kind = bmzi\nanalytic = maybe\n", (), "{cfg}:2: key 'analytic' expects true/false, got 'maybe'"),
+        ("kind = bmzi\nshots = 1e3\n", (), "{cfg}:2: key 'shots' expects int, got '1e3'"),
+        (BASE_CONFIG, ("--threads", "0"), "threads must be at least 1, got 0"),
+    ],
+    ids=["duplicate-key", "no-kind", "bool-maybe", "int-1e3", "zero-threads"],
+)
+def test_a_config_or_flag_error_is_one_line_exit_one(tmp_path, capsys, text, flags, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_that_is_a_regular_file_is_one_line_exit_two(tmp_path, config_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and str(out) in captured.err

@@ -195,15 +195,15 @@ def test_a_file_of_several_labels_and_grids_keeps_its_pinned_outputs(tmp_path, c
 @pytest.mark.parametrize("reduce", [reports_from_rows, aggregate_curves])
 def test_the_theory_is_evaluated_once_per_kind_and_grid(tmp_path, monkeypatch, reduce):
     (tmp_path / "results.csv").write_text(multi_label_csv(), encoding="utf-8")
-    rows = read_results(tmp_path / "results.csv")
+    tables = read_results(tmp_path / "results.csv")
     calls = []
     theory_series = experiments.theory_series
     for module in (experiments, report):  # analyze evaluates the curves where it is not given them
         monkeypatch.setattr(module, "theory_series", lambda kind, angles: calls.append(kind) or theory_series(kind, angles))
-    reduce(rows)
+    reduce(tables)
     # q0 and q1 share one bmzi grid; q2, e0 and the pqe label on q1's grid each have their own curves
     assert sorted(calls) == ["bmzi", "bmzi", "pqe", "pqe"]
-    assert len(rows.tables) == 5
+    assert len(tables) == 5
 
 
 def oracle_csv(rows) -> str:
@@ -230,7 +230,8 @@ def oracle_csv(rows) -> str:
 
 def test_write_read_round_trip(tmp_path, noisy_result):
     paths = write_results(noisy_result, tmp_path)
-    rows = read_results(paths["results"])
+    (table,) = read_results(paths["results"]).values()
+    rows = list(table.rows())
     assert len(rows) == len(noisy_result.records)
     for row, rec in zip(rows, noisy_result.records):
         assert row.angle_index == rec.angle_index
@@ -308,7 +309,7 @@ def test_labels_reach_results_csv_verbatim(tmp_path, label):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     text = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8")
     assert text == oracle_csv(run_sweep(parse_config(path)).records)
-    assert list(read_results(tmp_path / "out" / "results.csv").tables) == [label]
+    assert list(read_results(tmp_path / "out" / "results.csv")) == [label]
 
 
 @pytest.mark.parametrize("n, m", [(10_001, 1), (1_500, 7)])
@@ -324,8 +325,7 @@ def test_csv_blocks_join_seamlessly(noisy_result, monkeypatch, n, m):
 
 def test_recomputed_reports_match_in_run_analysis(tmp_path, noisy_result):
     paths = write_results(noisy_result, tmp_path)
-    rows = read_results(paths["results"])
-    recomputed = reports_from_rows(rows)[noisy_result.config.run_label]
+    recomputed = reports_from_rows(read_results(paths["results"]))[noisy_result.config.run_label]
     in_run = noisy_result.report
     for field in ("mse_sum", "mse_c", "mse_p", "corr", "mean", "std", "min", "max"):
         assert abs(getattr(recomputed, field) - getattr(in_run, field)) <= 1e-12
@@ -651,11 +651,21 @@ def test_aggregate_curves_mean_and_std(tmp_path):
     config = ExperimentConfig(kind="bmzi", angle_points=3, repetitions=5, shots=100, master_seed=8)
     result = run_sweep(config)
     paths = write_results(result, tmp_path)
-    rows = read_results(paths["results"])
-    curve = aggregate_curves(rows)[config.run_label]
-    per_angle = [r.coherence for r in rows if r.angle_index == 1]
+    tables = read_results(paths["results"])
+    curve = aggregate_curves(tables)[config.run_label]
+    per_angle = [r.coherence for r in tables[config.run_label].rows() if r.angle_index == 1]
     assert curve.mean_c[1] == pytest.approx(float(np.mean(per_angle)), abs=5e-13)
     assert curve.std_c[1] == pytest.approx(float(np.std(per_angle)), abs=5e-13)
+
+
+@pytest.mark.parametrize("kind", ["bmzi", "pqe"])
+def test_a_runs_table_reduces_as_its_file_does(kind):
+    config = ExperimentConfig(kind=kind, angle_points=5, repetitions=3, shots=200, master_seed=6, depolarizing=0.02)
+    result = run_sweep(config)
+    tables = {config.run_label: result.table}
+    # both score the table against theory_series of its grid, so the reports are equal, not close
+    assert reports_from_rows(tables)[config.run_label] == result.report
+    ET.fromstring(render_curves(aggregate_curves(tables)[config.run_label]))
 
 
 def _tables_equal(a, b):
@@ -666,27 +676,6 @@ def _tables_equal(a, b):
         for name in ("angles", "coherence", "predictability", "total", "total_raw", "psd_violation"):
             x, y = getattr(ta, name), getattr(tb, name)
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-def test_result_rows_index_slice_and_iterate_like_the_records(tmp_path, noisy_result):
-    rows = read_results(write_results(noisy_result, tmp_path)["results"])
-    records = noisy_result.records
-    assert len(rows) == len(records) == 18
-    assert list(rows.tables) == [noisy_result.config.run_label]
-
-    def key(r):
-        return (r.kind, r.label, r.angle_index, r.repetition)
-
-    assert [key(r) for r in rows] == [key(r) for r in records]
-    assert [key(r) for r in rows[2:11:3]] == [key(r) for r in records[2:11:3]]
-    assert [key(r) for r in rows[::-1]] == [key(r) for r in records[::-1]]
-    assert key(rows[-1]) == key(records[-1])
-    for row, rec in zip(rows[4:9], records[4:9]):
-        for name in ("angle", "coherence", "predictability", "total", "total_raw", "psd_violation"):
-            assert getattr(row, name) == pytest.approx(getattr(rec, name), abs=5e-13)
-    assert list(rows) == [rows[k] for k in range(len(rows))]
-    with pytest.raises(IndexError):
-        rows[len(rows)]
 
 
 def test_shuffled_rows_give_the_same_tables_and_reports(tmp_path, noisy_result):
@@ -701,16 +690,16 @@ def test_shuffled_rows_give_the_same_tables_and_reports(tmp_path, noisy_result):
     a, b = read_results(ordered), read_results(shuffled)
     # tables come in order of each label's first row
     first = body[0].split(",")[1]
-    assert list(b.tables)[0] == first
-    _tables_equal(a.tables, {label: b.tables[label] for label in a.tables})
-    assert reports_from_rows(a) == {label: reports_from_rows(b)[label] for label in a.tables}
+    assert list(b)[0] == first
+    _tables_equal(a, {label: b[label] for label in a})
+    assert reports_from_rows(a) == {label: reports_from_rows(b)[label] for label in a}
 
 
 def test_crlf_line_ends_are_accepted(tmp_path, noisy_result):
     lf = write_results(noisy_result, tmp_path / "lf")["results"]
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    _tables_equal(read_results(lf).tables, read_results(crlf).tables)
+    _tables_equal(read_results(lf), read_results(crlf))
 
 
 def test_read_tables_are_c_contiguous_grids(tmp_path, noisy_result):
@@ -720,7 +709,7 @@ def test_read_tables_are_c_contiguous_grids(tmp_path, noisy_result):
     reversed_path.write_text("\n".join([header, *body[::-1]]) + "\n", encoding="utf-8")
     # rows in file order are grouped where they are, reversed ones after a sort
     for p in (path, reversed_path):
-        table = read_results(p).tables[noisy_result.config.run_label]
+        table = read_results(p)[noisy_result.config.run_label]
         assert table.coherence.shape == (6, 3)
         assert all(getattr(table, name).flags.c_contiguous for name in METRICS)
         assert np.array_equal(table.angles, np.round(noisy_result.angles, 12))
@@ -798,10 +787,11 @@ def test_angle_index_and_repetition_gaps_read_back_renumbered(tmp_path):
         for r in (2, 5)
     ]
     path.write_text("\n".join([CSV_HEADER, *lines]) + "\n", encoding="utf-8")
-    rows = read_results(path)
+    table = read_results(path)["g"]
+    rows = list(table.rows())
     assert [(row.angle_index, row.repetition) for row in rows] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert [row.angle for row in rows] == [0.0, 0.0, 0.3, 0.3, 0.7, 0.7]
-    assert np.array_equal(rows.tables["g"].angles, [0.0, 0.3, 0.7])
+    assert np.array_equal(table.angles, [0.0, 0.3, 0.7])
 
 
 @pytest.fixture(scope="module")
@@ -815,7 +805,7 @@ def clean_lines():
 def _outcome(path):
     """The tables ``read_results`` gives for ``path``, or its error message."""
     try:
-        return read_results(path).tables
+        return read_results(path)
     except ValidationError as exc:
         return str(exc)
 
@@ -1137,8 +1127,8 @@ def test_a_file_interfero_run_writes_takes_the_whole_file_reader(tmp_path, monke
         raise AssertionError("the line-by-line reader was reached")
 
     monkeypatch.setattr(report, "_read_lines", unreached)
-    rows = read_results(tmp_path / "out" / "results.csv")
-    assert list(rows.tables) == [label or "0-1"] and rows.tables[label or "0-1"].coherence.shape == (5, 3)
+    tables = read_results(tmp_path / "out" / "results.csv")
+    assert list(tables) == [label or "0-1"] and tables[label or "0-1"].coherence.shape == (5, 3)
 
 
 @pytest.fixture(scope="module")
@@ -1265,17 +1255,17 @@ def _unreached(*args):
 def test_a_warm_read_gives_the_tables_of_a_cold_read_bitwise(tmp_path, monkeypatch, settled, clean_lines, mutate):
     header, *rows = clean_lines
     path = _write_lines(tmp_path / "results.csv", [header, *mutate(rows)])
-    cold = read_results(path).tables
+    cold = read_results(path)
     assert len(_entries(tmp_path)) == 1 and {t.kind for t in cold.values()} == {"bmzi", "pqe"}
     monkeypatch.setattr(report, "_load_file", _unreached)
     monkeypatch.setattr(report, "_read_lines", _unreached)
-    warm = read_results(path).tables
+    warm = read_results(path)
     _tables_equal(cold, warm)
     for label in cold:
         for name in ("angles", *METRICS):
             x, y = getattr(cold[label], name), getattr(warm[label], name)
             assert (x.dtype, x.strides, x.flags.c_contiguous) == (y.dtype, y.strides, y.flags.c_contiguous)
-    assert reports_from_rows(report.ResultRows(cold)) == reports_from_rows(report.ResultRows(warm))
+    assert reports_from_rows(cold) == reports_from_rows(warm)
 
 
 def _truncated(entry):
@@ -1319,15 +1309,15 @@ def _changed(**change):
 )
 def test_a_spoilt_entry_falls_back_to_a_parse(tmp_path, monkeypatch, settled, clean_lines, spoil):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
-    cold = read_results(path).tables
+    cold = read_results(path)
     (entry,) = _entries(tmp_path)
     spoil(entry)
     parses = []
     parse = report._load_file
     monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
-    _tables_equal(cold, read_results(path).tables)
+    _tables_equal(cold, read_results(path))
     # the parse stored the entry again, and the next read hits it
-    _tables_equal(cold, read_results(path).tables)
+    _tables_equal(cold, read_results(path))
     assert len(parses) == 1 and _entries(tmp_path) == [entry]
 
 
@@ -1415,17 +1405,17 @@ def test_an_entry_is_read_only_by_the_code_that_wrote_it(tmp_path, monkeypatch, 
     digests.append(report._code_digest.__wrapped__())
     assert len(set(digests)) == 5
     path = _write_lines(tmp_path / "results.csv", clean_lines)
-    cold = read_results(path).tables
+    cold = read_results(path)
     parses = []
     parse = report._load_file
     monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
     (entry,) = _entries(tmp_path)
     monkeypatch.setattr(report, "_code_digest", lambda: digests[-1])
-    _tables_equal(cold, read_results(path).tables)
+    _tables_equal(cold, read_results(path))
     # the other code's entry missed, and the parse replaced it
     assert len(parses) == 1 and _entries(tmp_path) == [entry]
     assert np.load(entry).tobytes().startswith(digests[-1].hex().encode())
-    _tables_equal(cold, read_results(path).tables)
+    _tables_equal(cold, read_results(path))
     assert len(parses) == 1
 
 
@@ -1452,14 +1442,14 @@ def _opened_as(path, kind):
 
 def test_a_hit_reads_no_byte_of_the_file_and_hashes_only_the_code(tmp_path, monkeypatch, settled, clean_lines):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
-    cold = read_results(path).tables
+    cold = read_results(path)
     monkeypatch.setattr(report, "_load_file", _unreached)
     monkeypatch.setattr(report, "_read_lines", _unreached)
     monkeypatch.setattr(report, "open", _opened_as(path, _Unreadable), raising=False)
     report._code_digest.cache_clear()  # so that a new process's hit is seen, which takes the digest once
     hashed, sha256 = [], hashlib.sha256
     monkeypatch.setattr(hashlib, "sha256", lambda data=b"": hashed.append(data) or sha256(data))
-    _tables_equal(cold, read_results(path).tables)
+    _tables_equal(cold, read_results(path))
     sources = sorted(Path(report.__file__).parent.glob("*.py"))
     assert hashed == [np.__version__.encode(), *(source.read_bytes() for source in sources)]
 
@@ -1505,7 +1495,7 @@ def test_analyze_and_report_write_nothing_under_home_or_the_cache_home(tmp_path,
 def test_a_copied_out_directory_misses_and_replaces_the_copied_entry(tmp_path, monkeypatch, settled, clean_lines):
     out = tmp_path / "out"
     out.mkdir()
-    cold = read_results(_write_lines(out / "results.csv", clean_lines)).tables
+    cold = read_results(_write_lines(out / "results.csv", clean_lines))
     copy = Path(shutil.copytree(out, tmp_path / "copy"))  # by shutil.copy2, which keeps sizes and mtimes
     original, copied = os.stat(out / "results.csv"), os.stat(copy / "results.csv")
     assert (copied.st_size, copied.st_mtime_ns) == (original.st_size, original.st_mtime_ns)
@@ -1513,7 +1503,7 @@ def test_a_copied_out_directory_misses_and_replaces_the_copied_entry(tmp_path, m
     parses, parse = [], report._load_file
     monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
     for _ in range(2):
-        _tables_equal(cold, read_results(copy / "results.csv").tables)
+        _tables_equal(cold, read_results(copy / "results.csv"))
     assert len(parses) == 1 and _entries(copy) == [copy / ENTRY]
     assert (copy / ENTRY).read_bytes() != (out / ENTRY).read_bytes()
 
@@ -1528,7 +1518,7 @@ def test_a_store_leaves_the_entry_another_store_created_first(tmp_path, monkeypa
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(report, "open", raced, raising=False)
-    _tables_equal(read_results(path).tables, _line_outcome(path))
+    _tables_equal(read_results(path), _line_outcome(path))
     assert _entries(tmp_path) == [entry] and entry.read_bytes() == b"another store's entry"
 
 
@@ -1558,14 +1548,14 @@ def _replaced(path, lines):
 def test_a_same_size_rewrite_with_the_old_mtime_misses_and_gives_the_new_tables(tmp_path, clean_lines, rewrite):
     path = _write_lines(tmp_path / "results.csv", clean_lines)
     _wait_until_settled(path)
-    old = read_results(path).tables
+    old = read_results(path)
     assert len(_entries(tmp_path)) == 1
     before = os.stat(path)
     rewrite(path, _with_one_number_changed(clean_lines))
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     after = os.stat(path)
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-    new = read_results(path).tables
+    new = read_results(path)
     _tables_equal(new, _line_outcome(path))
     assert new["b"].coherence[0, 0] != old["b"].coherence[0, 0]
 
@@ -1593,7 +1583,7 @@ def test_a_change_between_the_two_fstats_is_not_stored(tmp_path, monkeypatch, se
         return _stat_with(stat, **{field: getattr(stat, field) + 1}) if len(calls) == 2 else stat
 
     monkeypatch.setattr(os, "fstat", changed_on_the_second_call)
-    tables = read_results(path).tables
+    tables = read_results(path)
     # a read moves the access time, which tells no version of the file from another
     assert len(calls) == 2 and len(_entries(tmp_path)) == int(stored)
     _tables_equal(tables, _line_outcome(path))
@@ -1628,11 +1618,11 @@ def test_a_file_younger_than_its_window_is_parsed_on_every_read_and_never_stored
     parses, parse = [], report._load_file
     monkeypatch.setattr(report, "_load_file", lambda *args: parses.append(args) or parse(*args))
     monkeypatch.setattr(report, "time_ns", lambda: ctime_ns + window - 1)
-    cold = read_results(path).tables
-    _tables_equal(cold, read_results(path).tables)
+    cold = read_results(path)
+    _tables_equal(cold, read_results(path))
     assert len(parses) == 2 and _entries(tmp_path) == []
     # at the window's end the file is settled: stored once, then a hit
     monkeypatch.setattr(report, "time_ns", lambda: ctime_ns + window)
     for _ in range(2):
-        _tables_equal(cold, read_results(path).tables)
+        _tables_equal(cold, read_results(path))
     assert len(parses) == 3 and len(_entries(tmp_path)) == 1
