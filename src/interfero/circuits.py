@@ -2,7 +2,7 @@
 
 Qubit ordering: qubit ``q`` occupies bit ``q`` of the basis index, so for two
 qubits the basis label is ``|q1 q0>`` and the index is ``2*q1 + q0``.  Counts
-use bitstrings in the same order (leftmost character = highest qubit).
+and frequencies are vectors over that outcome index, one entry per outcome.
 Two-qubit gate matrices are written in the same ``|q1 q0>`` basis.
 
 Angle-dependent gates accept an array of angles and then carry a leading
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import PAULI, at_index, check_density_matrix, check_state_vector, dagger, kron, require
+from .linalg import PAULI, at_index, check_density_matrix, check_state_vector, dagger, has_type, kron, require
 from .noise import NoiseModel
 
 PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -215,12 +215,8 @@ def outcome_probabilities(state: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def sample_counts(
-    state: np.ndarray,
-    shots: int | None,
-    rng: np.random.Generator | None = None,
-) -> dict[str, float]:
-    """Multinomial shot counts in the computational basis.
+def sample_counts(state: np.ndarray, shots: int | None, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Multinomial shot counts in the computational basis, a vector ``(d,)`` over the outcome index.
 
     ``shots=None`` selects the analytic mode and returns the exact outcome
     frequencies instead of sampling.  Sampling draws one multinomial vector
@@ -230,29 +226,20 @@ def sample_counts(
     return counts_from_probabilities(outcome_probabilities(state), shots, rng)
 
 
-def counts_from_probabilities(
-    probs: np.ndarray,
-    shots: int | None,
-    rng: np.random.Generator | None = None,
-) -> dict[str, float]:
+def counts_from_probabilities(probs: np.ndarray, shots: int | None, rng: np.random.Generator | None = None) -> np.ndarray:
     """Sampling core of :func:`sample_counts` for an outcome distribution over 1 or 2 qubits."""
-    probs = np.asarray(probs, dtype=float)
+    probs = np.array(probs, dtype=float)
     require(probs.shape in ((2,), (4,)), lambda _: f"expected 2 or 4 outcome probabilities, got shape {probs.shape}")
     require((probs >= 0) & (probs < np.inf), lambda k: f"outcome probability {float(probs[k])!r} is not in [0, inf)")
     require(abs(probs.sum() - 1.0) <= 1e-9, lambda _: f"outcome probabilities sum to {float(probs.sum())!r}, not 1")
-    n_bits = int(probs.shape[0]).bit_length() - 1
     if shots is None:
-        return {_bits(i, n_bits): float(p) for i, p in enumerate(probs) if p > 0.0}
-    if shots < 1:
+        return probs
+    # the sampler takes the shot count as a C long
+    if not has_type(shots, int) or not 1 <= shots <= 2**63 - 1:
         raise ValidationError(f"shots must be a positive integer, got {shots}")
     if rng is None:
         raise ValidationError("sampling requires a seeded generator; pass rng=")
-    counts = rng.multinomial(shots, probs)
-    return {_bits(i, n_bits): int(c) for i, c in enumerate(counts) if c > 0}
-
-
-def _bits(index: int, n_bits: int) -> str:
-    return format(index, f"0{n_bits}b")
+    return rng.multinomial(shots, probs)
 
 
 def _check_unitary(gate: Gate) -> None:

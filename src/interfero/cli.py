@@ -16,17 +16,13 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from . import __version__
 from .errors import ValidationError
-from .experiments import CONFIG_COMMENT, KINDS, MAX_CELLS, ExperimentConfig, run_sweep, theory_series
+from .experiments import CONFIG_COMMENT, CONFIG_TYPES, KINDS, MAX_CELLS, ExperimentConfig, run_sweep, theory_series
 from .output import _write, fmt12, read_text, report_lines, write_manifest, write_results
 
 SEED_ENV = "INTERFERO_SEED"
-
-#: Each config key and the type of its value, in ExperimentConfig field order (``int | None`` -> ``int``).
-CONFIG_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def __getattr__(name: str):

@@ -34,7 +34,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .circuits import (
 )
 from .complementarity import bmzi_state, l1_metrics, pqe_state
 from .errors import ValidationError
-from .linalg import check_finite, outer
+from .linalg import check_finite, has_type, outer
 from .mse import MseReport, decompose_rows
 from .noise import NoiseModel
 from .tomography import BASIS_ROTATION, linear_inversion, measurement_settings, parity_signs, project_psd
@@ -102,8 +102,10 @@ class ExperimentConfig:
     readout_flip1: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
+        for key, typ in CONFIG_TYPES.items():
+            if not has_type(value := getattr(self, key), typ) and value is not None:
+                raise ValidationError(f"{key} must be of type {typ.__name__}, got {value!r}")
         if self.angle_points < 2:
             raise ValidationError(f"angle_points must be at least 2, got {self.angle_points}")
         # the sampler takes the shot count as a C long
@@ -156,6 +158,10 @@ class ExperimentConfig:
         if self.kind == "bmzi":
             return -np.pi + 2 * np.pi * np.arange(self.angle_points) / self.angle_points
         return 2 * np.pi * np.arange(self.angle_points) / self.angle_points
+
+
+#: Each config key and the type of its value, in ExperimentConfig field order (``int | None`` -> ``int``).
+CONFIG_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 class ResultRow(NamedTuple):
@@ -264,6 +270,7 @@ def theory_series(kind: str, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray
     One metric evaluation on the stack of pure states; point ``i`` equals
     ``theory_bmzi(angles[i])`` or ``theory_pqe(angles[i])`` bit for bit.
     """
+    _check_kind(kind)
     state = bmzi_state if kind == "bmzi" else pqe_state
     return l1_metrics(outer(state(angles)))
 
@@ -374,6 +381,11 @@ def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, 
     if rebuilt.any():  # rho itself where every cell was rebuilt: a gathered copy would hold a second stack
         c[rebuilt], p[rebuilt] = l1_metrics(rho if rebuilt.all() else rho[rebuilt])
     return c, p, c + p, total_raw, violation
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def _label_reads_back(label: str) -> bool:

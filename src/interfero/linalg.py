@@ -24,6 +24,7 @@ a raw finite-shot reconstruction.  Both eigenvalue bounds are first proved by
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 
 import numpy as np
@@ -172,6 +173,12 @@ def require(ok: bool | np.ndarray, message: Callable[[tuple[int, ...]], str]) ->
     ok = np.asarray(ok)
     if not ok.all():
         raise ValidationError(message(first(~ok)))
+
+
+def has_type(value: object, typ: type) -> bool:
+    """Whether ``value`` is a ``typ``: any integral for int, any real for float (numpy's too), a bool only for bool."""
+    abstract = {int: numbers.Integral, float: numbers.Real}.get(typ, typ)
+    return isinstance(value, abstract) and isinstance(value, bool) == (typ is bool)
 
 
 def check_finite(value: float | np.ndarray, name: str) -> None:

@@ -49,7 +49,7 @@ def measurement_settings(n_qubits: int) -> list[str]:
 
     Letters are ordered I < X < Y < Z per qubit; the all-identity string is
     excluded, leaving ``4**n - 1`` settings.  The first character addresses
-    the highest qubit, matching bitstring order.
+    the highest qubit, the outcome index's highest bit.
     """
     if n_qubits not in (1, 2):
         raise ValidationError(f"tomography supports 1 or 2 qubits, got {n_qubits}")
@@ -71,24 +71,20 @@ def basis_change(setting: str) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def expectation_from_counts(counts: dict[str, float], setting: str) -> float:
-    """Parity-weighted average of counts taken in the setting's basis, signed by :func:`parity_signs`."""
-    if not counts:
-        raise ValidationError("counts table is empty")
+def expectation_from_counts(counts: np.ndarray, setting: str) -> float:
+    """Parity-weighted mean of a count vector ``(2**n,)`` over the outcome index, signed by :func:`parity_signs`."""
     n = _setting_qubits(setting)
-    signs = parity_signs(n)[measurement_settings(n).index(setting)]
-    total = 0.0
-    acc = 0.0
-    for bits, count in counts.items():
-        if len(bits) != n or not set(bits) <= {"0", "1"}:
-            raise ValidationError(f"bitstring {bits!r} does not match {n} qubit(s)")
-        require(0 <= count < math.inf, lambda _: f"count for outcome {bits!r} must be finite and >= 0, got {count!r}")
-        acc += signs[int(bits, 2)] * count
-        total += count
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (1 << n,):
+        raise ValidationError(f"expected {1 << n} counts for {n} qubit(s), got shape {counts.shape}")
+    ok = (counts >= 0) & (counts < np.inf)
+    require(ok, lambda k: f"count for outcome {k[0]} must be finite and >= 0, got {float(counts[k])!r}")
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        total = counts.sum()
     require(total < math.inf, lambda _: "counts table total overflows a float")
     if total <= 0:
         raise ValidationError("counts table has no shots")
-    return float(acc / total)
+    return float(parity_signs(n)[measurement_settings(n).index(setting)] @ counts / total)
 
 
 def linear_inversion(expectations: Mapping[str, float] | np.ndarray, n_qubits: int) -> np.ndarray:

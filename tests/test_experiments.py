@@ -12,8 +12,11 @@ from interfero import (
     simulate_statevector,
     theory_series,
 )
+from interfero.circuits import counts_from_probabilities
 from interfero.experiments import cell_rng
 from interfero.output import result_csv
+
+RNG = np.random.default_rng(0)
 
 
 def test_bmzi_circuit_structure():
@@ -107,6 +110,41 @@ def test_shots_must_fit_a_c_long():
     with pytest.raises(ValidationError, match="shots"):
         ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, shots=2**63)
     assert ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, shots=2**63 - 1).shots == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExperimentConfig(kind="bmzi", shots=1000.7), "shots must be of type int, got 1000.7"),
+        (lambda: ExperimentConfig(kind="bmzi", shots=True), "shots must be of type int, got True"),
+        (lambda: ExperimentConfig(kind="bmzi", angle_points=4.5), "angle_points must be of type int, got 4.5"),
+        (lambda: ExperimentConfig(kind="bmzi", repetitions=2.5), "repetitions must be of type int, got 2.5"),
+        (lambda: ExperimentConfig(kind="bmzi", master_seed=1.5), "master_seed must be of type int, got 1.5"),
+        (lambda: ExperimentConfig(kind="bmzi", label=5), "label must be of type str, got 5"),
+        (lambda: ExperimentConfig(kind="bmzi", analytic=1), "analytic must be of type bool, got 1"),
+        (lambda: ExperimentConfig(kind="bmzi", depolarizing=True), "depolarizing must be of type float, got True"),
+        (lambda: counts_from_probabilities([0.5, 0.5], 2.5, RNG), "shots must be a positive integer, got 2.5"),
+        (lambda: counts_from_probabilities([0.5, 0.5], True, RNG), "shots must be a positive integer, got True"),
+        (lambda: counts_from_probabilities([0.5, 0.5], 2**63, RNG), f"shots must be a positive integer, got {2**63}"),
+    ],
+    ids=[
+        "shots-float", "shots-bool", "points-float", "repetitions-float", "seed-float", "label-int", "analytic-int",
+        "depolarizing-bool", "sampled-shots-float", "sampled-shots-bool", "sampled-shots-2**63",
+    ],
+)
+def test_a_config_value_or_shot_count_of_the_wrong_type_is_rejected(call, message):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_numpy_scalars_of_the_right_kind_are_accepted():
+    config = ExperimentConfig(
+        kind="pqe", angle_points=np.int64(4), shots=np.uint16(10), repetitions=np.int32(2), depolarizing=np.float64(0.5)
+    )
+    assert run_sweep(config).table.coherence.shape == (4, 2)
+    assert counts_from_probabilities([0.5, 0.5], np.int64(7), RNG).sum() == 7
+    assert ExperimentConfig(kind="bmzi", depolarizing=0).depolarizing == 0
 
 
 @pytest.mark.parametrize("label", ["", "a,b", "a\nb", "a\rb", "a\x0bb", "a\u2028b"])
@@ -216,6 +254,12 @@ def test_theory_series_equals_the_oracle_point_by_point(kind):
     assert np.array_equal(state(angles)[3], state(float(angles[3])))
     with pytest.raises(ValidationError, match="must be finite"):
         state(np.array([0.0, np.nan]))
+
+
+def test_theory_series_rejects_an_unknown_kind():
+    with pytest.raises(ValidationError) as caught:
+        theory_series("xyz", np.zeros(3))
+    assert str(caught.value) == "kind must be one of ('bmzi', 'pqe'), got 'xyz'"
 
 
 @pytest.mark.parametrize("kind, shape", [("bmzi", (120, 128)), ("pqe", (7, 3)), ("bmzi", (1, 5)), ("pqe", (130, 1))])

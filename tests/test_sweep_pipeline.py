@@ -88,9 +88,8 @@ def reference_cell(counts, n_qubits):
     dim = 1 << n_qubits
     rho_raw = np.eye(dim, dtype=complex)
     for s, setting in enumerate(measurement_settings(n_qubits)):
-        table = {format(k, f"0{n_qubits}b"): int(c) for k, c in enumerate(counts[s]) if c > 0}
         op = reduce(np.kron, [PAULI[letter] for letter in setting])
-        rho_raw = rho_raw + expectation_from_counts(table, setting) * op
+        rho_raw = rho_raw + expectation_from_counts(counts[s], setting) * op
     rho_raw = rho_raw / dim
     lam, vecs = np.linalg.eigh(rho_raw)
     if lam[0] >= 0:

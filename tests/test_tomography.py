@@ -82,39 +82,60 @@ def test_basis_change_y_on_circular_state():
 
 
 def test_expectation_from_counts_examples():
-    assert expectation_from_counts({"0": 1000}, "Z") == pytest.approx(1.0)
-    assert expectation_from_counts({"00": 500, "10": 500}, "ZI") == pytest.approx(0.0)
-    assert expectation_from_counts({"00": 500, "11": 500}, "ZZ") == pytest.approx(1.0)
+    assert expectation_from_counts(np.array([1000, 0]), "Z") == pytest.approx(1.0)
+    assert expectation_from_counts(np.array([500, 0, 500, 0]), "ZI") == pytest.approx(0.0)
+    assert expectation_from_counts(np.array([500, 0, 0, 500]), "ZZ") == pytest.approx(1.0)
 
 
 def test_expectation_from_counts_guards():
     with pytest.raises(ValidationError):
-        expectation_from_counts({}, "Z")
+        expectation_from_counts(np.array([]), "Z")
     with pytest.raises(ValidationError):
-        expectation_from_counts({"00": 10}, "Z")
+        expectation_from_counts(np.array([10, 0, 0, 0]), "Z")
 
 
 @pytest.mark.parametrize(
     "counts, bad",
-    [({"0": float("nan")}, "0"), ({"0": 1, "1": float("inf")}, "1"), ({"0": 5, "1": -1}, "1"), ({"1": -np.inf}, "1")],
+    [([np.nan, 0], 0), ([1, np.inf], 1), ([5, -1], 1), ([0, -np.inf], 1)],
 )
 def test_expectation_from_counts_rejects_a_count_that_is_negative_or_not_finite(counts, bad):
     with pytest.raises(ValidationError) as info:
-        expectation_from_counts(counts, "Z")
-    assert str(info.value) == f"count for outcome {bad!r} must be finite and >= 0, got {counts[bad]!r}"
+        expectation_from_counts(np.array(counts), "Z")
+    assert str(info.value) == f"count for outcome {bad} must be finite and >= 0, got {float(counts[bad])!r}"
 
 
-@pytest.mark.parametrize("counts", [{"0": 1.5e308, "1": 1e308}, {"00": 1e308, "01": 1e308, "10": 0.0}])
+@pytest.mark.parametrize("counts", [[1.5e308, 1e308], [1e308, 1e308, 0.0, 0.0]])
 def test_expectation_from_counts_rejects_a_total_that_overflows(counts):
     with pytest.raises(ValidationError, match=r"^counts table total overflows a float$"):
-        expectation_from_counts(counts, "Z" * len(next(iter(counts))))
+        expectation_from_counts(np.array(counts), "Z" * (len(counts) // 2))
 
 
-@pytest.mark.parametrize("bits, setting", [("2", "Z"), ("a", "Z"), ("0a", "ZZ"), ("21", "ZI"), ("1 ", "IZ")])
-def test_expectation_from_counts_rejects_keys_that_are_not_bitstrings(bits, setting):
+@pytest.mark.parametrize(
+    "counts, setting",
+    [(np.full(4, 10), "Z"), (np.full(2, 10), "ZZ"), (np.full((2, 2), 10), "ZI"), (np.int64(10), "Z")],
+    ids=["4-for-Z", "2-for-ZZ", "2-d", "scalar"],
+)
+def test_expectation_from_counts_rejects_a_vector_of_the_wrong_shape(counts, setting):
     n = len(setting)
-    with pytest.raises(ValidationError, match=rf"^bitstring {re.escape(repr(bits))} does not match {n} qubit\(s\)$"):
-        expectation_from_counts({bits: 10}, setting)
+    expected = rf"^expected {2**n} counts for {n} qubit\(s\), got shape {re.escape(str(np.shape(counts)))}$"
+    with pytest.raises(ValidationError, match=expected):
+        expectation_from_counts(counts, setting)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_expectation_from_counts_is_the_exact_parity_sum_over_integers(n_qubits):
+    rng = np.random.default_rng(17 + n_qubits)
+    d = 1 << n_qubits
+    vectors = [rng.multinomial(shots, rng.dirichlet(np.ones(d))) for shots in (1, 7, 1000, 10**6, 2**40)]
+    vectors += [np.eye(d, dtype=np.int64)[k] * 3 for k in range(d)] + [np.array([0] * (d - 1) + [5])]
+    for counts in vectors:
+        for s, setting in enumerate(measurement_settings(n_qubits)):
+            signs = tomography.parity_signs(n_qubits)[s].astype(int).tolist()
+            ints = counts.tolist()
+            exact = sum(sign * count for sign, count in zip(signs, ints)) / sum(ints)
+            got = expectation_from_counts(counts, setting)
+            assert type(got) is float
+            assert got.hex() == exact.hex(), (counts, setting)
 
 
 def test_linear_inversion_examples():

@@ -25,7 +25,7 @@ LINE = np.zeros(3)
         (lambda: decompose_rows(np.zeros((2, 3)), np.zeros((3, 2))), "of equal shape"),
         (lambda: summarize([]), "summarize needs a nonempty 1-D value array"),
         (lambda: check_channel(()), "a Kraus channel needs at least one operator"),
-        (lambda: expectation_from_counts({"0": 0, "1": 0}, "Z"), "counts table has no shots"),
+        (lambda: expectation_from_counts([0, 0], "Z"), "counts table has no shots"),
         (lambda: basis_change("Q"), "invalid Pauli string 'Q'"),
         (lambda: basis_change("II"), "measurement setting needs at least one non-identity letter"),
         (lambda: Circuit(1).extended(Circuit(2)), "cannot append a circuit with a different qubit count"),
