@@ -25,15 +25,19 @@ to have every eigenvalue above ``linalg.PSD_MARGIN`` (1e-9), a margin
 far above ``eigh``'s error; the others come back unchanged and keep their
 raw metrics, so only the rebuilt states are scored again.  Every step works
 on each angle or cell on its own and every angle owns its stream, so
-results do not depend on the chunk or piece sizes.
+results do not depend on the chunk or piece sizes, nor on the thread count:
+each piece's angles draw on at most min(threads, angles in the piece, CPUs)
+threads, which run only numpy's sampler, as it releases the GIL (:func:`_draw`).
 """
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from threading import Thread
 from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
@@ -106,6 +110,8 @@ class ExperimentConfig:
         for key, typ in CONFIG_TYPES.items():
             if not has_type(value := getattr(self, key), typ) and value is not None:
                 raise ValidationError(f"{key} must be of type {typ.__name__}, got {value!r}")
+            if typ is float:  # a numpy float32 would build its Kraus operators, and write config.cfg, at its precision
+                object.__setattr__(self, key, float(value))
         if self.angle_points < 2:
             raise ValidationError(f"angle_points must be at least 2, got {self.angle_points}")
         # the sampler takes the shot count as a C long
@@ -261,6 +267,7 @@ def build_pqe(phi: float | np.ndarray) -> Circuit:
 
 
 def build_circuit(kind: str, angle: float | np.ndarray) -> Circuit:
+    _check_kind(kind)
     return build_bmzi(angle) if kind == "bmzi" else build_pqe(angle)
 
 
@@ -328,13 +335,16 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the full sweep and aggregate the deconstructed MSE report.
 
     Scores each piece that :func:`_expectation_pieces`, the sweep's one boundary, yields, on the calling
-    thread; ``threads`` is accepted and changes nothing.  Working memory is one chunk's ``3**n`` partial
-    states (``3**n * angles * d**2`` complex numbers), one piece's ``(cells, settings, d)`` frequencies,
+    thread; at most ``threads`` (an int, at least 1) threads draw each piece, and the outputs do not depend
+    on it.  Working memory is one chunk's ``3**n`` partial states (``3**n * angles * d**2`` complex
+    numbers), one piece's ``(cells, settings, d)`` frequencies,
     then its ``(cells, settings)`` expectations and ``(cells, d, d)`` states, and the metric columns of
     the pieces so far, which are joined once into the table and then released.
     """
+    if not has_type(threads, int) or threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads!r}")
     angles = config.angles()
-    pieces = [_cell_metrics(expectations, config.n_qubits) for expectations in _expectation_pieces(config)]
+    pieces = [_cell_metrics(expectations, config.n_qubits) for expectations in _expectation_pieces(config, threads)]
     columns = [np.concatenate(column).reshape(len(angles), -1) for column in zip(*pieces)]
     pieces.clear()
     if config.analytic:  # an angle's one analytic cell stands for each of its repetitions
@@ -343,12 +353,12 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     return ExperimentResult(config, table, analyze(table))
 
 
-def _expectation_pieces(config: ExperimentConfig) -> Iterator[np.ndarray]:
+def _expectation_pieces(config: ExperimentConfig, threads: int = 1) -> Iterator[np.ndarray]:
     """The setting expectations ``(cells, S)`` of each piece of the sweep, angle-major (see the module docstring).
 
-    Each sampled angle draws from its stream, on from where its last piece stopped; analytic frequencies
-    are the distributions themselves.  Only the expectations outlive a piece's step (the name that held its
-    draws is rebound to them), so its draws are freed before it is reconstructed.
+    Each sampled angle draws from its stream, on from where its last piece stopped (:func:`_draw`); analytic
+    frequencies are the distributions themselves.  Only the expectations outlive a piece's step (the name that
+    held its draws is rebound to them), so its draws are freed before it is reconstructed.
     """
     angles = config.angles()
     cells = 1 if config.analytic else config.m  # an analytic angle is one cell, at its exact frequencies
@@ -363,11 +373,36 @@ def _expectation_pieces(config: ExperimentConfig) -> Iterator[np.ndarray]:
                 piece = dists
                 if not config.analytic:
                     piece = np.empty((len(dists), min(BLOCK_CELLS, cells - r), *dists.shape[1:]))
-                    for b, stream in enumerate(streams):  # binds no view of the draws past the loop
-                        piece[b] = stream.multinomial(config.shots, dists[b], size=piece.shape[1:3])
+                    _draw(piece, streams, dists, config.shots, threads)
                     piece /= config.shots
                 piece = np.einsum("rsk,sk->rs", piece.reshape(-1, *dists.shape[1:]), parity_signs(config.n_qubits))
                 yield piece
+
+
+def _draw(piece: np.ndarray, streams: list[np.random.Generator], dists: np.ndarray, shots: int, threads: int) -> None:
+    """Fill ``piece[b]`` with angle ``b``'s next counts from ``streams[b]``, on min(threads, angles, CPUs) threads.
+
+    The calling thread draws one share of the angles, and joins a thread it started for each other share before
+    it raises the first exception any share raised: ``piece`` would otherwise keep unfilled rows.
+    """
+    workers = min(threads, len(streams), os.cpu_count() or 1)
+    errors: list[BaseException] = []
+
+    def share(first: int) -> None:
+        try:
+            for b in range(first, len(streams), workers):
+                piece[b] = streams[b].multinomial(shots, dists[b], size=piece.shape[1:3])
+        except BaseException as exc:  # raised again once every share has ended
+            errors.append(exc)
+
+    started = [Thread(target=share, args=(first,)) for first in range(1, workers)]
+    for thread in started:
+        thread.start()
+    share(0)
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:

@@ -12,9 +12,11 @@ from interfero import (
     simulate_statevector,
     theory_series,
 )
+from interfero import __version__
 from interfero.circuits import counts_from_probabilities
-from interfero.experiments import cell_rng
-from interfero.output import result_csv
+from interfero.cli import parse_config
+from interfero.experiments import build_circuit, cell_rng
+from interfero.output import result_csv, write_manifest
 
 RNG = np.random.default_rng(0)
 
@@ -145,6 +147,32 @@ def test_numpy_scalars_of_the_right_kind_are_accepted():
     assert run_sweep(config).table.coherence.shape == (4, 2)
     assert counts_from_probabilities([0.5, 0.5], np.int64(7), RNG).sum() == 7
     assert ExperimentConfig(kind="bmzi", depolarizing=0).depolarizing == 0
+
+
+@pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
+def test_run_sweep_rejects_a_thread_count_that_is_not_a_positive_int(threads):
+    with pytest.raises(ValidationError) as caught:
+        run_sweep(ExperimentConfig(kind="bmzi", angle_points=2, repetitions=1, shots=10), threads=threads)
+    assert str(caught.value) == f"threads must be at least 1, got {threads!r}"
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float16])
+def test_a_numpy_float_noise_strength_runs_and_its_config_file_rebuilds_the_run(tmp_path, scalar):
+    config = ExperimentConfig(
+        kind="bmzi", angle_points=6, repetitions=3, shots=200, depolarizing=scalar(0.02), readout_flip1=scalar(0.03)
+    )
+    assert type(config.depolarizing) is float and config.depolarizing == scalar(0.02)
+    result = run_sweep(config)
+    write_manifest(tmp_path, result, [], __version__)
+    again = parse_config(tmp_path / "config.cfg")
+    assert again == config
+    assert result_csv(run_sweep(again)) == result_csv(result)
+
+
+def test_build_circuit_rejects_an_unknown_kind():
+    with pytest.raises(ValidationError) as caught:
+        build_circuit("xyz", 0.3)
+    assert str(caught.value) == "kind must be one of ('bmzi', 'pqe'), got 'xyz'"
 
 
 @pytest.mark.parametrize("label", ["", "a,b", "a\nb", "a\rb", "a\x0bb", "a\u2028b"])
