@@ -158,19 +158,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from .report import aggregate_curves, read_results, render_curves, render_sparkline_table, reports_from_rows
+    from .report import _sparkline_svg, _sparkline_text
     out = Path(args.out)
     tables = read_results(out / "results.csv")
     with _naming(out / "results.csv"):
-        reports = reports_from_rows(tables)
+        rows = list(reports_from_rows(tables).items())
         curves = aggregate_curves(tables) if args.format in ("svg", "all") else {}
-    if args.format != "csv":
-        text, svg = render_sparkline_table(list(reports.items()))
+    # --format all renders both sparkline tables in one call; text or svg renders only the one it writes
+    text, svg = render_sparkline_table(rows) if args.format == "all" else (None, None)
     # every file is rendered, and the curve names checked for clashes, before any is written
     files: dict[Path, str] = {}
     if args.format in ("text", "all"):
-        files[out / "table.txt"] = text
+        files[out / "table.txt"] = text or _sparkline_text(rows)
     if args.format in ("svg", "all"):
-        files[out / "table.svg"] = svg
+        files[out / "table.svg"] = svg or _sparkline_svg(rows)
         owner: dict[Path, str] = {}
         for label, curve in curves.items():
             path = out / f"curves_{re.sub(r'[^-A-Za-z0-9_.]', '_', label)}.svg"
@@ -181,7 +182,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             files[path] = render_curves(curve)
     if args.format in ("csv", "all"):
         lines = ["label,mean,std,corr,min,max,overflow"]
-        for label, r in reports.items():
+        for label, r in rows:
             lines.append(f"{label},{r.mean:.3f},{r.std:.3f},{r.corr:.3f},{r.min:.3f},{r.max:.2f},{r.overflow}")
         files[out / "table.csv"] = "\n".join(lines) + "\n"
     for path, content in files.items():

@@ -26,7 +26,6 @@ POPULATION_FLOOR = 1e-12
 class ComplementarityPoint:
     coherence: float
     predictability: float
-    dim: int
 
     @property
     def total(self) -> float:
@@ -69,8 +68,7 @@ def l1_metrics(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def point_from_density(rho: np.ndarray) -> ComplementarityPoint:
-    c, p = l1_metrics(rho)
-    return ComplementarityPoint(_scalar(c), _scalar(p), np.shape(rho)[-1])
+    return ComplementarityPoint(*map(_scalar, l1_metrics(rho)))
 
 
 def bmzi_state(alpha: float) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Interferometer circuit builders and sweep orchestration.
+"""Interferometer kinds and sweep orchestration.
 
-A sweep walks an angle grid, repeats each angle ``repetitions`` times, runs
-every tomography setting with ``shots`` samples (or exact frequencies in
-analytic mode), reconstructs the state and evaluates the complementarity
-metrics.
+Each kind is one :data:`INTERFEROMETERS` record.  A sweep walks the kind's
+angle grid, repeats each angle ``repetitions`` times, runs every tomography
+setting with ``shots`` samples (or exact frequencies in analytic mode),
+reconstructs the state and evaluates the complementarity metrics.
 
 The sweep tiles its angle-major (angle, repetition) cells twice, each tiling
 bounded by :data:`BLOCK_CELLS`.  Simulation chunks of at most that many
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,10 +63,50 @@ from .mse import MseReport, decompose_rows
 from .noise import NoiseModel
 from .tomography import BASIS_ROTATION, linear_inversion, measurement_settings, parity_signs, project_psd
 
-KINDS = ("bmzi", "pqe")
-DEFAULT_REPETITIONS = {"bmzi": 128, "pqe": 32}
-DEFAULT_LABEL = {"bmzi": "0", "pqe": "0-1"}
-QUBITS = {"bmzi": 1, "pqe": 2}
+#: One interferometer kind's facts: qubit count, default repetitions and label, first grid angle, circuit, exact state.
+Interferometer = namedtuple("Interferometer", "qubits repetitions label start circuit state")
+
+
+def build_bmzi(alpha: float | np.ndarray) -> Circuit:
+    """Biased Mach-Zehnder interferometer on one qubit.
+
+    Biased beam splitter at ``alpha``, mirror pair, zero phase shift, and a
+    balanced second beam splitter fixed at its reference angle.  An array of
+    angles gives the angle-stacked circuit.
+    """
+    check_finite(alpha, "alpha")
+    return Circuit(1, (rx_neg(alpha, 0), ix(0), phase(0.0, 0), rx_neg(-np.pi, 0)))
+
+
+def build_pqe(phi: float | np.ndarray) -> Circuit:
+    """Partial quantum eraser on two qubits (q1 spatial mode, q0 polarization).
+
+    Balanced splitter, half-wave plate marking the path on the polarization,
+    mirrors and phase shift, recombining splitter, then quarter-wave plate
+    and polarizing splitters that partially erase the marker.  An array of
+    phases gives the angle-stacked circuit.
+    """
+    check_finite(phi, "phi")
+    return Circuit(
+        2,
+        (
+            rx_neg(np.pi / 2, 1),
+            cx(1, 0),
+            ix(1),
+            phase(phi, 1),
+            rx_neg(np.pi / 2, 1),
+            ctrl_h_open(1, 0),
+            ctrl_ix(0, 1),
+        ),
+    )
+
+
+#: Each interferometer kind's record, by the name a config gives as ``kind``.
+INTERFEROMETERS = {
+    "bmzi": Interferometer(qubits=1, repetitions=128, label="0", start=-np.pi, circuit=build_bmzi, state=bmzi_state),
+    "pqe": Interferometer(qubits=2, repetitions=32, label="0-1", start=0.0, circuit=build_pqe, state=pqe_state),
+}
+KINDS = tuple(INTERFEROMETERS)  # the kind names, in the order every message lists them
 
 #: The bound of both tilings of :func:`run_sweep`: it simulates at most this many angles as one
 #: stack, and draws and reconstructs at most this many (angle, repetition) cells as one piece,
@@ -78,6 +119,9 @@ MAX_CELLS = 250_000
 
 # not used here: the benchmark's tracer patches this attribute (perfbench/tracing.py)
 ThreadPoolExecutor = None
+
+#: The noise strength keys of ExperimentConfig, each in [0, 1], in the order of NoiseModel.build's parameters.
+NOISE_KEYS = ("depolarizing", "amplitude_damping", "phase_damping", "readout_flip0", "readout_flip1")
 
 #: Where a config-file comment starts: '#' at the start of a line or after whitespace.
 CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
@@ -108,9 +152,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _check_kind(self.kind)
         for key, typ in CONFIG_TYPES.items():
-            if not has_type(value := getattr(self, key), typ) and value is not None:
+            if not (has_type(value := getattr(self, key), typ) or value is None and key in OPTIONAL_KEYS):
                 raise ValidationError(f"{key} must be of type {typ.__name__}, got {value!r}")
-            if typ is float:  # a numpy float32 would build its Kraus operators, and write config.cfg, at its precision
+            if typ is float and value is not None:  # a numpy float32 would keep its precision in Kraus and config.cfg
                 object.__setattr__(self, key, float(value))
         if self.angle_points < 2:
             raise ValidationError(f"angle_points must be at least 2, got {self.angle_points}")
@@ -130,44 +174,38 @@ class ExperimentConfig:
             )
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        for name in ("depolarizing", "amplitude_damping", "phase_damping", "readout_flip0", "readout_flip1"):
+        for name in NOISE_KEYS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
 
     @cached_property
     def noise(self) -> NoiseModel:
-        return NoiseModel.build(
-            depolarizing_p=self.depolarizing,
-            amplitude_damping_gamma=self.amplitude_damping,
-            phase_damping_lambda=self.phase_damping,
-            readout_flip0=self.readout_flip0,
-            readout_flip1=self.readout_flip1,
-        )
+        return NoiseModel.build(*(getattr(self, name) for name in NOISE_KEYS))
 
     @property
     def n_qubits(self) -> int:
-        return QUBITS[self.kind]
+        return INTERFEROMETERS[self.kind].qubits
 
     @property
     def m(self) -> int:
-        return self.repetitions if self.repetitions is not None else DEFAULT_REPETITIONS[self.kind]
+        return self.repetitions if self.repetitions is not None else INTERFEROMETERS[self.kind].repetitions
 
     @property
     def run_label(self) -> str:
-        return self.label if self.label is not None else DEFAULT_LABEL[self.kind]
+        return self.label if self.label is not None else INTERFEROMETERS[self.kind].label
 
     def angles(self) -> np.ndarray:
-        """Uniform endpoint-exclusive grid: [-pi, pi) for the interferometer
-        sweep, [0, 2*pi) for the eraser, so the quarter-turn extremes land
-        exactly on grid points."""
-        if self.kind == "bmzi":
-            return -np.pi + 2 * np.pi * np.arange(self.angle_points) / self.angle_points
-        return 2 * np.pi * np.arange(self.angle_points) / self.angle_points
+        """Uniform endpoint-exclusive grid over 2*pi from the kind's first angle: [-pi, pi) for the
+        interferometer sweep, [0, 2*pi) for the eraser, so the quarter-turn extremes land exactly on grid points."""
+        return INTERFEROMETERS[self.kind].start + 2 * np.pi * np.arange(self.angle_points) / self.angle_points
 
 
+_HINTS = get_type_hints(ExperimentConfig)
 #: Each config key and the type of its value, in ExperimentConfig field order (``int | None`` -> ``int``).
-CONFIG_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in get_type_hints(ExperimentConfig).items()}
+CONFIG_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in _HINTS.items()}
+#: The config keys whose type hint allows ``None`` (``int | None``); no other key takes it.
+OPTIONAL_KEYS = {key for key, hint in _HINTS.items() if type(None) in get_args(hint)}
 
 
 class ResultRow(NamedTuple):
@@ -232,43 +270,8 @@ class ExperimentResult:
         return self.table.rows()
 
 
-def build_bmzi(alpha: float | np.ndarray) -> Circuit:
-    """Biased Mach-Zehnder interferometer on one qubit.
-
-    Biased beam splitter at ``alpha``, mirror pair, zero phase shift, and a
-    balanced second beam splitter fixed at its reference angle.  An array of
-    angles gives the angle-stacked circuit.
-    """
-    check_finite(alpha, "alpha")
-    return Circuit(1, (rx_neg(alpha, 0), ix(0), phase(0.0, 0), rx_neg(-np.pi, 0)))
-
-
-def build_pqe(phi: float | np.ndarray) -> Circuit:
-    """Partial quantum eraser on two qubits (q1 spatial mode, q0 polarization).
-
-    Balanced splitter, half-wave plate marking the path on the polarization,
-    mirrors and phase shift, recombining splitter, then quarter-wave plate
-    and polarizing splitters that partially erase the marker.  An array of
-    phases gives the angle-stacked circuit.
-    """
-    check_finite(phi, "phi")
-    return Circuit(
-        2,
-        (
-            rx_neg(np.pi / 2, 1),
-            cx(1, 0),
-            ix(1),
-            phase(phi, 1),
-            rx_neg(np.pi / 2, 1),
-            ctrl_h_open(1, 0),
-            ctrl_ix(0, 1),
-        ),
-    )
-
-
 def build_circuit(kind: str, angle: float | np.ndarray) -> Circuit:
-    _check_kind(kind)
-    return build_bmzi(angle) if kind == "bmzi" else build_pqe(angle)
+    return _check_kind(kind).circuit(angle)
 
 
 def theory_series(kind: str, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +280,7 @@ def theory_series(kind: str, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray
     One metric evaluation on the stack of pure states; point ``i`` equals
     ``theory_bmzi(angles[i])`` or ``theory_pqe(angles[i])`` bit for bit.
     """
-    _check_kind(kind)
-    state = bmzi_state if kind == "bmzi" else pqe_state
-    return l1_metrics(outer(state(angles)))
+    return l1_metrics(outer(_check_kind(kind).state(angles)))
 
 
 def analyze(table: SweepTable, theory: tuple[np.ndarray, np.ndarray] | None = None) -> MseReport:
@@ -418,9 +419,10 @@ def _cell_metrics(expectations: np.ndarray, n_qubits: int) -> tuple[np.ndarray, 
     return c, p, c + p, total_raw, violation
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
+def _check_kind(kind: str) -> Interferometer:
+    if kind not in KINDS:  # the tuple, not the dict: a dict lookup raises a raw TypeError on an unhashable kind
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+    return INTERFEROMETERS[KINDS[KINDS.index(kind)]]
 
 
 def _label_reads_back(label: str) -> bool:

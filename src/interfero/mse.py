@@ -61,7 +61,6 @@ class MseReport:
     mse_c: float
     mse_p: float
     corr: float
-    per_experiment: tuple[float, ...]
     mean: float
     std: float
     min: float
@@ -131,7 +130,6 @@ def _distribution(values: np.ndarray, total: float, mse_c: float, mse_p: float, 
         mse_c=mse_c,
         mse_p=mse_p,
         corr=cross,
-        per_experiment=tuple(values.tolist()),
         mean=float(np.mean(values)),
         # population std (the m runs are the whole batch); exact 0 for a
         # constant batch instead of float residue from the mean subtraction

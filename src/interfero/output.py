@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import BLOCK_CELLS, METRICS, QUBITS, ExperimentConfig, ExperimentResult, SweepTable
+from .experiments import BLOCK_CELLS, INTERFEROMETERS, METRICS, ExperimentConfig, ExperimentResult, SweepTable
 from .mse import MseReport
 
 CSV_HEADER = "kind,label,angle_index,angle,repetition,coherence,predictability,sum,sum_raw,psd_violation"
@@ -220,7 +220,7 @@ def run_counters(table: SweepTable, shots: int) -> dict[str, int | float]:
     results.csv writes them, to 12 decimals (:func:`_fixed12`), so a recount from that file agrees and
     float residue below 5e-13 counts as no clipping.
     """
-    d = 1 << QUBITS[table.kind]
+    d = 1 << INTERFEROMETERS[table.kind].qubits
     mass, raw = _fixed12(table.psd_violation), _fixed12(table.total_raw)  # both at least 0, up to float residue
     return {
         "cells": mass.size,

@@ -237,6 +237,27 @@ def test_report_csv_format_renders_no_sparkline_table(tmp_path, config_path, cap
     assert (out / "table.csv").read_bytes() == table
 
 
+@pytest.mark.parametrize(
+    "fmt, name, other", [("text", "table.txt", "_sparkline_svg"), ("svg", "table.svg", "_sparkline_text")]
+)
+def test_report_text_or_svg_format_renders_only_its_sparkline_table(
+    tmp_path, config_path, capsys, monkeypatch, fmt, name, other
+):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out), "--format", "all"]) == 0
+    table = (out / name).read_bytes()
+    (out / name).unlink()
+
+    def unreached(rows):
+        raise AssertionError("the other sparkline table was rendered")
+
+    monkeypatch.setattr(report, other, unreached)
+    assert main(["report", "--out", str(out), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert (out / name).read_bytes() == table
+
+
 def test_analyze_missing_results_exits_two(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 2
     assert "results.csv" in capsys.readouterr().err

@@ -149,6 +149,45 @@ def test_numpy_scalars_of_the_right_kind_are_accepted():
     assert ExperimentConfig(kind="bmzi", depolarizing=0).depolarizing == 0
 
 
+NONE_MESSAGES = {
+    "kind": "kind must be one of ('bmzi', 'pqe'), got None",
+    "angle_points": "angle_points must be of type int, got None",
+    "shots": "shots must be of type int, got None",
+    "master_seed": "master_seed must be of type int, got None",
+    "analytic": "analytic must be of type bool, got None",
+    **{key: f"{key} must be of type float, got None" for key in
+       ("depolarizing", "amplitude_damping", "phase_damping", "readout_flip0", "readout_flip1")},
+}
+
+
+@pytest.mark.parametrize("key", NONE_MESSAGES)
+def test_none_is_rejected_for_a_key_whose_type_hint_does_not_allow_it(key):
+    with pytest.raises(ValidationError) as caught:
+        ExperimentConfig(**{"kind": "bmzi", key: None})
+    assert str(caught.value) == NONE_MESSAGES[key]
+
+
+@pytest.mark.parametrize("kind, repetitions, label", [("bmzi", 128, "0"), ("pqe", 32, "0-1")])
+def test_none_for_repetitions_and_label_takes_the_kinds_defaults(kind, repetitions, label):
+    config = ExperimentConfig(kind=kind, repetitions=None, label=None)
+    assert (config.m, config.run_label) == (repetitions, label)
+    assert config == ExperimentConfig(kind=kind)
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        (["bmzi"], "kind must be one of ('bmzi', 'pqe'), got ['bmzi']"),
+        # equal to a kind name but unhashable: the kind is looked up by the tuple of names, so the type rule speaks
+        (np.array("bmzi"), "kind must be of type str, got array('bmzi', dtype='<U4')"),
+    ],
+)
+def test_a_kind_that_is_not_a_kind_name_is_a_validation_error(kind, message):
+    with pytest.raises(ValidationError) as caught:
+        ExperimentConfig(kind=kind)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
 def test_run_sweep_rejects_a_thread_count_that_is_not_a_positive_int(threads):
     with pytest.raises(ValidationError) as caught:

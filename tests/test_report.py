@@ -501,7 +501,7 @@ def test_sparkline_single_value_distribution():
 def _shown(**fields) -> MseReport:
     """A report holding the fields a sparkline row shows; the decomposition is left NaN."""
     nan = float("nan")
-    return MseReport(mse_sum=nan, mse_c=nan, mse_p=nan, per_experiment=(), overflow=0, **fields)
+    return MseReport(mse_sum=nan, mse_c=nan, mse_p=nan, overflow=0, **fields)
 
 
 def test_sparkline_negative_corr_flagged():
